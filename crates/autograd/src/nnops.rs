@@ -123,8 +123,9 @@ impl Var {
             Box::new(move |g| {
                 let scale = g.item() / batch as f32;
                 let mut dx = softmax.clone();
+                let rows = dx.data_mut();
                 for (b, &l) in labels.iter().enumerate() {
-                    dx.data_mut()[b * classes + l] -= 1.0;
+                    rows[b * classes + l] -= 1.0;
                 }
                 dx.scale_inplace(scale);
                 vec![Some(dx)]
@@ -167,11 +168,11 @@ impl Var {
             Box::new(move |g| {
                 let scale = g.item() / batch as f32;
                 let mut dx = softmax.clone();
-                for (b, &l) in labels.iter().enumerate() {
-                    for c in 0..classes {
-                        dx.data_mut()[b * classes + c] -= uniform_share;
+                for (row, &l) in dx.data_mut().chunks_mut(classes).zip(&labels) {
+                    for p in row.iter_mut() {
+                        *p -= uniform_share;
                     }
-                    dx.data_mut()[b * classes + l] -= 1.0 - smoothing;
+                    row[l] -= 1.0 - smoothing;
                 }
                 dx.scale_inplace(scale);
                 vec![Some(dx)]

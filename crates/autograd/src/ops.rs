@@ -311,9 +311,10 @@ impl Var {
             Box::new(move |g| {
                 let cols = in_shape[1];
                 let mut full = Tensor::zeros(&in_shape);
+                let (dst, src) = (full.data_mut(), g.data());
                 for (r, &i) in idx.iter().enumerate() {
                     for c in 0..cols {
-                        full.data_mut()[i * cols + c] += g.data()[r * cols + c];
+                        dst[i * cols + c] += src[r * cols + c];
                     }
                 }
                 vec![Some(full)]
@@ -332,8 +333,9 @@ impl Var {
             vec![self.clone()],
             Box::new(move |g| {
                 let mut full = Tensor::zeros(&in_shape);
-                for (r, &i) in idx.iter().enumerate() {
-                    full.data_mut()[i] += g.data()[r];
+                let dst = full.data_mut();
+                for (&i, &gv) in idx.iter().zip(g.data()) {
+                    dst[i] += gv;
                 }
                 vec![Some(full)]
             }),
@@ -355,11 +357,12 @@ fn scatter_narrow(dst: &mut Tensor, src: &Tensor, axis: usize, start: usize) {
     let src_extent = src.shape()[axis];
     let outer: usize = dims[..axis].iter().product();
     let inner: usize = dims[axis + 1..].iter().product();
+    let (out, src) = (dst.data_mut(), src.data());
     for o in 0..outer {
         let dst_base = o * dims[axis] * inner + start * inner;
         let src_base = o * src_extent * inner;
-        dst.data_mut()[dst_base..dst_base + src_extent * inner]
-            .copy_from_slice(&src.data()[src_base..src_base + src_extent * inner]);
+        out[dst_base..dst_base + src_extent * inner]
+            .copy_from_slice(&src[src_base..src_base + src_extent * inner]);
     }
 }
 

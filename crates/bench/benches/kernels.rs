@@ -45,6 +45,42 @@ fn bench_softmax_and_reductions(c: &mut Criterion) {
     c.bench_function("sum_axis_mid", |b| b.iter(|| black_box(&t).sum_axis(1, false)));
 }
 
+/// The layout kernels, at the shapes the sequence models run them on
+/// every step (`model_dim` 16): a bias row and a per-row statistic
+/// broadcast over `[tokens, dim]`, and the attention head split/merge
+/// permutations. No arithmetic to speak of, so what these time is the
+/// index walk.
+fn bench_broadcast(c: &mut Criterion) {
+    let mut group = c.benchmark_group("broadcast");
+    let mut rng = TensorRng::new(4);
+    let x = rng.normal(&[192, 16], 0.0, 1.0);
+    let row = rng.normal(&[16], 0.0, 1.0);
+    let column = rng.normal(&[192, 1], 0.0, 1.0);
+    group.bench_function("row", |b| b.iter(|| black_box(&x) + black_box(&row)));
+    group.bench_function("column", |b| b.iter(|| black_box(&x) - black_box(&column)));
+    let heads = rng.normal(&[8, 4, 24, 24], 0.0, 1.0);
+    let mask = rng.normal(&[24, 24], 0.0, 1.0);
+    group.bench_function("rank4", |b| b.iter(|| black_box(&heads) + black_box(&mask)));
+    group.bench_function("broadcast_to_column", |b| {
+        b.iter(|| black_box(&column).broadcast_to(&[192, 16]))
+    });
+    group.finish();
+}
+
+fn bench_permute(c: &mut Criterion) {
+    let mut group = c.benchmark_group("permute");
+    let mut rng = TensorRng::new(5);
+    let heads = rng.normal(&[8, 24, 4, 4], 0.0, 1.0);
+    // [batch, time, heads, head_dim] -> [batch, heads, time, head_dim]:
+    // the innermost dimension stays put, so rows are copied whole.
+    group.bench_function("head_split", |b| b.iter(|| black_box(&heads).permute(&[0, 2, 1, 3])));
+    // Keys transposed for QKᵀ: the innermost dimension moves.
+    group.bench_function("last2_swap", |b| b.iter(|| black_box(&heads).permute(&[0, 1, 3, 2])));
+    let images = rng.normal(&[8, 16, 8, 8], 0.0, 1.0);
+    group.bench_function("nchw_to_nhwc", |b| b.iter(|| black_box(&images).permute(&[0, 2, 3, 1])));
+    group.finish();
+}
+
 fn bench_quantization(c: &mut Criterion) {
     let mut rng = TensorRng::new(3);
     let w = rng.normal(&[4096], 0.0, 1.0);
@@ -87,6 +123,8 @@ criterion_group!(
     bench_matmul,
     bench_conv_lowerings,
     bench_softmax_and_reductions,
+    bench_broadcast,
+    bench_permute,
     bench_quantization,
     bench_allreduce_model,
     bench_go_engine

@@ -27,11 +27,11 @@ impl Augmentation for RandomFlip {
         let s = image.shape().to_vec();
         let (c, h, w) = (s[0], s[1], s[2]);
         let mut out = image.clone();
+        let (dst, src) = (out.data_mut(), image.data());
         for ci in 0..c {
             for y in 0..h {
                 for x in 0..w {
-                    out.data_mut()[(ci * h + y) * w + x] =
-                        image.data()[(ci * h + y) * w + (w - 1 - x)];
+                    dst[(ci * h + y) * w + x] = src[(ci * h + y) * w + (w - 1 - x)];
                 }
             }
         }
@@ -57,14 +57,14 @@ impl Augmentation for RandomCrop {
         let dy = rng.index(2 * self.pad + 1) as isize - self.pad as isize;
         let dx = rng.index(2 * self.pad + 1) as isize - self.pad as isize;
         let mut out = Tensor::zeros(&s);
+        let (dst, src) = (out.data_mut(), image.data());
         for ci in 0..c {
             for y in 0..h {
                 for x in 0..w {
                     let sy = y as isize + dy;
                     let sx = x as isize + dx;
                     if sy >= 0 && sx >= 0 && (sy as usize) < h && (sx as usize) < w {
-                        out.data_mut()[(ci * h + y) * w + x] =
-                            image.data()[(ci * h + sy as usize) * w + sx as usize];
+                        dst[(ci * h + y) * w + x] = src[(ci * h + sy as usize) * w + sx as usize];
                     }
                 }
             }

@@ -86,11 +86,12 @@ impl SyntheticCf {
         let mut rng = TensorRng::new(seed);
         let user_vecs = rng.normal(&[config.users, config.latent_dim], 0.0, 1.0);
         let item_vecs = rng.normal(&[config.items, config.latent_dim], 0.0, 1.0);
+        let (user_rows, item_rows) = (user_vecs.data(), item_vecs.data());
         let affinity = |u: usize, i: usize| -> f32 {
             let d = config.latent_dim;
             let mut dot = 0.0;
             for k in 0..d {
-                dot += user_vecs.data()[u * d + k] * item_vecs.data()[i * d + k];
+                dot += user_rows[u * d + k] * item_rows[i * d + k];
             }
             dot
         };

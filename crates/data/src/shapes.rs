@@ -189,6 +189,7 @@ fn render_sample(cfg: &ShapesConfig, rng: &mut TensorRng) -> DetectionSample {
         let cx_px = half + rng.index(s - 2 * half);
         let cy_px = half + rng.index(s - 2 * half);
         let mut mask = Tensor::zeros(&[s, s]);
+        let (image_px, mask_px) = (image.data_mut(), mask.data_mut());
         for y in 0..s {
             for x in 0..s {
                 let dx = x as isize - cx_px as isize;
@@ -202,8 +203,8 @@ fn render_sample(cfg: &ShapesConfig, rng: &mut TensorRng) -> DetectionSample {
                     }
                 };
                 if inside {
-                    image.data_mut()[y * s + x] = 1.0;
-                    mask.data_mut()[y * s + x] = 1.0;
+                    image_px[y * s + x] = 1.0;
+                    mask_px[y * s + x] = 1.0;
                 }
             }
         }

@@ -178,17 +178,18 @@ fn render_set(
             let dx = rng.index(2 * cfg.max_shift + 1) as isize - cfg.max_shift as isize;
             let dy = rng.index(2 * cfg.max_shift + 1) as isize - cfg.max_shift as isize;
             let noise = rng.normal(&[cfg.channels, s, s], 0.0, cfg.noise);
+            let (proto, noise) = (proto.data(), noise.data());
             for c in 0..cfg.channels {
                 for y in 0..s {
                     for x in 0..s {
                         let sx = x as isize + dx;
                         let sy = y as isize + dy;
                         let base = if sx >= 0 && sy >= 0 && (sx as usize) < s && (sy as usize) < s {
-                            proto.data()[(c * s + sy as usize) * s + sx as usize]
+                            proto[(c * s + sy as usize) * s + sx as usize]
                         } else {
                             0.0
                         };
-                        all.push(base + noise.data()[(c * s + y) * s + x]);
+                        all.push(base + noise[(c * s + y) * s + x]);
                     }
                 }
             }

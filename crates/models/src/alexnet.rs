@@ -110,11 +110,8 @@ mod tests {
         // Two trivially separable classes: all-bright vs all-dark.
         let mut images = Tensor::zeros(&[8, 1, 8, 8]);
         let mut labels = Vec::new();
-        for i in 0..8 {
-            let v = if i % 2 == 0 { 1.0 } else { -1.0 };
-            for px in 0..64 {
-                images.data_mut()[i * 64 + px] = v;
-            }
+        for (i, image) in images.data_mut().chunks_mut(64).enumerate() {
+            image.fill(if i % 2 == 0 { 1.0 } else { -1.0 });
             labels.push(i % 2);
         }
         let mut opt = SgdTorch::new(net.params(), 0.9, 0.0);

@@ -128,17 +128,20 @@ impl MaskRcnnMini {
         let rpn_boxes =
             self.rpn_box.forward(&features).permute(&[0, 2, 3, 1]).reshape(&[n * g * g, 4]);
         let mut box_targets = Tensor::zeros(&[n * g * g, 4]);
+        let (obj_cells, box_rows) = (obj_targets.data_mut(), box_targets.data_mut());
         let mut positives: Vec<(usize, usize, usize, usize)> = Vec::new(); // (cell, image, cy, cx)
         for (i, s) in samples.iter().enumerate() {
             for obj in &s.objects {
                 let cx = ((obj.cx * g as f32) as usize).min(g - 1);
                 let cy = ((obj.cy * g as f32) as usize).min(g - 1);
                 let cell = i * g * g + cy * g + cx;
-                obj_targets.data_mut()[cell] = 1.0;
-                box_targets.data_mut()[cell * 4] = obj.cx * g as f32 - cx as f32 - 0.5;
-                box_targets.data_mut()[cell * 4 + 1] = obj.cy * g as f32 - cy as f32 - 0.5;
-                box_targets.data_mut()[cell * 4 + 2] = (obj.w * g as f32).ln();
-                box_targets.data_mut()[cell * 4 + 3] = (obj.h * g as f32).ln();
+                obj_cells[cell] = 1.0;
+                box_rows[cell * 4..cell * 4 + 4].copy_from_slice(&[
+                    obj.cx * g as f32 - cx as f32 - 0.5,
+                    obj.cy * g as f32 - cy as f32 - 0.5,
+                    (obj.w * g as f32).ln(),
+                    (obj.h * g as f32).ln(),
+                ]);
                 positives.push((cell, i, cy, cx));
             }
         }
@@ -284,13 +287,14 @@ fn crop_mask_to_roi(mask: &Tensor, obj: &mlperf_data::BoxLabel, image_size: usiz
     let (x0, y0, x1, y1) = obj.corners();
     let s = image_size as f32;
     let mut out = Tensor::zeros(&[MASK_RES, MASK_RES]);
+    let (dst, src) = (out.data_mut(), mask.data());
     for my in 0..MASK_RES {
         for mx in 0..MASK_RES {
             let u = x0 + (x1 - x0) * (mx as f32 + 0.5) / MASK_RES as f32;
             let v = y0 + (y1 - y0) * (my as f32 + 0.5) / MASK_RES as f32;
             let px = ((u * s) as isize).clamp(0, image_size as isize - 1) as usize;
             let py = ((v * s) as isize).clamp(0, image_size as isize - 1) as usize;
-            out.data_mut()[my * MASK_RES + mx] = mask.data()[py * image_size + px];
+            dst[my * MASK_RES + mx] = src[py * image_size + px];
         }
     }
     out

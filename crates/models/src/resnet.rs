@@ -238,12 +238,13 @@ mod tests {
         let net = ResNetMini::new(cfg, &mut rng);
         // Vertical vs horizontal stripes.
         let mut images = Tensor::zeros(&[8, 1, 8, 8]);
+        let pixels = images.data_mut();
         let mut labels = Vec::new();
         for i in 0..8 {
             for y in 0..8 {
                 for x in 0..8 {
                     let stripe = if i % 2 == 0 { x % 2 } else { y % 2 };
-                    images.data_mut()[i * 64 + y * 8 + x] = stripe as f32;
+                    pixels[i * 64 + y * 8 + x] = stripe as f32;
                 }
             }
             labels.push(i % 2);

@@ -87,6 +87,7 @@ impl SsdMini {
         let bg = self.config.classes;
         let mut cls = vec![bg; samples.len() * g * g];
         let mut boxes = Tensor::zeros(&[samples.len() * g * g, 4]);
+        let box_rows = boxes.data_mut();
         let mut positives = Vec::new();
         for (i, s) in samples.iter().enumerate() {
             for obj in &s.objects {
@@ -100,10 +101,7 @@ impl SsdMini {
                 let dy = obj.cy * g as f32 - cell_y as f32 - 0.5;
                 let tw = (obj.w * g as f32).ln();
                 let th = (obj.h * g as f32).ln();
-                boxes.data_mut()[cell * 4] = dx;
-                boxes.data_mut()[cell * 4 + 1] = dy;
-                boxes.data_mut()[cell * 4 + 2] = tw;
-                boxes.data_mut()[cell * 4 + 3] = th;
+                box_rows[cell * 4..cell * 4 + 4].copy_from_slice(&[dx, dy, tw, th]);
                 positives.push(cell);
             }
         }

@@ -109,13 +109,11 @@ impl Module for MultiHeadAttention {
 /// Builds a `[t, t]` causal mask: 0 on and below the diagonal, a large
 /// negative value above (so softmax assigns ~0 weight to the future).
 pub fn causal_mask(t: usize) -> Tensor {
-    let mut m = Tensor::zeros(&[t, t]);
+    let mut m = vec![0.0; t * t];
     for i in 0..t {
-        for j in (i + 1)..t {
-            m.data_mut()[i * t + j] = -1e9;
-        }
+        m[i * t + i + 1..(i + 1) * t].fill(-1e9);
     }
-    m
+    Tensor::from_vec(m, &[t, t])
 }
 
 fn dims3(v: &Var) -> (usize, usize, usize) {

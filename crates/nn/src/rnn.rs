@@ -35,9 +35,7 @@ impl LstmCell {
         let wh = rng.xavier_uniform(&[4 * hidden_size, hidden_size]).transpose();
         let mut bias = Tensor::zeros(&[4 * hidden_size]);
         // Forget-gate slice starts after the input gate.
-        for i in hidden_size..2 * hidden_size {
-            bias.data_mut()[i] = 1.0;
-        }
+        bias.data_mut()[hidden_size..2 * hidden_size].fill(1.0);
         LstmCell {
             wx: Var::param(wx),
             wh: Var::param(wh),

@@ -9,10 +9,12 @@
 //!
 //! Two backends exist:
 //!
-//! - [`BackendKind::Reference`] is the original scalar code of this
-//!   crate, extracted verbatim. It is the semantic baseline: every
+//! - [`BackendKind::Reference`] is the original scalar *arithmetic* of
+//!   this crate, extracted verbatim: every floating-point operation and
+//!   the order it happens in. It is the semantic baseline: every
 //!   convergence result in the workspace is defined by this backend,
-//!   and it must never change numerically.
+//!   and it must never change numerically (`tests/golden_trajectory.rs`
+//!   pins what that means, to the bit).
 //! - [`BackendKind::Blocked`] adds register-tiled and cache-blocked
 //!   GEMM kernels, fused transposed-GEMM variants (so backward passes
 //!   skip materializing `Aᵀ`/`Bᵀ` copies), buffer-reusing convolution,
@@ -31,6 +33,15 @@
 //! propagation: the reference GEMM skips `a` values that equal zero
 //! (so `0 × ∞` never happens), while the blocked kernels multiply
 //! through (yielding `NaN`); this is unobservable for finite data.
+//!
+//! # What a backend does not own
+//!
+//! Work that computes nothing is shared by both backends and is free to
+//! get faster: the index walk behind broadcasting and
+//! [`Tensor::permute`](crate::Tensor::permute) (one odometer,
+//! `shape::RowOffsets`), and tensor storage (shared copy-on-write, so a
+//! clone or a reshape copies nothing). Neither reads the backend tag,
+//! and neither can touch a result bit.
 //!
 //! # Selection
 //!
@@ -51,7 +62,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BackendKind {
-    /// The original scalar kernels, verbatim — the numerical baseline.
+    /// The original scalar arithmetic, verbatim — the numerical
+    /// baseline.
     Reference = 0,
     /// Register-tiled, cache-blocked, pool-parallel kernels that are
     /// bit-identical to [`BackendKind::Reference`] on finite inputs.
@@ -236,10 +248,11 @@ pub trait Backend: Sync {
 }
 
 // ---------------------------------------------------------------------
-// Reference backend: the original scalar kernels, verbatim.
+// Reference backend: the original scalar arithmetic, verbatim.
 // ---------------------------------------------------------------------
 
-/// The original scalar kernels of this crate, extracted verbatim.
+/// The original scalar arithmetic of this crate: the same operations
+/// on the same operands in the same order as before backends existed.
 pub struct Reference;
 
 /// The reference accumulating GEMM kernel, exactly as it was before
@@ -442,7 +455,7 @@ impl Backend for Reference {
         let wmat_t = wmat.transpose(); // [c*kh*kw, oc]
         let mut grad_w = Tensor::zeros(&[oc, c * kh * kw]);
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let mut grad_b = Tensor::zeros(&[oc]);
+        let mut grad_b = vec![0.0f32; oc];
         for ni in 0..n {
             let go = grad_out.narrow(0, ni, 1).reshape(&[oc, oh * ow]);
             let cols = im2col_one(input, ni, spec, oh, ow); // [c*kh*kw, oh*ow]
@@ -456,12 +469,12 @@ impl Backend for Reference {
             reference_gemm(wmat_t.data(), go.data(), &mut dcols, c * kh * kw, oc, oh * ow);
             let dcols = Tensor::from_vec(dcols, &[c * kh * kw, oh * ow]);
             col2im_one(&dcols, &mut grad_in, ni, c, h, w, spec, oh, ow);
-            for o in 0..oc {
+            for (o, acc) in grad_b.iter_mut().enumerate() {
                 let s: f32 = go.data()[o * oh * ow..(o + 1) * oh * ow].iter().sum();
-                grad_b.data_mut()[o] += s;
+                *acc += s;
             }
         }
-        (grad_in, grad_w.reshape(&[oc, c, kh, kw]), grad_b)
+        (grad_in, grad_w.reshape(&[oc, c, kh, kw]), Tensor::from_vec(grad_b, &[oc]))
     }
 
     fn softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
@@ -492,6 +505,20 @@ impl Backend for Reference {
     }
 
     fn sum_axis(&self, src: &[f32], out: &mut [f32], outer: usize, extent: usize, inner: usize) {
+        if inner == 1 && extent > 0 {
+            // Last-axis reduction (every row mean): the general loop
+            // below would run a one-element inner loop per addend, so
+            // carry the row's sum in a local — same addends, same
+            // left-to-right order.
+            for (slot, row) in out.iter_mut().zip(src.chunks_exact(extent)) {
+                let mut acc = *slot;
+                for &v in row {
+                    acc += v;
+                }
+                *slot = acc;
+            }
+            return;
+        }
         for o in 0..outer {
             for e in 0..extent {
                 let base = (o * extent + e) * inner;
@@ -987,9 +1014,9 @@ impl Backend for Blocked {
         );
         let (ckk, ohow) = (c * kh * kw, oh * ow);
         let wmat = weight.reshape(&[oc, ckk]);
-        let mut grad_w = Tensor::zeros(&[oc, ckk]);
+        let mut grad_w = vec![0.0f32; oc * ckk];
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let mut grad_b = Tensor::zeros(&[oc]);
+        let mut grad_b = vec![0.0f32; oc];
         // Serial over samples — the per-sample `grad_w` accumulation
         // order is part of the numerical contract — but with all four
         // scratch buffers reused and both transposes fused away.
@@ -1001,18 +1028,19 @@ impl Backend for Blocked {
             im2col_into(input, ni, spec, oh, ow, &mut cols);
             gw.fill(0.0);
             blocked_gemm_abt(go, &cols, &mut gw, oc, ohow, ckk);
-            for (acc, &g) in grad_w.data_mut().iter_mut().zip(gw.iter()) {
+            for (acc, &g) in grad_w.iter_mut().zip(gw.iter()) {
                 *acc += g;
             }
-            dcols.data_mut().fill(0.0);
-            blocked_gemm_atb(wmat.data(), go, dcols.data_mut(), ckk, oc, ohow);
+            let dst = dcols.data_mut();
+            dst.fill(0.0);
+            blocked_gemm_atb(wmat.data(), go, dst, ckk, oc, ohow);
             col2im_one(&dcols, &mut grad_in, ni, c, h, w, spec, oh, ow);
-            for o in 0..oc {
+            for (o, acc) in grad_b.iter_mut().enumerate() {
                 let s: f32 = go[o * ohow..(o + 1) * ohow].iter().sum();
-                grad_b.data_mut()[o] += s;
+                *acc += s;
             }
         }
-        (grad_in, grad_w.reshape(&[oc, c, kh, kw]), grad_b)
+        (grad_in, Tensor::from_vec(grad_w, &[oc, c, kh, kw]), Tensor::from_vec(grad_b, &[oc]))
     }
 
     fn softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize) {

@@ -83,7 +83,8 @@ impl Tensor {
         assert_eq!(wc, c, "conv2d channel mismatch");
         let oh = spec.out_extent(h);
         let ow = spec.out_extent(w);
-        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        let mut out = vec![0.0; n * oc * oh * ow];
+        let (src, wdata) = (self.data(), weight.data());
         let pad = spec.padding as isize;
         for ni in 0..n {
             for o in 0..oc {
@@ -98,19 +99,19 @@ impl Tensor {
                                     if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
                                         continue;
                                     }
-                                    let iv = self.data()
-                                        [((ni * c + ci) * h + iy as usize) * w + ix as usize];
-                                    let wv = weight.data()[((o * c + ci) * k + ky) * k + kx];
+                                    let iv =
+                                        src[((ni * c + ci) * h + iy as usize) * w + ix as usize];
+                                    let wv = wdata[((o * c + ci) * k + ky) * k + kx];
                                     acc += iv * wv;
                                 }
                             }
                         }
-                        out.data_mut()[((ni * oc + o) * oh + oy) * ow + ox] = acc;
+                        out[((ni * oc + o) * oh + oy) * ow + ox] = acc;
                     }
                 }
             }
         }
-        out
+        Tensor::from_vec(out, &[n, oc, oh, ow])
     }
 }
 
@@ -146,6 +147,7 @@ pub fn max_pool2d(input: &Tensor, spec: Conv2dSpec) -> (Tensor, Vec<usize>) {
     let ow = spec.out_extent(w);
     let mut out = Vec::with_capacity(n * c * oh * ow);
     let mut argmax = Vec::with_capacity(n * c * oh * ow);
+    let src = input.data();
     let pad = spec.padding as isize;
     for ni in 0..n {
         for ci in 0..c {
@@ -161,7 +163,7 @@ pub fn max_pool2d(input: &Tensor, spec: Conv2dSpec) -> (Tensor, Vec<usize>) {
                                 continue;
                             }
                             let idx = ((ni * c + ci) * h + iy as usize) * w + ix as usize;
-                            let v = input.data()[idx];
+                            let v = src[idx];
                             if v > best {
                                 best = v;
                                 best_idx = idx;
@@ -181,8 +183,9 @@ pub fn max_pool2d(input: &Tensor, spec: Conv2dSpec) -> (Tensor, Vec<usize>) {
 /// [`max_pool2d`].
 pub fn max_pool2d_backward(grad_out: &Tensor, argmax: &[usize], input_shape: &[usize]) -> Tensor {
     let mut grad_in = Tensor::zeros(input_shape);
+    let dst = grad_in.data_mut();
     for (g, &idx) in grad_out.data().iter().zip(argmax.iter()) {
-        grad_in.data_mut()[idx] += g;
+        dst[idx] += g;
     }
     grad_in
 }
@@ -195,6 +198,7 @@ pub fn avg_pool2d(input: &Tensor, spec: Conv2dSpec) -> Tensor {
     let ow = spec.out_extent(w);
     let window = (spec.kernel * spec.kernel) as f32;
     let mut out = Vec::with_capacity(n * c * oh * ow);
+    let src = input.data();
     let pad = spec.padding as isize;
     for ni in 0..n {
         for ci in 0..c {
@@ -208,8 +212,7 @@ pub fn avg_pool2d(input: &Tensor, spec: Conv2dSpec) -> Tensor {
                             if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
                                 continue;
                             }
-                            acc +=
-                                input.data()[((ni * c + ci) * h + iy as usize) * w + ix as usize];
+                            acc += src[((ni * c + ci) * h + iy as usize) * w + ix as usize];
                         }
                     }
                     out.push(acc / window);
@@ -227,12 +230,13 @@ pub fn avg_pool2d_backward(grad_out: &Tensor, input_shape: &[usize], spec: Conv2
     let ow = spec.out_extent(w);
     let window = (spec.kernel * spec.kernel) as f32;
     let mut grad_in = Tensor::zeros(input_shape);
+    let (dst, go) = (grad_in.data_mut(), grad_out.data());
     let pad = spec.padding as isize;
     for ni in 0..n {
         for ci in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let g = grad_out.data()[((ni * c + ci) * oh + oy) * ow + ox] / window;
+                    let g = go[((ni * c + ci) * oh + oy) * ow + ox] / window;
                     for ky in 0..spec.kernel {
                         for kx in 0..spec.kernel {
                             let iy = (oy * spec.stride + ky) as isize - pad;
@@ -240,8 +244,7 @@ pub fn avg_pool2d_backward(grad_out: &Tensor, input_shape: &[usize], spec: Conv2
                             if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
                                 continue;
                             }
-                            grad_in.data_mut()
-                                [((ni * c + ci) * h + iy as usize) * w + ix as usize] += g;
+                            dst[((ni * c + ci) * h + iy as usize) * w + ix as usize] += g;
                         }
                     }
                 }
@@ -287,6 +290,7 @@ pub(crate) fn im2col_into(
     let k = spec.kernel;
     let pad = spec.padding as isize;
     assert_eq!(cols.len(), c * k * k * oh * ow, "im2col_into buffer size mismatch");
+    let src = input.data();
     for ci in 0..c {
         for ky in 0..k {
             for kx in 0..k {
@@ -298,7 +302,7 @@ pub(crate) fn im2col_into(
                         let v = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
                             0.0
                         } else {
-                            input.data()[((ni * c + ci) * h + iy as usize) * w + ix as usize]
+                            src[((ni * c + ci) * h + iy as usize) * w + ix as usize]
                         };
                         cols[row * oh * ow + oy * ow + ox] = v;
                     }
@@ -324,6 +328,7 @@ pub(crate) fn col2im_one(
 ) {
     let k = spec.kernel;
     let pad = spec.padding as isize;
+    let (dst, src) = (grad_in.data_mut(), dcols.data());
     for ci in 0..c {
         for ky in 0..k {
             for kx in 0..k {
@@ -338,8 +343,8 @@ pub(crate) fn col2im_one(
                         if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        grad_in.data_mut()[((ni * c + ci) * h + iy as usize) * w + ix as usize] +=
-                            dcols.data()[row * oh * ow + oy * ow + ox];
+                        dst[((ni * c + ci) * h + iy as usize) * w + ix as usize] +=
+                            src[row * oh * ow + oy * ow + ox];
                     }
                 }
             }

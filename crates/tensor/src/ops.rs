@@ -1,8 +1,7 @@
 //! Elementwise arithmetic with NumPy-style broadcasting, plus the
 //! nonlinearities used by the benchmark models.
 
-use crate::backend::BackendKind;
-use crate::shape::{broadcast_shapes, Shape};
+use crate::shape::{broadcast_shapes, broadcast_strides, RowOffsets};
 use crate::tensor::Tensor;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -23,37 +22,16 @@ impl Tensor {
         let out_dims = broadcast_shapes(self.shape(), other.shape()).unwrap_or_else(|| {
             panic!("shapes {:?} and {:?} are not broadcast-compatible", self.shape(), other.shape())
         });
-        let out_shape = Shape::new(&out_dims);
-        let mut out = vec![0.0; out_shape.len()];
-        let a_idx = BroadcastIndexer::new(self.shape(), &out_dims);
-        let b_idx = BroadcastIndexer::new(other.shape(), &out_dims);
-        if kind == BackendKind::Blocked {
-            // Odometer iteration: running source offsets with carry
-            // propagation instead of a div/mod per output element.
-            // Applies the same `f` to the same element pairs as the
-            // reference path, so values are identical.
-            zip_broadcast_odometer(
-                self.data(),
-                other.data(),
-                &mut out,
-                &a_idx.strides,
-                &b_idx.strides,
-                &out_dims,
-                &f,
-            );
-        } else {
-            let strides = out_shape.strides();
-            let ndim = out_dims.len();
-            let mut idx = vec![0usize; ndim];
-            for (lin, slot) in out.iter_mut().enumerate() {
-                let mut rem = lin;
-                for i in 0..ndim {
-                    idx[i] = rem / strides[i];
-                    rem %= strides[i];
-                }
-                *slot = f(self.data()[a_idx.offset(&idx)], other.data()[b_idx.offset(&idx)]);
-            }
-        }
+        let mut out = vec![0.0; out_dims.iter().product()];
+        zip_broadcast_odometer(
+            self.data(),
+            other.data(),
+            &mut out,
+            &broadcast_strides(self.shape(), &out_dims),
+            &broadcast_strides(other.shape(), &out_dims),
+            &out_dims,
+            &f,
+        );
         Tensor::from_vec(out, &out_dims).on(kind)
     }
 
@@ -66,7 +44,9 @@ impl Tensor {
         let merged = broadcast_shapes(self.shape(), dims)
             .unwrap_or_else(|| panic!("cannot broadcast {:?} to {:?}", self.shape(), dims));
         assert_eq!(merged, dims, "cannot broadcast {:?} to {:?}", self.shape(), dims);
-        self.zip_broadcast(&Tensor::zeros(dims), |a, _| a)
+        let mut out = vec![0.0; dims.iter().product()];
+        gather_strided(self.data(), &mut out, &broadcast_strides(self.shape(), dims), dims);
+        Tensor::from_vec(out, dims).on(self.backend())
     }
 
     /// Elementwise maximum with broadcasting.
@@ -180,12 +160,11 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
     }
 }
 
-/// The `Blocked` broadcast walk: keeps running source offsets for both
-/// operands and advances them odometer-style (increment the innermost
-/// non-contracted dimension, carry on overflow), with the innermost
-/// dimension specialized on its `(a, b)` stride pattern. Element pairs
-/// and application order match the reference div/mod walk exactly.
-#[allow(clippy::too_many_arguments)]
+/// The broadcast walk of both backends: [`RowOffsets`] keeps a running
+/// source offset per operand, and the innermost dimension is
+/// specialized on its `(a, b)` stride pattern. `f` sees the same
+/// element pairs, in the same row-major order, as unravelling every
+/// output index would give it.
 fn zip_broadcast_odometer(
     a: &[f32],
     b: &[f32],
@@ -195,36 +174,31 @@ fn zip_broadcast_odometer(
     out_dims: &[usize],
     f: &impl Fn(f32, f32) -> f32,
 ) {
-    let ndim = out_dims.len();
-    if ndim == 0 {
-        out[0] = f(a[0], b[0]);
+    if out.is_empty() {
         return;
     }
-    let inner = out_dims[ndim - 1];
-    if inner == 0 || out.is_empty() {
-        return;
-    }
-    let (a_in, b_in) = (a_str[ndim - 1], b_str[ndim - 1]);
-    let outer = out.len() / inner;
-    let mut idx = vec![0usize; ndim.saturating_sub(1)];
-    let (mut a_off, mut b_off) = (0usize, 0usize);
-    for (row, chunk) in out.chunks_mut(inner).enumerate() {
+    let inner = out_dims.last().copied().unwrap_or(1);
+    let a_in = a_str.last().copied().unwrap_or(0);
+    let b_in = b_str.last().copied().unwrap_or(0);
+    let rows = RowOffsets::new(out_dims, [a_str, b_str]);
+    for (chunk, [a_off, b_off]) in out.chunks_mut(inner).zip(rows) {
         match (a_in, b_in) {
             (1, 1) => {
-                for (c, slot) in chunk.iter_mut().enumerate() {
-                    *slot = f(a[a_off + c], b[b_off + c]);
+                let (a, b) = (&a[a_off..a_off + inner], &b[b_off..b_off + inner]);
+                for ((slot, &av), &bv) in chunk.iter_mut().zip(a).zip(b) {
+                    *slot = f(av, bv);
                 }
             }
             (1, 0) => {
                 let bv = b[b_off];
-                for (c, slot) in chunk.iter_mut().enumerate() {
-                    *slot = f(a[a_off + c], bv);
+                for (slot, &av) in chunk.iter_mut().zip(&a[a_off..a_off + inner]) {
+                    *slot = f(av, bv);
                 }
             }
             (0, 1) => {
                 let av = a[a_off];
-                for (c, slot) in chunk.iter_mut().enumerate() {
-                    *slot = f(av, b[b_off + c]);
+                for (slot, &bv) in chunk.iter_mut().zip(&b[b_off..b_off + inner]) {
+                    *slot = f(av, bv);
                 }
             }
             _ => {
@@ -233,42 +207,30 @@ fn zip_broadcast_odometer(
                 }
             }
         }
-        if row + 1 < outer {
-            for d in (0..ndim - 1).rev() {
-                idx[d] += 1;
-                a_off += a_str[d];
-                b_off += b_str[d];
-                if idx[d] < out_dims[d] {
-                    break;
+    }
+}
+
+/// Copies `src`, read through one stride per dimension of `dims`, into
+/// the row-major `out` — the layout half of [`Tensor::broadcast_to`]
+/// (strides from [`broadcast_strides`]) and [`Tensor::permute`] (the
+/// source's strides in permuted order). Same walk as
+/// [`zip_broadcast_odometer`], one source instead of two.
+pub(crate) fn gather_strided(src: &[f32], out: &mut [f32], strides: &[usize], dims: &[usize]) {
+    if out.is_empty() {
+        return;
+    }
+    let inner = dims.last().copied().unwrap_or(1);
+    let step = strides.last().copied().unwrap_or(0);
+    for (chunk, [off]) in out.chunks_mut(inner).zip(RowOffsets::new(dims, [strides])) {
+        match step {
+            1 => chunk.copy_from_slice(&src[off..off + inner]),
+            0 => chunk.fill(src[off]),
+            _ => {
+                for (c, slot) in chunk.iter_mut().enumerate() {
+                    *slot = src[off + c * step];
                 }
-                a_off -= out_dims[d] * a_str[d];
-                b_off -= out_dims[d] * b_str[d];
-                idx[d] = 0;
             }
         }
-    }
-}
-
-/// Precomputed mapping from broadcast-output indices back to source
-/// offsets: dimensions of extent 1 get stride 0.
-struct BroadcastIndexer {
-    strides: Vec<usize>,
-}
-
-impl BroadcastIndexer {
-    fn new(src_dims: &[usize], out_dims: &[usize]) -> Self {
-        let pad = out_dims.len() - src_dims.len();
-        let src_shape = Shape::new(src_dims);
-        let src_strides = src_shape.strides();
-        let mut strides = vec![0usize; out_dims.len()];
-        for i in 0..src_dims.len() {
-            strides[pad + i] = if src_dims[i] == 1 { 0 } else { src_strides[i] };
-        }
-        BroadcastIndexer { strides }
-    }
-
-    fn offset(&self, idx: &[usize]) -> usize {
-        idx.iter().zip(self.strides.iter()).map(|(&i, &s)| i * s).sum()
     }
 }
 
@@ -324,6 +286,98 @@ impl Neg for Tensor {
 mod tests {
     use super::*;
     use crate::assert_close;
+    use crate::backend::BackendKind;
+    use crate::shape::Shape;
+    use proptest::prelude::*;
+
+    /// The walk the odometer replaced, kept verbatim as its oracle:
+    /// unravel every output index with a div/mod per dimension and
+    /// re-linearize it against each operand's broadcast strides.
+    fn zip_broadcast_naive(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        fn strides_in(src_dims: &[usize], out_dims: &[usize]) -> Vec<usize> {
+            let pad = out_dims.len() - src_dims.len();
+            let src_strides = Shape::new(src_dims).strides();
+            let mut strides = vec![0usize; out_dims.len()];
+            for i in 0..src_dims.len() {
+                strides[pad + i] = if src_dims[i] == 1 { 0 } else { src_strides[i] };
+            }
+            strides
+        }
+        let offset = |idx: &[usize], strides: &[usize]| -> usize {
+            idx.iter().zip(strides.iter()).map(|(&i, &s)| i * s).sum()
+        };
+        let out_dims = broadcast_shapes(a.shape(), b.shape()).expect("compatible shapes");
+        let out_shape = Shape::new(&out_dims);
+        let mut out = vec![0.0; out_shape.len()];
+        let (a_str, b_str) = (strides_in(a.shape(), &out_dims), strides_in(b.shape(), &out_dims));
+        let strides = out_shape.strides();
+        let ndim = out_dims.len();
+        let mut idx = vec![0usize; ndim];
+        for (lin, slot) in out.iter_mut().enumerate() {
+            let mut rem = lin;
+            for i in 0..ndim {
+                idx[i] = rem / strides[i];
+                rem %= strides[i];
+            }
+            *slot = f(a.data()[offset(&idx, &a_str)], b.data()[offset(&idx, &b_str)]);
+        }
+        Tensor::from_vec(out, &out_dims)
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: data");
+    }
+
+    /// One operand of a broadcast over `dims`: drop `drop` leading
+    /// dimensions, and stretch (extent 1) every dimension whose bit in
+    /// `stretch` is set.
+    fn operand_dims(dims: &[usize], drop: usize, stretch: u8) -> Vec<usize> {
+        let drop = drop.min(dims.len());
+        dims.iter()
+            .enumerate()
+            .skip(drop)
+            .map(|(i, &d)| if stretch >> i & 1 == 1 { 1 } else { d })
+            .collect()
+    }
+
+    fn ramp(dims: &[usize], start: f32, step: f32) -> Tensor {
+        Tensor::arange(dims.iter().product(), start, step).reshape(dims)
+    }
+
+    proptest! {
+        /// Ranks 0–5, extents 0–4 (so extent-1 and zero-extent
+        /// dimensions are common), either operand missing leading
+        /// dimensions or stretched along any subset: every inner stride
+        /// pattern — (1,1), (1,0), (0,1), (0,0) — and the same-shape
+        /// fast path all occur.
+        #[test]
+        fn zip_broadcast_matches_unravel_oracle(
+            dims in proptest::collection::vec(0usize..5, 0..6),
+            (a_drop, a_stretch) in (0usize..6, 0u8..32),
+            (b_drop, b_stretch) in (0usize..6, 0u8..32),
+        ) {
+            let a = ramp(&operand_dims(&dims, a_drop, a_stretch), -1.0, 0.7);
+            let b = ramp(&operand_dims(&dims, b_drop, b_stretch), 2.0, -0.4);
+            let want = zip_broadcast_naive(&a, &b, |x, y| x * 2.0 - y);
+            for kind in BackendKind::ALL {
+                let got = a.clone().on(kind).zip_broadcast(&b, |x, y| x * 2.0 - y);
+                assert_same_bits(&got, &want, &format!("{:?} ? {:?}", a.shape(), b.shape()));
+                assert_eq!(got.backend(), kind);
+            }
+        }
+
+        #[test]
+        fn broadcast_to_matches_unravel_oracle(
+            dims in proptest::collection::vec(0usize..5, 0..6),
+            (drop, stretch) in (0usize..6, 0u8..32),
+        ) {
+            let src = ramp(&operand_dims(&dims, drop, stretch), 0.5, 1.25);
+            let want = zip_broadcast_naive(&src, &Tensor::zeros(&dims), |a, _| a);
+            assert_same_bits(&src.broadcast_to(&dims), &want, &format!("{:?}", src.shape()));
+        }
+    }
 
     #[test]
     fn add_same_shape() {
@@ -393,30 +447,6 @@ mod tests {
         let g = Tensor::from_slice(&[2.0, 4.0]);
         a.axpy(-0.5, &g);
         assert_eq!(a.data(), &[0.0, -1.0]);
-    }
-
-    #[test]
-    fn blocked_broadcast_matches_reference() {
-        // Every stride specialization of the odometer walk: (1,1) via
-        // distinct shapes, (1,0), (0,1), and the general strided case.
-        let cases: &[(&[usize], &[usize])] = &[
-            (&[2, 3], &[3]),       // row broadcast
-            (&[2, 3], &[2, 1]),    // column broadcast (b inner stride 0)
-            (&[2, 1], &[2, 3]),    // column broadcast (a inner stride 0)
-            (&[4, 1, 3], &[2, 1]), // both operands broadcast
-            (&[1], &[2, 2, 2]),    // scalar-ish expansion
-            (&[3, 1], &[1, 4]),    // outer product pattern
-        ];
-        for (sa, sb) in cases {
-            let la: usize = sa.iter().product();
-            let lb: usize = sb.iter().product();
-            let a = Tensor::arange(la, -1.0, 0.7).reshape(sa);
-            let b = Tensor::arange(lb, 2.0, -0.4).reshape(sb);
-            let reference = a.zip_broadcast(&b, |x, y| x * 2.0 - y);
-            let blocked = a.clone().on(BackendKind::Blocked).zip_broadcast(&b, |x, y| x * 2.0 - y);
-            assert_eq!(reference, blocked, "broadcast {sa:?} vs {sb:?}");
-            assert_eq!(blocked.backend(), BackendKind::Blocked);
-        }
     }
 
     #[test]

@@ -84,6 +84,83 @@ impl Shape {
     }
 }
 
+/// Element strides that read a tensor of `src_dims` as if it had been
+/// broadcast to `out_dims`: row-major strides right-aligned against the
+/// output, with 0 for every dimension the source stretches (extent 1,
+/// or missing on the left).
+pub(crate) fn broadcast_strides(src_dims: &[usize], out_dims: &[usize]) -> Vec<usize> {
+    let pad = out_dims.len() - src_dims.len();
+    let mut strides = vec![0; out_dims.len()];
+    let mut step = 1;
+    for (i, &d) in src_dims.iter().enumerate().rev() {
+        if d != 1 {
+            strides[pad + i] = step;
+        }
+        step *= d;
+    }
+    strides
+}
+
+/// The one index walk behind broadcasting and permutation: an odometer
+/// over every dimension of `dims` but the last, yielding for each
+/// output row, in row-major order, the element offset at which that row
+/// starts in each of `N` sources.
+///
+/// A source is described by one stride per output dimension (see
+/// [`broadcast_strides`]; for a permutation, the source's strides in
+/// permuted order). Offsets are kept running and advanced by carry, so
+/// a row costs a few additions rather than a division per dimension;
+/// callers walk the last dimension themselves with whatever loop suits
+/// its stride. A zero-dimensional `dims` is one row.
+pub(crate) struct RowOffsets<'a, const N: usize> {
+    outer: &'a [usize],
+    strides: [&'a [usize]; N],
+    idx: Vec<usize>,
+    offsets: [usize; N],
+    rows_left: usize,
+}
+
+impl<'a, const N: usize> RowOffsets<'a, N> {
+    pub(crate) fn new(dims: &'a [usize], strides: [&'a [usize]; N]) -> Self {
+        let outer = &dims[..dims.len().saturating_sub(1)];
+        RowOffsets {
+            outer,
+            strides,
+            idx: vec![0; outer.len()],
+            offsets: [0; N],
+            rows_left: outer.iter().product(),
+        }
+    }
+}
+
+impl<const N: usize> Iterator for RowOffsets<'_, N> {
+    type Item = [usize; N];
+
+    fn next(&mut self) -> Option<[usize; N]> {
+        if self.rows_left == 0 {
+            return None;
+        }
+        self.rows_left -= 1;
+        let row = self.offsets;
+        // Step to the next row (after the last one this wraps every
+        // digit, and every offset, back to zero).
+        for d in (0..self.outer.len()).rev() {
+            self.idx[d] += 1;
+            for (off, strides) in self.offsets.iter_mut().zip(self.strides) {
+                *off += strides[d];
+            }
+            if self.idx[d] < self.outer[d] {
+                break;
+            }
+            for (off, strides) in self.offsets.iter_mut().zip(self.strides) {
+                *off -= self.outer[d] * strides[d];
+            }
+            self.idx[d] = 0;
+        }
+        Some(row)
+    }
+}
+
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Shape{:?}", self.0)

@@ -2,14 +2,23 @@
 //! array.
 
 use crate::backend::{default_backend, BackendKind};
+use crate::ops::gather_strided;
 use crate::shape::Shape;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense, row-major, contiguous n-dimensional array of `f32`.
 ///
 /// All layout is contiguous; operations that change layout (transpose,
 /// permute) copy. This keeps gradient code simple and predictable at the
 /// model sizes used by the benchmark suite.
+///
+/// The buffer is shared copy-on-write: [`Clone`] and
+/// [`Tensor::reshape`] hand out another reference to the same storage,
+/// and the first [`Tensor::data_mut`] through a shared reference copies
+/// it, so a tensor still behaves as a value. `data_mut` therefore costs
+/// a uniqueness check per call — take the slice once, outside any
+/// per-element loop.
 ///
 /// Every tensor carries the [`BackendKind`] its compute-heavy
 /// operations (matmul, convolution, softmax, reductions) dispatch to;
@@ -21,7 +30,7 @@ use std::fmt;
 #[derive(Clone)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
     backend: BackendKind,
 }
 
@@ -46,12 +55,16 @@ impl Tensor {
     pub fn full(shape: &[usize], value: f32) -> Self {
         let shape = Shape::new(shape);
         let data = vec![value; shape.len()];
-        Tensor { shape, data, backend: default_backend() }
+        Tensor::from_parts(shape, data, default_backend())
     }
 
     /// Creates a zero-dimensional (scalar) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::new(&[]), data: vec![value], backend: default_backend() }
+        Tensor::from_parts(Shape::new(&[]), vec![value], default_backend())
+    }
+
+    fn from_parts(shape: Shape, data: Vec<f32>, backend: BackendKind) -> Self {
+        Tensor { shape, data: Arc::new(data), backend }
     }
 
     /// The backend this tensor's operations dispatch to.
@@ -83,7 +96,7 @@ impl Tensor {
             shape,
             shape.len()
         );
-        Tensor { shape, data, backend: default_backend() }
+        Tensor::from_parts(shape, data, default_backend())
     }
 
     /// Creates a 1-D tensor from a slice.
@@ -93,11 +106,11 @@ impl Tensor {
 
     /// Creates an identity matrix of size `n`.
     pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
+        let mut data = vec![0.0; n * n];
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
-        t
+        Tensor::from_vec(data, &[n, n])
     }
 
     /// A 1-D tensor of `n` evenly spaced values starting at `start` with
@@ -136,14 +149,16 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable access to the underlying row-major buffer.
+    /// Mutable access to the underlying row-major buffer, copying it
+    /// first if another tensor shares it.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its buffer.
+    /// Consumes the tensor, returning its buffer (a copy if another
+    /// tensor shares it).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| Vec::clone(&shared))
     }
 
     /// Element at a multi-dimensional index.
@@ -162,7 +177,7 @@ impl Tensor {
     /// Panics if the index rank or any coordinate is out of bounds.
     pub fn set(&mut self, idx: &[usize], value: f32) {
         let off = self.shape.offset(idx);
-        self.data[off] = value;
+        self.data_mut()[off] = value;
     }
 
     /// The single value of a scalar or one-element tensor.
@@ -175,7 +190,8 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Returns a tensor with the same data and a new shape.
+    /// Returns a tensor with the same data (shared, not copied) and a
+    /// new shape.
     ///
     /// # Panics
     ///
@@ -188,21 +204,18 @@ impl Tensor {
             "cannot reshape {} elements into shape {new_shape}",
             self.data.len()
         );
-        Tensor { shape: new_shape, data: self.data.clone(), backend: self.backend }
+        Tensor { shape: new_shape, data: Arc::clone(&self.data), backend: self.backend }
     }
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-            backend: self.backend,
-        }
+        let data = self.data.iter().map(|&x| f(x)).collect();
+        Tensor::from_parts(self.shape.clone(), data, self.backend)
     }
 
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x = f(*x);
         }
     }
@@ -215,13 +228,13 @@ impl Tensor {
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose requires a 2-D tensor, got {}", self.shape);
         let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = Tensor::zeros(&[n, m]).on(self.backend);
+        let mut out = vec![0.0; m * n];
         for i in 0..m {
             for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
+                out[j * m + i] = self.data[i * n + j];
             }
         }
-        out
+        Tensor::from_parts(Shape::new(&[n, m]), out, self.backend)
     }
 
     /// Permutes dimensions (general transpose, copying).
@@ -237,25 +250,12 @@ impl Tensor {
             seen[p] = true;
         }
         let old_dims = self.shape.dims();
-        let new_dims: Vec<usize> = perm.iter().map(|&p| old_dims[p]).collect();
-        let new_shape = Shape::new(&new_dims);
         let old_strides = self.shape.strides();
+        let new_dims: Vec<usize> = perm.iter().map(|&p| old_dims[p]).collect();
+        let src_strides: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
         let mut out = vec![0.0; self.data.len()];
-        let mut idx = vec![0usize; new_dims.len()];
-        for (lin, slot) in out.iter_mut().enumerate() {
-            // Decompose `lin` in the new shape, then gather from old layout.
-            let mut rem = lin;
-            for (i, &d) in new_shape.strides().iter().enumerate() {
-                idx[i] = rem / d;
-                rem %= d;
-            }
-            let mut src = 0;
-            for (i, &p) in perm.iter().enumerate() {
-                src += idx[i] * old_strides[p];
-            }
-            *slot = self.data[src];
-        }
-        Tensor { shape: new_shape, data: out, backend: self.backend }
+        gather_strided(&self.data, &mut out, &src_strides, &new_dims);
+        Tensor::from_parts(Shape::from(new_dims), out, self.backend)
     }
 
     /// Extracts `len` slices starting at `start` along dimension `axis`.
@@ -379,6 +379,96 @@ impl Default for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The walk `permute` used before the odometer, kept verbatim as
+    /// its oracle: unravel every output index in the new shape, then
+    /// gather from the old layout.
+    fn permute_naive(t: &Tensor, perm: &[usize]) -> Tensor {
+        let old_dims = t.shape.dims();
+        let new_dims: Vec<usize> = perm.iter().map(|&p| old_dims[p]).collect();
+        let new_shape = Shape::new(&new_dims);
+        let old_strides = t.shape.strides();
+        let mut out = vec![0.0; t.data.len()];
+        let mut idx = vec![0usize; new_dims.len()];
+        for (lin, slot) in out.iter_mut().enumerate() {
+            let mut rem = lin;
+            for (i, &d) in new_shape.strides().iter().enumerate() {
+                idx[i] = rem / d;
+                rem %= d;
+            }
+            let mut src = 0;
+            for (i, &p) in perm.iter().enumerate() {
+                src += idx[i] * old_strides[p];
+            }
+            *slot = t.data[src];
+        }
+        Tensor::from_vec(out, &new_dims)
+    }
+
+    proptest! {
+        /// Ranks 0–5 with extents 0–4 under a random permutation (the
+        /// sort order of random keys): unit inner stride (row copies),
+        /// strided inner gathers, extent-1 and zero-extent dimensions.
+        #[test]
+        fn permute_matches_unravel_oracle(
+            dims_and_keys in proptest::collection::vec((0usize..5, 0u32..1000), 0..6),
+        ) {
+            let dims: Vec<usize> = dims_and_keys.iter().map(|&(d, _)| d).collect();
+            let mut perm: Vec<usize> = (0..dims.len()).collect();
+            perm.sort_by_key(|&i| dims_and_keys[i].1);
+            let t = Tensor::arange(dims.iter().product(), -3.0, 0.5).reshape(&dims);
+            let (got, want) = (t.permute(&perm), permute_naive(&t, &perm));
+            prop_assert_eq!(got.shape(), want.shape());
+            prop_assert_eq!(got.data(), want.data());
+        }
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_untouched() {
+        let original = Tensor::arange(4, 0.0, 1.0);
+        let mut copy = original.clone();
+        copy.data_mut()[0] = 9.0;
+        copy.set(&[3], -1.0);
+        copy.scale_inplace(2.0);
+        assert_eq!(original.data(), &[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(copy.data(), &[18.0, 2.0, 4.0, -2.0]);
+    }
+
+    #[test]
+    fn mutating_a_reshape_leaves_the_original_untouched() {
+        let original = Tensor::arange(6, 0.0, 1.0).reshape(&[2, 3]);
+        let mut flat = original.reshape(&[6]);
+        flat.map_inplace(|x| x + 10.0);
+        assert_eq!(original.data(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(flat.data(), &[10.0, 11.0, 12.0, 13.0, 14.0, 15.0]);
+        // And the other way round: mutating the source of a view.
+        let mut source = Tensor::ones(&[2, 2]);
+        let view = source.reshape(&[4]);
+        source.scale_inplace(2.0);
+        assert_eq!(view.data(), &[1.0; 4]);
+        assert_eq!(source.data(), &[2.0; 4]);
+    }
+
+    #[test]
+    fn into_vec_of_a_shared_tensor_copies() {
+        let kept = Tensor::from_slice(&[1.0, 2.0]);
+        let mut taken = kept.clone().into_vec();
+        taken[0] = 7.0;
+        assert_eq!(kept.data(), &[1.0, 2.0]);
+        assert_eq!(Tensor::from_slice(&[3.0]).into_vec(), vec![3.0]);
+    }
+
+    #[test]
+    fn equality_ignores_the_backend_tag_and_sharing() {
+        let a = Tensor::from_slice(&[1.0, 2.0]);
+        assert_eq!(a, a.clone().on(BackendKind::Blocked));
+        assert_eq!(a, Tensor::from_slice(&[1.0, 2.0]));
+        assert_ne!(a, Tensor::from_slice(&[1.0, 3.0]));
+        assert_ne!(a, a.reshape(&[2, 1]));
+        let nan = Tensor::from_slice(&[f32::NAN]);
+        assert_ne!(nan, nan.clone(), "shared storage must not short-circuit NaN != NaN");
+    }
 
     #[test]
     fn construction_and_access() {

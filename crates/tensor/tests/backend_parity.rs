@@ -6,10 +6,12 @@
 //! generated here agreement is *bitwise* — `assert_eq!` on the raw f32
 //! data, no tolerance — on every path: the direct register-tile GEMM,
 //! the packed-panel GEMM (`k·n` above the L1 threshold), the fused
-//! transposed variants, conv2d and its backward, the fused reductions,
-//! and the odometer broadcast walk. A tolerance would only be needed if
-//! a kernel reordered summation; this suite is what keeps that contract
-//! honest.
+//! transposed variants, conv2d and its backward, and the fused
+//! reductions. (Broadcasting runs one walk whatever the tag — its
+//! oracle tests live beside it in `src/ops.rs` — so the broadcast case
+//! here only checks that the tag changes nothing but the tag.) A
+//! tolerance would only be needed if a kernel reordered summation; this
+//! suite is what keeps that contract honest.
 
 use mlperf_tensor::{conv2d_backward, BackendKind, Conv2dSpec, Tensor, TensorRng};
 use proptest::prelude::*;
