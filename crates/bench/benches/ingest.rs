@@ -75,21 +75,13 @@ fn bench_archive_ingest(c: &mut Criterion) {
             ingest
         })
     });
-    group.bench_function("read_round_and_review", |b| {
+    // Disk to outcome: the one ingest path, a read-ahead window of
+    // bundles reviewed per pool fan-out.
+    group.bench_function("replay", |b| {
         b.iter(|| {
-            let ingest = archive.read_round(black_box(Round::V05)).expect("read round");
-            run_round(&ingest.submissions)
-        })
-    });
-    // The bounded-memory streaming path over the same round: parse and
-    // review per bundle as it comes off disk, never materializing the
-    // round.
-    group.bench_function("stream_round_and_review", |b| {
-        b.iter(|| {
-            let (outcome, faults) =
-                archive.review_round_streaming(black_box(Round::V05)).expect("stream round");
-            assert!(faults.is_empty());
-            outcome
+            let replay = archive.replay().expect("replay archive");
+            assert!(replay.faults.is_empty());
+            replay
         })
     });
     group.finish();

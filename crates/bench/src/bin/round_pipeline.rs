@@ -3,9 +3,9 @@
 //!
 //! ```sh
 //! round_pipeline write  --archive DIR [--rounds N] [--seed N] [--bundles N] [--schema N]
-//! round_pipeline ingest --archive DIR [--streaming] [--trace FILE] [--sample N]
+//! round_pipeline ingest --archive DIR [--trace FILE] [--sample N]
 //! round_pipeline migrate --archive DIR
-//! round_pipeline report --archive DIR [--chips N] [--streaming]
+//! round_pipeline report --archive DIR [--chips N]
 //! round_pipeline demo [--trace FILE]  # all three against a temp archive
 //! round_pipeline loadgen [--seed N] [--archive DIR] [--log-dir DIR] [--trace FILE]
 //! round_pipeline serve [--addr HOST:PORT] [--archive DIR] [--round vX.Y]
@@ -26,8 +26,8 @@
 //! manifest, skipping manifests that are already current and
 //! quarantining unreadable ones as storage faults. `ingest` reads
 //! the archive back, replays review over every round, and reports what
-//! was accepted, quarantined, or damaged on disk — with `--streaming`
-//! it ingests bundles one directory at a time in bounded memory.
+//! was accepted, quarantined, or damaged on disk, a bounded window of
+//! bundles at a time.
 //! `report` renders the per-round leaderboards and the paper's
 //! Figure 4/5 cross-round tables — computed from the archived logs
 //! alone. Figure 4 anchors at the data-driven common scale of the
@@ -47,8 +47,8 @@
 //! from the harness, ingest, and store layers — writes them as Chrome
 //! `trace_event` JSON-lines (load in `chrome://tracing` or Perfetto),
 //! and prints a plain-text summary report. `--sample N` arms 1-in-N
-//! per-log span sampling once a round crosses
-//! [`SPAN_SAMPLING_THRESHOLD`] items, keeping traces of huge rounds
+//! per-bundle span sampling once a round passes
+//! [`SPAN_SAMPLING_THRESHOLD`] bundles, keeping traces of huge rounds
 //! small; counters and metrics stay exact.
 //!
 //! `serve` runs the live submission service (`mlperf-service`): an
@@ -114,7 +114,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: round_pipeline [write|ingest|report|migrate|demo|loadgen|serve|storm] \
          [--archive DIR] [--rounds N] [--seed N] [--bundles N] [--chips N] [--schema N] \
-         [--streaming] [--trace FILE] [--metrics FILE] [--progress] [--sample N] \
+         [--trace FILE] [--metrics FILE] [--progress] [--sample N] \
          [--log-dir DIR] [--backend reference|blocked] [--addr HOST:PORT] [--clients N] \
          [--round vX.Y]"
     );
@@ -136,8 +136,6 @@ struct Args {
     /// `write`: pin this manifest schema instead of the current one
     /// (migration fixtures, compatibility tests).
     schema: Option<u64>,
-    /// Ingest through the bounded-memory streaming reader.
-    streaming: bool,
     trace: Option<PathBuf>,
     /// Write a Prometheus text-exposition snapshot here at exit.
     metrics: Option<PathBuf>,
@@ -174,7 +172,6 @@ fn parse_args() -> Option<Args> {
         bundles: None,
         chips: None,
         schema: None,
-        streaming: false,
         trace: None,
         metrics: None,
         progress: false,
@@ -186,11 +183,7 @@ fn parse_args() -> Option<Args> {
         round: None,
     };
     while let Some(flag) = args.next() {
-        // Boolean flags take no value.
-        if flag == "--streaming" {
-            parsed.streaming = true;
-            continue;
-        }
+        // The one boolean flag takes no value.
         if flag == "--progress" {
             parsed.progress = true;
             continue;
@@ -280,13 +273,8 @@ fn write_archive(
     Ok(archive)
 }
 
-fn ingest_archive(archive: &RoundArchive, streaming: bool) -> Result<ArchiveReplay, String> {
-    let replay = if streaming {
-        println!("ingesting archive with the bounded-memory streaming reader");
-        archive.replay_streaming().map_err(|e| e.to_string())?
-    } else {
-        archive.replay().map_err(|e| e.to_string())?
-    };
+fn ingest_archive(archive: &RoundArchive) -> Result<ArchiveReplay, String> {
+    let replay = archive.replay().map_err(|e| e.to_string())?;
     for outcome in replay.history.outcomes() {
         println!(
             "round {}: accepted {} run sets, quarantined {} bundle(s)",
@@ -412,11 +400,7 @@ fn run_loadgen(args: &Args, telemetry: &Telemetry) -> Result<(), String> {
         let archive =
             RoundArchive::create(dir).map_err(|e| e.to_string())?.with_telemetry(telemetry.clone());
         archive.write_round(&subs).map_err(|e| e.to_string())?;
-        let replay = if args.streaming {
-            archive.replay_streaming().map_err(|e| e.to_string())?
-        } else {
-            archive.replay().map_err(|e| e.to_string())?
-        };
+        let replay = archive.replay().map_err(|e| e.to_string())?;
         for fault in &replay.faults {
             println!("storage fault: {fault}");
         }
@@ -754,8 +738,7 @@ fn main() -> ExitCode {
         "ingest" => RoundArchive::open(args.archive.clone().unwrap_or_else(|| PathBuf::from(".")))
             .map_err(|e| e.to_string())
             .and_then(|archive| {
-                ingest_archive(&archive.with_telemetry(telemetry.clone()), args.streaming)
-                    .map(|_| ())
+                ingest_archive(&archive.with_telemetry(telemetry.clone())).map(|_| ())
             }),
         "migrate" => RoundArchive::open(args.archive.clone().unwrap_or_else(|| PathBuf::from(".")))
             .map_err(|e| e.to_string())
@@ -771,8 +754,7 @@ fn main() -> ExitCode {
         "report" => RoundArchive::open(args.archive.clone().unwrap_or_else(|| PathBuf::from(".")))
             .map_err(|e| e.to_string())
             .and_then(|archive| {
-                let replay =
-                    ingest_archive(&archive.with_telemetry(telemetry.clone()), args.streaming)?;
+                let replay = ingest_archive(&archive.with_telemetry(telemetry.clone()))?;
                 report_archive(&replay, args.chips);
                 Ok(())
             }),
@@ -787,7 +769,7 @@ fn main() -> ExitCode {
                     if telemetry.is_enabled() {
                         demo_harness_run(&telemetry);
                     }
-                    let replay = ingest_archive(&archive, args.streaming)?;
+                    let replay = ingest_archive(&archive)?;
                     report_archive(&replay, args.chips);
                     let chips =
                         args.chips.unwrap_or_else(|| replay.history.common_scale().unwrap_or(16));

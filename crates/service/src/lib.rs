@@ -4,8 +4,8 @@
 //! The batch pipeline (`mlperf-submission`) reviews a round's bundles
 //! after the deadline. This crate keeps the round **open**: a
 //! long-running [`ServiceCore`] accepts bundles from many submitters
-//! concurrently, reviews each on arrival (fanning log parsing and
-//! compliance checking out over the shared `mlperf-pool` workers),
+//! concurrently, reviews each on arrival (on the connection's own
+//! thread, so uploads review side by side without a nested fan-out),
 //! persists accepted uploads incrementally through
 //! [`mlperf_submission::store::OpenRoundWriter`], and serves
 //! incrementally-maintained leaderboards that stay queryable under

@@ -15,8 +15,8 @@
 //!   acceptances is a clone of a cached `String`, not a re-rank.
 //!
 //! Concurrency: submissions take a read lock for the heavy
-//! parse-and-review stage (many uploads review in parallel on the
-//! shared worker pool) and a short write lock to assign the submission
+//! parse-and-review stage (many uploads review in parallel, each on
+//! its caller's thread) and a short write lock to assign the submission
 //! index, persist the bundle, and publish the reviewed result. Closing
 //! flips the slot to a [`RoundOutcome`] that is — by the
 //! `StreamingReview` feed-key contract — identical to batch ingest of
@@ -225,9 +225,9 @@ impl ServiceCore {
     }
 
     /// Submits one bundle into an open round: reviewed on arrival
-    /// (concurrently with other submissions, on the shared worker
-    /// pool), persisted to the archive, and published into the
-    /// round's incremental results. The receipt carries review's
+    /// (on the calling thread, concurrently with other submissions),
+    /// persisted to the archive, and published into the round's
+    /// incremental results. The receipt carries review's
     /// verdict immediately.
     ///
     /// # Errors

@@ -6,9 +6,7 @@
 use mlperf_distsim::Round;
 use mlperf_service::{http_get, http_post, http_request, HttpServer, ServiceCore, ServiceError};
 use mlperf_submission::synthetic_stress_round;
-use mlperf_submission::{
-    round_references, run_round, RoundArchive, RoundSubmissions, SubmissionBundle,
-};
+use mlperf_submission::{round_references, run_round, RoundArchive, RoundSubmissions};
 use mlperf_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -97,8 +95,13 @@ fn racing_submitters_match_batch_ingest_exactly() {
         references: round_references(round),
         bundles: ordered.iter().map(|&(_, position)| bundles[position].clone()).collect(),
     };
+    let spill = dir.join(".service").join(round.label());
+    assert_eq!(std::fs::read_dir(&spill).expect("spill directory").count(), bundles.len());
     let outcome = core.close_round(round).expect("close round");
     assert_eq!(outcome, run_round(&batch), "live outcome diverged from batch ingest");
+    // Regression: closing used to leave one dead report file per
+    // bundle behind, beside the `outcome.json` that holds them all.
+    assert!(!spill.exists(), "close removes the spilled reports it published");
     assert!(!outcome.quarantined.is_empty(), "the damaged bundle must quarantine");
     assert_eq!(outcome.reports.len(), bundles.len());
 

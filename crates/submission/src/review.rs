@@ -11,14 +11,15 @@ use mlperf_core::equivalence::{check_equivalence, EquivalenceIssue};
 use mlperf_core::mllog::{keys, LogEntry, MlLogger};
 use mlperf_core::rules::{Division, HyperparameterRules};
 use mlperf_core::suite::BenchmarkId;
-use mlperf_telemetry::{arg, SpanScope};
+use mlperf_telemetry::{arg, SpanScope, Telemetry};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Map, Value};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The result of parsing one run log: its entries, or the parser's
 /// error message.
-pub(crate) type ParsedLog = Result<Vec<LogEntry>, String>;
+type ParsedLog = Result<Vec<LogEntry>, String>;
 
 /// One structured review finding, tied to the run set (and, where it
 /// applies, the run) that produced it. Diagnostics serialize to JSON
@@ -235,10 +236,8 @@ fn logged_quality_target(entries: &[LogEntry]) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
-/// Reviews one run set whose logs have already been parsed (`parsed`
-/// aligns with `run_set.logs`). The round pipeline parses logs
-/// concurrently and hands the results here; [`review_bundle`] parses
-/// serially for standalone use.
+/// Reviews one run set given its parsed logs (`parsed` aligns with
+/// `run_set.logs`).
 fn review_run_set(
     run_set: &RunSet,
     division: Division,
@@ -364,38 +363,90 @@ pub(crate) fn emit_rejection_events(scope: &mut SpanScope<'_>, report: &ReviewRe
     }
 }
 
-/// Reviews one bundle whose logs were already parsed (outer index =
-/// run set, inner = run). Used by the round pipeline after its
-/// concurrent parse stage.
-pub(crate) fn review_bundle_parsed(
+/// Reviews one bundle against the round's references. This is the one
+/// review path: a round in memory, an archive replay and the live
+/// service all run it, one bundle per call. Never panics on malformed
+/// input — every problem is returned as a [`Diagnostic`], and a panic
+/// inside the parser or inside review itself is contained (per log and
+/// per bundle respectively) and reported the same way.
+pub fn review_bundle(bundle: &SubmissionBundle, references: &[BenchmarkReference]) -> ReviewReport {
+    review_bundle_traced(bundle, references, &mut Telemetry::disabled().timeline_scope(), false)
+}
+
+/// [`review_bundle`] on the caller's span scope: with `log_spans`, each
+/// log's parse records an `ingest`-layer `parse_log` span under the
+/// scope's innermost open span.
+pub(crate) fn review_bundle_traced(
     bundle: &SubmissionBundle,
     references: &[BenchmarkReference],
-    parsed: &[Vec<ParsedLog>],
+    scope: &mut SpanScope<'_>,
+    log_spans: bool,
 ) -> ReviewReport {
+    catch_unwind(AssertUnwindSafe(|| ReviewReport {
+        org: bundle.org.clone(),
+        division: bundle.division,
+        benchmarks: bundle
+            .run_sets
+            .iter()
+            .map(|rs| {
+                let parsed: Vec<ParsedLog> = rs
+                    .logs
+                    .iter()
+                    .map(|text| {
+                        let span = log_spans.then(|| scope.start("ingest", "parse_log"));
+                        let parsed = parse_log(text);
+                        if let Some(span) = span {
+                            scope.end(span);
+                        }
+                        parsed
+                    })
+                    .collect();
+                review_run_set(rs, bundle.division, references, &parsed)
+            })
+            .collect(),
+    }))
+    .unwrap_or_else(|payload| panicked_report(bundle, &payload))
+}
+
+/// Parses one log's text, flattening the structured
+/// [`mlperf_core::mllog::ParseError`] (which names every malformed
+/// line) into review's string diagnostic. A panicking parser is a
+/// malformed log, not a lost round.
+fn parse_log(text: &str) -> ParsedLog {
+    catch_unwind(|| MlLogger::parse(text).map_err(|e| e.to_string()))
+        .unwrap_or_else(|payload| Err(format!("parser panicked: {}", panic_message(&payload))))
+}
+
+/// Best-effort panic payload text.
+fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string())
+}
+
+/// A report standing in for a bundle whose review panicked.
+fn panicked_report(
+    bundle: &SubmissionBundle,
+    payload: &Box<dyn std::any::Any + Send>,
+) -> ReviewReport {
+    let msg = panic_message(payload);
     ReviewReport {
         org: bundle.org.clone(),
         division: bundle.division,
         benchmarks: bundle
             .run_sets
             .iter()
-            .zip(parsed)
-            .map(|(rs, logs)| review_run_set(rs, bundle.division, references, logs))
+            .map(|rs| BenchmarkReview {
+                benchmark: rs.benchmark,
+                diagnostics: vec![Diagnostic::Panicked(msg.clone())],
+                minutes: None,
+                runs: rs.logs.len(),
+                scenarios: Vec::new(),
+            })
             .collect(),
     }
-}
-
-/// Reviews one bundle against the round's references, parsing logs
-/// serially. Never panics on malformed input — every problem is
-/// returned as a [`Diagnostic`].
-pub fn review_bundle(bundle: &SubmissionBundle, references: &[BenchmarkReference]) -> ReviewReport {
-    let parsed: Vec<Vec<Result<Vec<LogEntry>, String>>> = bundle
-        .run_sets
-        .iter()
-        .map(|rs| {
-            rs.logs.iter().map(|text| MlLogger::parse(text).map_err(|e| e.to_string())).collect()
-        })
-        .collect();
-    review_bundle_parsed(bundle, references, &parsed)
 }
 
 #[cfg(test)]

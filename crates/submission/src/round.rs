@@ -1,24 +1,24 @@
 //! Running a whole round: concurrent ingest with quarantine.
 //!
-//! Ingest is two-staged on the same scoped worker pool: stage one
-//! parses every `:::MLLOG` log of every bundle concurrently (logs are
-//! the unit of work, so a single huge bundle no longer serializes the
-//! round); stage two reviews each bundle against the round references
-//! with the pre-parsed logs.
+//! The bundle is the unit of work. [`crate::review::review_bundle`]
+//! parses one bundle's `:::MLLOG` logs and reviews it against the round
+//! references, on whichever thread calls it; [`StreamingReview`] maps
+//! it over a chunk of bundles on the scoped worker pool and publishes
+//! the results in feed-key order. A round in memory ([`run_round`]) is
+//! one chunk, an archive replay is a chunk per read-ahead window, and a
+//! live upload is a chunk of one reviewed inline — so the three cannot
+//! disagree. The paper's run-count rule (5 runs for vision, 10
+//! otherwise) keeps a bundle under a hundred or so logs, which is why
+//! logs within a bundle are not fanned out.
 
 use crate::bundle::{BenchmarkReference, SubmissionBundle};
-use crate::review::{
-    emit_rejection_events, review_bundle_parsed, BenchmarkReview, Diagnostic, ParsedLog,
-    ReviewReport,
-};
+use crate::review::{emit_rejection_events, review_bundle_traced, ReviewReport};
 use mlperf_core::aggregate::ScenarioSummary;
-use mlperf_core::mllog::MlLogger;
 use mlperf_core::rules::{Division, Scenario};
 use mlperf_core::suite::BenchmarkId;
 use mlperf_distsim::Round;
-use mlperf_telemetry::{arg, Gauge, Histogram, SpanId, SpanScope, Telemetry};
+use mlperf_telemetry::{arg, SpanId, SpanScope, Telemetry};
 use serde_json::{json, Map};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Everything a round ingests: the round label, the per-benchmark
@@ -121,217 +121,46 @@ impl RoundOutcome {
     }
 }
 
-/// Applies `f` to every item on the shared scoped worker pool
-/// ([`mlperf_pool`]) and returns the results in item order. The
-/// uninstrumented convenience over [`parallel_map_with`]; production
-/// callers thread a telemetry handle through instead.
-#[cfg(test)]
-pub(crate) fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, f, &Telemetry::disabled(), "map", None)
-}
-
-/// Bucket bounds for the items-claimed-per-worker histogram.
+/// Bucket bounds for the bundles-claimed-per-worker histogram.
 const ITEMS_PER_WORKER_BUCKETS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
-/// The instrumented worker pool: one `ingest`-layer span named `name`
-/// per item (on the claiming worker's track, parented under `parent`),
-/// an `ingest.<name>.workers` gauge with the pool size, and an
-/// `ingest.<name>.items_per_worker` histogram showing how evenly the
-/// atomic cursor spread the work. With a disabled handle the
-/// instrumentation vanishes — the metric names are never even built.
-pub(crate) fn parallel_map_with<T, R, F>(
-    items: &[T],
-    f: F,
-    telemetry: &Telemetry,
-    name: &'static str,
-    parent: Option<SpanId>,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    // 1-in-N span sampling for very large stages (see
-    // `Telemetry::with_span_sampling`): only every `stride`th item gets
-    // a span; counters and histograms stay exact.
-    let stride = telemetry.span_stride(items.len() as u64) as usize;
-    parallel_map_sampled(items, f, telemetry, name, parent, stride)
-}
-
-/// [`parallel_map_with`] with the span-sampling stride chosen by the
-/// caller instead of derived from this stage's item count: spans go to
-/// every `stride`th item, or to no item at all when `stride` is zero.
-/// The streaming ingest uses this to thin per-log spans by the round's
-/// *cumulative* bundle count — each per-bundle stage is far too small
-/// to ever cross the stage-size threshold on its own.
-///
-/// The pool itself is [`mlperf_pool::parallel_map_workers`] (this
-/// module is where the idiom originated before it was hoisted); the
-/// per-worker state hook carries each worker's telemetry span scope,
-/// and the teardown hook feeds the claimed-item histogram.
-pub(crate) fn parallel_map_sampled<T, R, F>(
-    items: &[T],
-    f: F,
-    telemetry: &Telemetry,
-    name: &'static str,
-    parent: Option<SpanId>,
-    stride: usize,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let (pool_gauge, per_worker) = if telemetry.is_enabled() {
-        (
-            telemetry.gauge(&format!("ingest.{name}.workers")),
-            telemetry
-                .histogram(&format!("ingest.{name}.items_per_worker"), &ITEMS_PER_WORKER_BUCKETS),
-        )
-    } else {
-        (Gauge::disabled(), Histogram::disabled())
-    };
-    pool_gauge.set(mlperf_pool::workers_for(items.len()) as u64);
-
-    mlperf_pool::parallel_map_workers(
-        items,
-        || telemetry.timeline_scope_under(parent),
-        |span_scope, i, item| {
-            let span = (stride != 0 && i % stride == 0).then(|| {
-                span_scope.start_with("ingest", name, || Map::from([arg("item", json!(i))]))
-            });
-            let out = f(item);
-            if let Some(span) = span {
-                span_scope.end(span);
-            }
-            out
-        },
-        |_, claimed| per_worker.observe(claimed as f64),
-    )
-}
-
-/// Runs review over every bundle and publishes the outcome. Log
-/// parsing and bundle review each run on a scoped worker pool; ingest
-/// is fault-tolerant throughout — parse failures, compliance
-/// violations, and even panics inside parsing or review become
-/// quarantined reports. A bad bundle can never abort the round.
+/// Runs review over every bundle and publishes the outcome. Bundles
+/// are reviewed on a scoped worker pool; ingest is fault-tolerant
+/// throughout — parse failures, compliance violations, and even panics
+/// inside parsing or review become quarantined reports. A bad bundle
+/// can never abort the round.
 pub fn run_round(submissions: &RoundSubmissions) -> RoundOutcome {
     run_round_with(submissions, &Telemetry::disabled())
 }
 
 /// [`run_round`] with instrumentation: an `ingest`-layer `run_round`
-/// span wrapping `parse_logs` and `review_bundles` stage spans, a span
-/// per parsed log and per reviewed bundle (each on its claiming
-/// worker's track), worker-pool gauges and utilization histograms, and
-/// `ingest.*` counters. A disabled handle makes this exactly
+/// span over the [`StreamingReview`] spans, metrics and counters of one
+/// chunk holding every bundle. A disabled handle makes this exactly
 /// [`run_round`].
 pub fn run_round_with(submissions: &RoundSubmissions, telemetry: &Telemetry) -> RoundOutcome {
-    run_round_under(submissions, telemetry, None)
-}
-
-/// [`run_round_with`] with the root span parented under `parent` — how
-/// the archive's replay nests each round's ingest under its own span.
-pub(crate) fn run_round_under(
-    submissions: &RoundSubmissions,
-    telemetry: &Telemetry,
-    parent: Option<SpanId>,
-) -> RoundOutcome {
     let bundles = &submissions.bundles;
-    let references = &submissions.references;
-    let mut scope = telemetry.timeline_scope_under(parent);
+    let mut scope = telemetry.timeline_scope();
     let round_span = scope.start_with("ingest", "run_round", || {
         Map::from([
             arg("round", json!(submissions.round.label())),
             arg("bundles", json!(bundles.len())),
         ])
     });
-
-    // Stage 1: flatten every log across every bundle and parse them
-    // concurrently, panics contained per log.
-    let log_refs: Vec<(usize, usize, usize, &str)> = bundles
-        .iter()
-        .enumerate()
-        .flat_map(|(b, bundle)| {
-            bundle.run_sets.iter().enumerate().flat_map(move |(s, rs)| {
-                rs.logs.iter().enumerate().map(move |(r, text)| (b, s, r, text.as_str()))
-            })
-        })
-        .collect();
-    let parse_span = scope
-        .start_with("ingest", "parse_logs", || Map::from([arg("logs", json!(log_refs.len()))]));
-    let parsed_flat: Vec<ParsedLog> = parallel_map_with(
-        &log_refs,
-        |(_, _, _, text)| {
-            catch_unwind(AssertUnwindSafe(|| parse_one_log(text))).unwrap_or_else(|payload| {
-                Err(format!("parser panicked: {}", panic_message(&payload)))
-            })
-        },
+    let mut review = StreamingReview::traced(
+        submissions.round,
+        submissions.references.clone(),
         telemetry,
-        "parse_log",
         scope.current(),
     );
-    scope.end(parse_span);
-    telemetry.counter("ingest.logs_parsed").add(log_refs.len() as u64);
-
-    // Reassemble the flat parse results into per-bundle/per-set shape.
-    let mut parsed: Vec<Vec<Vec<ParsedLog>>> = bundles
-        .iter()
-        .map(|b| b.run_sets.iter().map(|rs| Vec::with_capacity(rs.logs.len())).collect())
-        .collect();
-    for ((b, s, _, _), result) in log_refs.iter().zip(parsed_flat) {
-        parsed[*b][*s].push(result);
-    }
-
-    // Stage 2: review bundles concurrently with their parsed logs.
-    let work: Vec<(usize, &SubmissionBundle)> = bundles.iter().enumerate().collect();
-    let review_span = scope.start("ingest", "review_bundles");
-    let reports: Vec<ReviewReport> = parallel_map_with(
-        &work,
-        |(i, bundle)| {
-            catch_unwind(AssertUnwindSafe(|| review_bundle_parsed(bundle, references, &parsed[*i])))
-                .unwrap_or_else(|payload| panicked_report(bundle, &payload))
-        },
-        telemetry,
-        "review_bundle",
-        scope.current(),
-    );
-    scope.end(review_span);
-    telemetry.counter("ingest.bundles_reviewed").add(bundles.len() as u64);
-
-    let mut accepted = Vec::new();
-    let mut scenarios = Vec::new();
-    let mut quarantined = Vec::new();
-    for (bundle, report) in bundles.iter().zip(&reports) {
-        accepted.extend(accepted_entries(bundle, report));
-        scenarios.extend(scenario_entries(bundle, report));
-        if !report.is_clean() {
-            emit_quarantine_events(&mut scope, report);
-            emit_rejection_events(&mut scope, report);
-            quarantined.push(report.clone());
-        }
-    }
-    let (n_accepted, n_quarantined) = (accepted.len(), quarantined.len());
-    telemetry.counter("ingest.quarantined").add(n_quarantined as u64);
+    let chunk: Vec<(u64, usize, &SubmissionBundle)> =
+        bundles.iter().enumerate().map(|(i, bundle)| (i as u64, i, bundle)).collect();
+    review.add_bundles(&chunk);
+    let outcome = review.finish();
+    let (accepted, quarantined) = (outcome.accepted.len(), outcome.quarantined.len());
     scope.end_with(round_span, || {
-        Map::from([arg("accepted", json!(n_accepted)), arg("quarantined", json!(n_quarantined))])
+        Map::from([arg("accepted", json!(accepted)), arg("quarantined", json!(quarantined))])
     });
-
-    RoundOutcome { round: submissions.round, accepted, scenarios, quarantined, reports }
-}
-
-/// Parses one log's text for ingest, flattening the structured
-/// [`mlperf_core::mllog::ParseError`] (which names every malformed
-/// line) into the review pipeline's string diagnostic.
-fn parse_one_log(text: &str) -> ParsedLog {
-    MlLogger::parse(text).map_err(|e| e.to_string())
+    outcome
 }
 
 /// The accepted entries one reviewed bundle contributes, in the
@@ -474,15 +303,15 @@ fn unspill_report(path: &Path) -> Result<ReviewReport, String> {
 /// (resident or spilled).
 type StreamedResult = ((u64, usize), Vec<AcceptedEntry>, Vec<ScenarioEntry>, StoredReport);
 
-/// Incremental round review for streaming ingest: bundles are fed one
-/// at a time — each parsed and reviewed on the scoped worker pool, its
-/// log text droppable as soon as [`StreamingReview::add_bundle`]
-/// returns — and [`StreamingReview::finish`] publishes a
-/// [`RoundOutcome`] identical to [`run_round`] over the same bundles
-/// ordered by their `(index, arrival)` feed keys. Only the per-bundle
-/// reports and accepted entries stay resident, so a
-/// many-thousand-bundle round never holds more than one bundle's logs
-/// in memory.
+/// Incremental round review: bundles are fed one at a time
+/// ([`StreamingReview::add_bundle`], reviewed on the calling thread) or
+/// a chunk at a time ([`StreamingReview::add_bundles`], reviewed on the
+/// scoped worker pool), their log text droppable as soon as the call
+/// returns, and [`StreamingReview::finish`] publishes the
+/// [`RoundOutcome`] with bundles ordered by their `(index, arrival)`
+/// feed keys. Only the per-bundle reports and accepted entries stay
+/// resident, so a many-thousand-bundle round never holds more than one
+/// chunk's logs in memory. [`run_round`] is one chunk through this type.
 #[derive(Debug)]
 pub struct StreamingReview {
     round: Round,
@@ -503,9 +332,13 @@ impl StreamingReview {
         StreamingReview::traced(round, references, &Telemetry::disabled(), None)
     }
 
-    /// [`StreamingReview::new`] with instrumentation: per-bundle
-    /// `stream_bundle` spans (and their per-log parse spans) parented
-    /// under `parent`.
+    /// [`StreamingReview::new`] with instrumentation: a `review_bundle`
+    /// span per bundle on the reviewing thread's track, parented under
+    /// `parent`, with the bundle's `parse_log` spans and its quarantine
+    /// and rejection events beneath it, plus the `ingest.*` counters.
+    /// Once the cumulative bundle count passes an armed
+    /// [`Telemetry::with_span_sampling`] threshold only every Nth
+    /// bundle records its spans; counters and events stay exact.
     pub fn traced(
         round: Round,
         references: Vec<BenchmarkReference>,
@@ -538,77 +371,74 @@ impl StreamingReview {
         self
     }
 
-    /// Parses and reviews one bundle now. `index` is the bundle's
-    /// manifest submission-order position and `arrival` its ingest
-    /// order; together they decide where the bundle's results land in
-    /// the finished outcome, so feeding order never changes it.
+    /// Parses and reviews one bundle now, on the calling thread.
+    /// `index` is the bundle's manifest submission-order position and
+    /// `arrival` its ingest order; together they decide where the
+    /// bundle's results land in the finished outcome, so feeding order
+    /// never changes it.
     pub fn add_bundle(&mut self, index: u64, arrival: usize, bundle: &SubmissionBundle) {
-        let reviewed = self.review_with_hint(arrival, bundle);
-        self.push_reviewed(index, arrival, reviewed);
+        self.add_bundles(&[(index, arrival, bundle)]);
+    }
+
+    /// Reviews a chunk of `(index, arrival, bundle)` on the scoped
+    /// worker pool — one bundle per claim, a chunk of one inline — and
+    /// publishes the results in chunk order. With instrumentation, an
+    /// `ingest.review_bundle.workers` gauge carries the pool size and
+    /// an `ingest.review_bundle.items_per_worker` histogram shows how
+    /// evenly the atomic cursor spread the chunk.
+    pub fn add_bundles(&mut self, chunk: &[(u64, usize, &SubmissionBundle)]) {
+        let telemetry = &self.telemetry;
+        telemetry
+            .gauge("ingest.review_bundle.workers")
+            .set(mlperf_pool::workers_for(chunk.len()) as u64);
+        let per_worker =
+            telemetry.histogram("ingest.review_bundle.items_per_worker", &ITEMS_PER_WORKER_BUCKETS);
+        let reviewed = mlperf_pool::parallel_map_workers(
+            chunk,
+            || telemetry.timeline_scope_under(self.parent),
+            |scope, _, (_, arrival, bundle)| self.review_on(scope, *arrival, bundle),
+            |_, claimed| per_worker.observe(claimed as f64),
+        );
+        for ((index, arrival, _), reviewed) in chunk.iter().zip(reviewed) {
+            self.push_reviewed(*index, *arrival, reviewed);
+        }
     }
 
     /// The read-only half of [`StreamingReview::add_bundle`]: parses
-    /// and reviews `bundle` on the worker pool without touching the
+    /// and reviews `bundle` on the calling thread without touching the
     /// accumulated results, so many callers may review concurrently
     /// (e.g. under a shared read lock) and serialize only the cheap
     /// [`StreamingReview::push_reviewed`].
     pub fn review_bundle(&self, bundle: &SubmissionBundle) -> ReviewedBundle {
-        self.review_with_hint(self.results.len(), bundle)
+        let mut scope = self.telemetry.timeline_scope_under(self.parent);
+        self.review_on(&mut scope, self.results.len(), bundle)
     }
 
-    fn review_with_hint(&self, arrival: usize, bundle: &SubmissionBundle) -> ReviewedBundle {
-        // Streaming span sampling works on the *cumulative* bundle
-        // count (each per-bundle stage is tiny on its own): once the
-        // stream passes the armed threshold, only every Nth bundle
-        // records its `stream_bundle` span and per-log parse spans.
-        // Counters, pool metrics, and quarantine events stay exact.
+    /// One bundle through [`crate::review::review_bundle`] on `scope`,
+    /// with this review's spans, events and counters around it.
+    fn review_on(
+        &self,
+        scope: &mut SpanScope<'_>,
+        arrival: usize,
+        bundle: &SubmissionBundle,
+    ) -> ReviewedBundle {
         let stride = self.telemetry.span_stride(arrival as u64 + 1) as usize;
         let recorded = arrival.is_multiple_of(stride);
-        let mut scope = self.telemetry.timeline_scope_under(self.parent);
         let span = recorded.then(|| {
-            scope.start_with("ingest", "stream_bundle", || {
+            scope.start_with("ingest", "review_bundle", || {
                 Map::from([arg("org", json!(bundle.org)), arg("arrival", json!(arrival))])
             })
         });
-
-        // Stage 1: this bundle's logs in parallel, panics contained.
-        let log_refs: Vec<(usize, &str)> = bundle
-            .run_sets
-            .iter()
-            .enumerate()
-            .flat_map(|(s, rs)| rs.logs.iter().map(move |text| (s, text.as_str())))
-            .collect();
-        let parsed_flat: Vec<ParsedLog> = parallel_map_sampled(
-            &log_refs,
-            |(_, text)| {
-                catch_unwind(AssertUnwindSafe(|| parse_one_log(text))).unwrap_or_else(|payload| {
-                    Err(format!("parser panicked: {}", panic_message(&payload)))
-                })
-            },
-            &self.telemetry,
-            "parse_log",
-            scope.current(),
-            if recorded { 1 } else { 0 },
-        );
-        self.telemetry.counter("ingest.logs_parsed").add(log_refs.len() as u64);
-        let mut parsed: Vec<Vec<ParsedLog>> =
-            bundle.run_sets.iter().map(|rs| Vec::with_capacity(rs.logs.len())).collect();
-        for ((s, _), result) in log_refs.iter().zip(parsed_flat) {
-            parsed[*s].push(result);
-        }
-
-        // Stage 2: review the bundle with its parsed logs.
-        let report = catch_unwind(AssertUnwindSafe(|| {
-            review_bundle_parsed(bundle, &self.references, &parsed)
-        }))
-        .unwrap_or_else(|payload| panicked_report(bundle, &payload));
+        let report = review_bundle_traced(bundle, &self.references, scope, recorded);
+        let logs: usize = bundle.run_sets.iter().map(|rs| rs.logs.len()).sum();
+        self.telemetry.counter("ingest.logs_parsed").add(logs as u64);
         self.telemetry.counter("ingest.bundles_reviewed").incr();
 
         let entries = accepted_entries(bundle, &report);
         let scenarios = scenario_entries(bundle, &report);
         if !report.is_clean() {
-            emit_quarantine_events(&mut scope, &report);
-            emit_rejection_events(&mut scope, &report);
+            emit_quarantine_events(scope, &report);
+            emit_rejection_events(scope, &report);
         }
         if let Some(span) = span {
             scope.end(span);
@@ -680,9 +510,11 @@ impl StreamingReview {
             .count()
     }
 
-    /// Publishes the outcome: results are ordered by their feed keys,
-    /// exactly as the materialized path orders bundles. Spilled reports
-    /// are re-read here.
+    /// Publishes the outcome: results are ordered by their feed keys.
+    /// Spilled reports are re-read here; each spill file is removed
+    /// once read back, and the spill directory once empty (both
+    /// best-effort — a file that will not go away is litter, not a
+    /// fault).
     pub fn finish(mut self) -> RoundOutcome {
         self.results.sort_by_key(|(order, _, _, _)| *order);
         let mut accepted = Vec::new();
@@ -695,7 +527,10 @@ impl StreamingReview {
             let report = match stored {
                 StoredReport::Resident(report) => report,
                 StoredReport::Spilled { path, org, division, .. } => match unspill_report(&path) {
-                    Ok(report) => report,
+                    Ok(report) => {
+                        let _ = std::fs::remove_file(&path);
+                        report
+                    }
                     Err(_) => {
                         self.telemetry.counter("ingest.spill_read_errors").incr();
                         ReviewReport { org, division, benchmarks: Vec::new() }
@@ -707,48 +542,21 @@ impl StreamingReview {
             }
             reports.push(report);
         }
+        if let Some(dir) = &self.spill {
+            // Fails, harmlessly, while anything is left inside.
+            let _ = std::fs::remove_dir(dir);
+        }
         self.telemetry.counter("ingest.quarantined").add(quarantined.len() as u64);
         RoundOutcome { round: self.round, accepted, scenarios, quarantined, reports }
-    }
-}
-
-/// Best-effort panic payload text.
-fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_string())
-}
-
-/// A report standing in for a bundle whose review panicked.
-fn panicked_report(
-    bundle: &SubmissionBundle,
-    payload: &Box<dyn std::any::Any + Send>,
-) -> ReviewReport {
-    let msg = panic_message(payload);
-    ReviewReport {
-        org: bundle.org.clone(),
-        division: bundle.division,
-        benchmarks: bundle
-            .run_sets
-            .iter()
-            .map(|rs| BenchmarkReview {
-                benchmark: rs.benchmark,
-                diagnostics: vec![Diagnostic::Panicked(msg.clone())],
-                minutes: None,
-                runs: rs.logs.len(),
-                scenarios: Vec::new(),
-            })
-            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::review::review_bundle;
+    use crate::review::{review_bundle, Diagnostic};
     use crate::synthetic::{synthetic_round, Fault, SyntheticRoundSpec};
+    use mlperf_core::mllog::MlLogger;
 
     #[test]
     fn round_reports_preserve_bundle_order() {
@@ -781,15 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let doubled = parallel_map(&items, |i| i * 2);
-        assert_eq!(doubled, items.iter().map(|i| i * 2).collect::<Vec<_>>());
-        assert!(parallel_map::<usize, usize, _>(&[], |i| *i).is_empty());
-    }
-
-    #[test]
-    fn instrumented_round_traces_all_three_stages() {
+    fn instrumented_round_traces_every_bundle_and_log() {
         let subs = synthetic_round(&SyntheticRoundSpec::new(Round::V05, 3));
         let telemetry = Telemetry::recording();
         let outcome = run_round_with(&subs, &telemetry);
@@ -798,40 +598,48 @@ mod tests {
         let snapshot = telemetry.snapshot();
         let total_logs: usize =
             subs.bundles.iter().flat_map(|b| &b.run_sets).map(|rs| rs.logs.len()).sum();
-        let count = |name: &str| snapshot.spans.iter().filter(|s| s.name == name).count();
-        assert_eq!(count("parse_log"), total_logs, "one span per parsed log");
-        assert_eq!(count("review_bundle"), subs.bundles.len(), "one span per reviewed bundle");
-
-        // Stage spans nest under run_round; item spans under their
-        // stage, even though workers emit them from their own scopes.
-        let find = |name: &str| snapshot.spans.iter().find(|s| s.name == name).unwrap();
-        let run = find("run_round");
-        let parse = find("parse_logs");
-        let review = find("review_bundles");
+        let named =
+            |name: &str| -> Vec<_> { snapshot.spans.iter().filter(|s| s.name == name).collect() };
+        let [run] = named("run_round")[..] else { panic!("one run_round span") };
         assert_eq!(run.parent, None);
-        assert_eq!(parse.parent, Some(run.id));
-        assert_eq!(review.parent, Some(run.id));
-        assert!(snapshot
-            .spans
-            .iter()
-            .filter(|s| s.name == "parse_log")
-            .all(|s| s.parent == Some(parse.id)));
+
+        // One span per bundle under the round span, each on the track
+        // of the worker that claimed it; one span per log under its
+        // bundle's span, on the same track.
+        let bundles = named("review_bundle");
+        assert_eq!(bundles.len(), subs.bundles.len(), "one span per reviewed bundle");
+        assert!(bundles.iter().all(|s| s.parent == Some(run.id) && s.track != run.track));
+        let logs = named("parse_log");
+        assert_eq!(logs.len(), total_logs, "one span per parsed log");
+        for (arrival, bundle) in subs.bundles.iter().enumerate() {
+            let span = bundles.iter().find(|s| s.args.get("arrival") == Some(&json!(arrival)));
+            let span = span.expect("a span for every arrival");
+            assert_eq!(span.args.get("org"), Some(&json!(bundle.org)));
+            let beneath = logs.iter().filter(|l| l.parent == Some(span.id)).collect::<Vec<_>>();
+            let expected: usize = bundle.run_sets.iter().map(|rs| rs.logs.len()).sum();
+            assert_eq!(beneath.len(), expected, "a bundle's logs parse beneath its span");
+            assert!(beneath.iter().all(|l| l.track == span.track));
+        }
 
         // Pool utilization: gauge with the pool size, histogram whose
-        // observations (items claimed per worker) sum to the item count.
-        let gauge = snapshot.gauges.iter().find(|g| g.name == "ingest.parse_log.workers").unwrap();
+        // observations (bundles claimed per worker) sum to the chunk.
+        let gauge =
+            snapshot.gauges.iter().find(|g| g.name == "ingest.review_bundle.workers").unwrap();
         assert!(gauge.value >= 1);
         let hist = snapshot
             .histograms
             .iter()
-            .find(|h| h.name == "ingest.parse_log.items_per_worker")
+            .find(|h| h.name == "ingest.review_bundle.items_per_worker")
             .unwrap();
-        assert_eq!(hist.sum as usize, total_logs);
+        assert_eq!(hist.sum as usize, subs.bundles.len());
         assert_eq!(hist.count, gauge.value);
 
-        let logs_parsed =
-            snapshot.counters.iter().find(|c| c.name == "ingest.logs_parsed").unwrap();
-        assert_eq!(logs_parsed.value as usize, total_logs);
+        let counter = |name: &str| {
+            snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap_or(0)
+        };
+        assert_eq!(counter("ingest.logs_parsed") as usize, total_logs);
+        assert_eq!(counter("ingest.bundles_reviewed") as usize, subs.bundles.len());
+        assert_eq!(counter("ingest.quarantined"), 0);
     }
 
     #[test]
@@ -848,15 +656,22 @@ mod tests {
         let events: Vec<_> = snapshot.events_in("ingest").collect();
         let expected: usize = outcome.quarantined.iter().map(|r| r.diagnostics().count()).sum();
         assert_eq!(events.len(), expected, "one event per quarantine diagnostic");
-        let run = snapshot.spans.iter().find(|s| s.name == "run_round").unwrap();
+        let bundle = snapshot
+            .spans
+            .iter()
+            .find(|s| s.name == "review_bundle" && s.args.get("org") == Some(&json!("Borealis")))
+            .unwrap();
         for event in &events {
             assert_eq!(event.name, "quarantine");
-            assert_eq!(event.parent, Some(run.id), "events nest under the round span");
-            assert!(run.start_us <= event.ts_us && event.ts_us <= run.end_us);
+            assert_eq!(event.parent, Some(bundle.id), "events nest under their bundle's span");
+            assert!(bundle.start_us <= event.ts_us && event.ts_us <= bundle.end_us);
             assert_eq!(event.args.get("org"), Some(&json!("Borealis")));
             let fault = event.args.get("fault").and_then(|f| f.as_str()).unwrap();
             assert!(!fault.is_empty(), "the event names its fault");
         }
+        let quarantined =
+            snapshot.counters.iter().find(|c| c.name == "ingest.quarantined").unwrap().value;
+        assert_eq!(quarantined, 1);
 
         // A clean round emits no quarantine events at all.
         let clean = Telemetry::recording();
@@ -884,52 +699,57 @@ mod tests {
     #[test]
     fn span_sampling_thins_spans_without_changing_outcomes() {
         use mlperf_telemetry::SpanSampling;
-        let subs = synthetic_round(&SyntheticRoundSpec::new(Round::V05, 6));
-        let total_logs: usize =
-            subs.bundles.iter().flat_map(|b| &b.run_sets).map(|rs| rs.logs.len()).sum();
-        assert!(total_logs > 16);
+        let subs = synthetic_round(
+            &SyntheticRoundSpec::new(Round::V05, 6)
+                .with_fault(Fault::MissingRunStop { org: "Borealis".into() }),
+        );
+        let outcome = run_round(&subs);
+        let diagnostics: usize = outcome.quarantined.iter().map(|r| r.diagnostics().count()).sum();
+        assert!(diagnostics > 0);
 
-        // Materialized path: the parse stage crosses the threshold, so
-        // only every 8th log records a span; counters stay exact.
-        let sampled =
-            Telemetry::recording().with_span_sampling(SpanSampling { threshold: 16, every: 8 });
-        let outcome = run_round_with(&subs, &sampled);
-        assert_eq!(outcome, run_round(&subs), "sampling must not change the outcome");
-        let snapshot = sampled.snapshot();
-        let spans = |name: &str| snapshot.spans.iter().filter(|s| s.name == name).count();
-        assert_eq!(spans("parse_log"), total_logs.div_ceil(8));
-        let counter = |name: &str| {
-            snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap_or(0)
+        // Sampling keys off the cumulative bundle count: arrivals below
+        // the threshold record, then one in four — whether the bundles
+        // come as one pooled chunk or one at a time.
+        let recorded: Vec<usize> =
+            (0..subs.bundles.len()).filter(|a| *a + 1 < 2 || a % 4 == 0).collect();
+        assert!(recorded.len() < subs.bundles.len(), "sampling must thin something");
+        let logs_of = |arrival: &usize| -> usize {
+            subs.bundles[*arrival].run_sets.iter().map(|rs| rs.logs.len()).sum()
         };
-        assert_eq!(counter("ingest.logs_parsed") as usize, total_logs);
+        let total_logs: usize = (0..subs.bundles.len()).map(|a| logs_of(&a)).sum();
 
-        // Streaming path: sampling keys off the cumulative bundle
-        // count — all bundles below the threshold record, then 1-in-N.
-        let streaming =
-            Telemetry::recording().with_span_sampling(SpanSampling { threshold: 2, every: 4 });
+        let sampling = SpanSampling { threshold: 2, every: 4 };
+        let chunked = Telemetry::recording().with_span_sampling(sampling);
+        assert_eq!(run_round_with(&subs, &chunked), outcome, "sampling changes no outcome");
+        let one_by_one = Telemetry::recording().with_span_sampling(sampling);
         let mut review =
-            StreamingReview::traced(subs.round, subs.references.clone(), &streaming, None);
+            StreamingReview::traced(subs.round, subs.references.clone(), &one_by_one, None);
         for (i, bundle) in subs.bundles.iter().enumerate() {
             review.add_bundle(i as u64, i, bundle);
         }
         assert_eq!(review.finish(), outcome);
-        let snapshot = streaming.snapshot();
-        let expected = (0..subs.bundles.len())
-            .filter(|&a| {
-                let stride = if a as u64 + 1 >= 2 { 4 } else { 1 };
-                a % stride == 0
-            })
-            .count();
-        let streamed = snapshot.spans.iter().filter(|s| s.name == "stream_bundle").count();
-        assert_eq!(streamed, expected);
-        assert!(streamed < subs.bundles.len(), "sampling actually thinned the spans");
-        let reviewed = snapshot
-            .counters
-            .iter()
-            .find(|c| c.name == "ingest.bundles_reviewed")
-            .map(|c| c.value)
-            .unwrap_or(0);
-        assert_eq!(reviewed as usize, subs.bundles.len());
+
+        for telemetry in [chunked, one_by_one] {
+            let snapshot = telemetry.snapshot();
+            let mut arrivals: Vec<usize> = snapshot
+                .spans
+                .iter()
+                .filter(|s| s.name == "review_bundle")
+                .map(|s| s.args["arrival"].as_u64().unwrap() as usize)
+                .collect();
+            arrivals.sort_unstable();
+            assert_eq!(arrivals, recorded);
+            let parse_spans = snapshot.spans.iter().filter(|s| s.name == "parse_log").count();
+            assert_eq!(parse_spans, recorded.iter().map(logs_of).sum::<usize>());
+            // Counters and quarantine events stay exact.
+            let counter = |name: &str| {
+                snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap_or(0)
+            };
+            assert_eq!(counter("ingest.logs_parsed") as usize, total_logs);
+            assert_eq!(counter("ingest.bundles_reviewed") as usize, subs.bundles.len());
+            assert_eq!(counter("ingest.quarantined"), 1);
+            assert_eq!(snapshot.events_in("ingest").count(), diagnostics);
+        }
     }
 
     fn temp_spill_dir(tag: &str) -> PathBuf {
@@ -957,7 +777,9 @@ mod tests {
         assert_eq!(spilled, subs.bundles.len(), "every report spills, quarantined or not");
         assert_eq!(review.quarantined_so_far(), 1);
         assert_eq!(review.finish(), batch, "spilling must not change the outcome");
-        let _ = std::fs::remove_dir_all(&dir);
+        // Regression: spill files used to outlive the round they
+        // belonged to, one dead file per bundle.
+        assert!(!dir.exists(), "finish removes what it read back, and the emptied directory");
     }
 
     /// Regression test for the old spill gap: quarantined reports used
@@ -1036,8 +858,8 @@ mod tests {
 
     #[test]
     fn concurrent_round_matches_serial_review() {
-        // The two-stage concurrent ingest must be observationally
-        // identical to reviewing each bundle serially.
+        // Pooled ingest must be observationally identical to reviewing
+        // each bundle serially.
         let subs = synthetic_round(
             &SyntheticRoundSpec::new(Round::V06, 8)
                 .with_fault(Fault::GarbageLine { org: "Aurora".into() }),

@@ -37,7 +37,7 @@
 
 use crate::bundle::{BenchmarkReference, RunSet, SubmissionBundle};
 use crate::manifest::{self, ArchiveManifest, BundleManifest, RoundManifest, RunSetManifest};
-use crate::round::{run_round_under, RoundOutcome, RoundSubmissions, StreamingReview};
+use crate::round::{RoundOutcome, RoundSubmissions, StreamingReview};
 use crate::tables::RoundHistory;
 use mlperf_core::mllog::MlLogger;
 use mlperf_distsim::Round;
@@ -582,43 +582,22 @@ impl RoundArchive {
     /// Fatal only for round-level damage: an unreadable round
     /// directory or a missing/corrupt/newer-schema `round.json`.
     pub fn read_round(&self, round: Round) -> Result<RoundIngest, StoreError> {
-        self.read_round_traced(round, None)
-    }
-
-    /// [`RoundArchive::read_round`] with its span parented under
-    /// `parent` (how replay nests per-round reads under its own span).
-    fn read_round_traced(
-        &self,
-        round: Round,
-        parent: Option<mlperf_telemetry::SpanId>,
-    ) -> Result<RoundIngest, StoreError> {
-        let mut scope = self.telemetry.timeline_scope_under(parent);
+        let mut scope = self.telemetry.timeline_scope();
         let span = scope
             .start_with("store", "read_round", || Map::from([arg("round", json!(round.label()))]));
-        let result = self.read_round_inner(round);
-        if let Ok(ingest) = &result {
-            self.telemetry.counter("store.faults").add(ingest.faults.len() as u64);
-            let (bundles, faults) = (ingest.submissions.bundles.len(), ingest.faults.len());
-            scope.end_with(span, || {
-                Map::from([arg("bundles", json!(bundles)), arg("faults", json!(faults))])
-            });
-        }
-        result
-    }
-
-    /// The materialized read: drains [`RoundArchive::stream_round`]
-    /// into one `RoundSubmissions`. Sharing the stream guarantees the
-    /// two ingest paths see identical bundles and faults.
-    fn read_round_inner(&self, round: Round) -> Result<RoundIngest, StoreError> {
+        // Draining `stream_round` is what makes the materialized read
+        // see exactly the bundles and faults streaming review sees.
         let mut stream = self.stream_round(round)?;
-        let mut indexed: Vec<(u64, usize, SubmissionBundle)> = Vec::new();
-        while let Some(item) = stream.next_bundle() {
-            indexed.push((item.index, item.arrival, item.bundle));
-        }
-        indexed.sort_by_key(|(index, arrival, _)| (*index, *arrival));
-        let bundles = indexed.into_iter().map(|(_, _, b)| b).collect();
+        let mut indexed: Vec<StreamedBundle> =
+            std::iter::from_fn(|| stream.next_bundle()).collect();
+        indexed.sort_by_key(|item| (item.index, item.arrival));
+        let bundles: Vec<SubmissionBundle> = indexed.into_iter().map(|item| item.bundle).collect();
         let (references, faults) = stream.finish();
-
+        self.telemetry.counter("store.faults").add(faults.len() as u64);
+        let (n_bundles, n_faults) = (bundles.len(), faults.len());
+        scope.end_with(span, || {
+            Map::from([arg("bundles", json!(n_bundles)), arg("faults", json!(n_faults))])
+        });
         Ok(RoundIngest { submissions: RoundSubmissions { round, references, bundles }, faults })
     }
 
@@ -627,10 +606,11 @@ impl RoundArchive {
     /// [`RoundArchive::read_round`]), then
     /// [`RoundStream::next_bundle`] yields bundles in directory name
     /// order — bounded memory no matter how many bundles the round
-    /// holds. Disk I/O overlaps parse/review: a read-ahead worker keeps
-    /// up to [`READ_AHEAD`] bundles decoded while the caller is busy
-    /// with the previous one. Bundle-level damage accumulates as faults
-    /// on the stream, exactly as the materialized read reports it.
+    /// holds. Disk I/O overlaps parse/review: a read-ahead worker
+    /// decodes the next batches of [`READ_AHEAD`] bundles while the
+    /// caller is busy with the previous one. Bundle-level damage
+    /// accumulates as faults on the stream, exactly as the
+    /// materialized read reports it.
     ///
     /// # Errors
     ///
@@ -668,11 +648,13 @@ impl RoundArchive {
         })
     }
 
-    /// Streaming ingest and review of one round: bundles are read one
-    /// directory at a time, parsed and reviewed on the scoped worker
-    /// pool, and dropped before the next directory is touched — resident
-    /// memory is one bundle plus the accumulated reports, not the whole
-    /// round. Produces exactly the [`RoundOutcome`] (and faults) that
+    /// Streaming ingest and review of one round: up to [`READ_AHEAD`]
+    /// bundles at a time are pulled off the stream, reviewed as one
+    /// chunk on the scoped worker pool, and handed back to the
+    /// read-ahead worker, which drops them while it decodes the next
+    /// chunk — resident memory is a few chunks plus the accumulated
+    /// reports, not the whole round.
+    /// Produces exactly the [`RoundOutcome`] (and faults) that
     /// [`RoundArchive::read_round`] + [`crate::run_round`] would.
     ///
     /// # Errors
@@ -682,12 +664,12 @@ impl RoundArchive {
         &self,
         round: Round,
     ) -> Result<(RoundOutcome, Vec<StoreFault>), StoreError> {
-        self.review_round_streaming_traced(round, None)
+        self.review_round_streaming_under(round, None)
     }
 
     /// [`RoundArchive::review_round_streaming`] with its `stream_round`
-    /// span parented under `parent`.
-    fn review_round_streaming_traced(
+    /// span parented under `parent` (how replay nests each round).
+    fn review_round_streaming_under(
         &self,
         round: Round,
         parent: Option<mlperf_telemetry::SpanId>,
@@ -703,8 +685,16 @@ impl RoundArchive {
             &self.telemetry,
             scope.current(),
         );
-        while let Some(item) = stream.next_bundle() {
-            review.add_bundle(item.index, item.arrival, &item.bundle);
+        loop {
+            let chunk: Vec<StreamedBundle> =
+                std::iter::from_fn(|| stream.next_bundle()).take(READ_AHEAD).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            let keyed: Vec<(u64, usize, &SubmissionBundle)> =
+                chunk.iter().map(|item| (item.index, item.arrival, &item.bundle)).collect();
+            review.add_bundles(&keyed);
+            stream.recycle(chunk);
         }
         let bundles = review.bundles_reviewed();
         let outcome = review.finish();
@@ -1132,36 +1122,13 @@ impl RoundArchive {
     ///
     /// [`StoreError::Io`] when the archive root cannot be listed.
     pub fn replay(&self) -> Result<ArchiveReplay, StoreError> {
-        let mut scope = self.telemetry.timeline_scope();
-        let span = scope.start("store", "replay");
-        let parent = scope.current();
-        let mut history = RoundHistory::new();
-        let mut faults = Vec::new();
-        for round in self.rounds()? {
-            match self.read_round_traced(round, parent) {
-                Err(e) => {
-                    self.telemetry.counter("store.faults").incr();
-                    faults.push(StoreFault {
-                        path: self.round_dir(round),
-                        reason: FaultReason::UnreadableRound(e.to_string()),
-                    });
-                }
-                Ok(mut ingest) => {
-                    faults.append(&mut ingest.faults);
-                    history.push(run_round_under(&ingest.submissions, &self.telemetry, parent));
-                }
-            }
-        }
-        let rounds = history.rounds().len();
-        scope.end_with(span, || Map::from([arg("rounds", json!(rounds))]));
-        Ok(ArchiveReplay { history, faults })
+        self.replay_streaming()
     }
 
-    /// [`RoundArchive::replay`] over the streaming ingest path: each
-    /// round is reviewed straight off its [`RoundStream`], so replaying
-    /// an archive of many-thousand-bundle rounds never materializes a
-    /// round. The resulting history and faults are identical to
-    /// [`RoundArchive::replay`]'s.
+    /// The replay itself: each round is reviewed straight off its
+    /// [`RoundStream`] ([`RoundArchive::review_round_streaming`]), so
+    /// replaying an archive of many-thousand-bundle rounds never
+    /// materializes a round.
     ///
     /// # Errors
     ///
@@ -1173,7 +1140,7 @@ impl RoundArchive {
         let mut history = RoundHistory::new();
         let mut faults = Vec::new();
         for round in self.rounds()? {
-            match self.review_round_streaming_traced(round, parent) {
+            match self.review_round_streaming_under(round, parent) {
                 Err(e) => {
                     self.telemetry.counter("store.faults").incr();
                     faults.push(StoreFault {
@@ -1208,11 +1175,18 @@ pub struct StreamedBundle {
     pub bundle: SubmissionBundle,
 }
 
-/// How many decoded bundles the read-ahead worker may hold while the
-/// consumer is busy reviewing the previous one. Small on purpose:
-/// resident memory stays bounded at `READ_AHEAD + 1` bundles while
-/// disk I/O still overlaps parse/review.
-const READ_AHEAD: usize = 2;
+/// How many bundles the read-ahead worker decodes into one batch, and
+/// how many the consumer reviews as one chunk. The worker hands over
+/// whole batches, one waiting in the channel while it fills the next
+/// and the consumer reviews a third, and a reviewed chunk waits at most
+/// one directory read to be dropped: about `4 * READ_AHEAD` bundles
+/// are resident at most (some 2 MB of log text at the stress rounds'
+/// ~9 KB a bundle). Disk I/O overlaps review, the two threads meet
+/// once a batch instead of once a bundle (a wake-up between cores costs
+/// more than reviewing a bundle does), and a chunk's ~20 µs-a-bundle
+/// review is long enough to pay for the ~100 µs it costs to wake the
+/// worker pool.
+const READ_AHEAD: usize = 64;
 
 /// One step of the read-ahead walk: faults recorded while listing or
 /// reading, plus the bundle if the directory loaded.
@@ -1222,26 +1196,28 @@ struct PrefetchItem {
     loaded: Option<(PathBuf, u64, SubmissionBundle)>,
 }
 
-/// Where [`RoundStream`] pulls prefetched bundles from: a bounded
-/// channel fed by a reader thread, or (when no thread could be
-/// spawned) a queue filled eagerly in-line.
+/// Where [`RoundStream`] pulls prefetched bundles from: `ready` holds
+/// the batch being handed out, refilled from a one-batch channel fed by
+/// a reader thread. When no thread could be spawned the whole round is
+/// in `ready` from the start and there is no channel.
 #[derive(Debug)]
-enum PrefetchSource {
-    Worker {
-        /// `None` once the stream is dropped — closing the channel is
-        /// what tells the reader thread to stop.
-        items: Option<mpsc::Receiver<PrefetchItem>>,
-        reader: Option<thread::JoinHandle<()>>,
-    },
-    Eager(VecDeque<PrefetchItem>),
+struct PrefetchSource {
+    ready: VecDeque<PrefetchItem>,
+    /// `None` once the stream is dropped — closing the channel is what
+    /// tells the reader thread to stop.
+    batches: Option<mpsc::Receiver<Vec<PrefetchItem>>>,
+    /// The way back for bundles the consumer is done with (see
+    /// [`RoundStream::recycle`]); `None` without a reader thread.
+    spent: Option<mpsc::Sender<Vec<StreamedBundle>>>,
+    reader: Option<thread::JoinHandle<()>>,
 }
 
 impl PrefetchSource {
     fn next(&mut self) -> Option<PrefetchItem> {
-        match self {
-            PrefetchSource::Worker { items, .. } => items.as_ref()?.recv().ok(),
-            PrefetchSource::Eager(queue) => queue.pop_front(),
+        if self.ready.is_empty() {
+            self.ready = self.batches.as_ref()?.recv().ok()?.into();
         }
+        self.ready.pop_front()
     }
 }
 
@@ -1249,21 +1225,40 @@ impl PrefetchSource {
 /// the whole round eagerly (unbounded memory, same results) in the
 /// rare case the OS refuses a thread.
 fn spawn_prefetcher(org_dirs: Vec<PathBuf>, bytes_read: Counter) -> PrefetchSource {
-    let (sender, receiver) = mpsc::sync_channel(READ_AHEAD);
+    let (sender, receiver) = mpsc::sync_channel(1);
+    let (spent, spent_rx) = mpsc::channel::<Vec<StreamedBundle>>();
     let spawned = thread::Builder::new().name("round-read-ahead".to_string()).spawn({
         let org_dirs = org_dirs.clone();
         let bytes_read = bytes_read.clone();
-        move || walk_bundle_dirs(org_dirs, &bytes_read, |item| sender.send(item).is_ok())
+        move || {
+            let mut batch = Vec::with_capacity(READ_AHEAD);
+            walk_bundle_dirs(org_dirs, &bytes_read, |item| {
+                // Bundles this thread allocated come home to be freed.
+                while spent_rx.try_recv().is_ok() {}
+                batch.push(item);
+                batch.len() < READ_AHEAD
+                    || sender
+                        .send(std::mem::replace(&mut batch, Vec::with_capacity(READ_AHEAD)))
+                        .is_ok()
+            });
+            // The tail batch; a closed channel means nobody wants it.
+            let _ = sender.send(batch);
+        }
     });
     match spawned {
-        Ok(handle) => PrefetchSource::Worker { items: Some(receiver), reader: Some(handle) },
+        Ok(handle) => PrefetchSource {
+            ready: VecDeque::new(),
+            batches: Some(receiver),
+            spent: Some(spent),
+            reader: Some(handle),
+        },
         Err(_) => {
-            let mut queue = VecDeque::new();
+            let mut ready = VecDeque::new();
             walk_bundle_dirs(org_dirs, &bytes_read, |item| {
-                queue.push_back(item);
+                ready.push_back(item);
                 true
             });
-            PrefetchSource::Eager(queue)
+            PrefetchSource { ready, batches: None, spent: None, reader: None }
         }
     }
 }
@@ -1298,8 +1293,8 @@ fn walk_bundle_dirs(
 /// bounded-memory ingest path behind
 /// [`RoundArchive::review_round_streaming`], also drained by the
 /// materialized [`RoundArchive::read_round`] so both paths share one
-/// reader. A background worker keeps up to [`READ_AHEAD`] bundles
-/// decoded ahead of the consumer so disk I/O overlaps parse/review.
+/// reader. A background worker decodes batches of [`READ_AHEAD`]
+/// bundles ahead of the consumer so disk I/O overlaps parse/review.
 /// Faults accumulate on the stream in the same order the serial walk
 /// reported them.
 #[derive(Debug)]
@@ -1369,6 +1364,18 @@ impl RoundStream {
         }
     }
 
+    /// Hands bundles the caller is done with back to the read-ahead
+    /// worker to be dropped there. The worker allocated them, and
+    /// freeing them on this thread while it allocates the next batch
+    /// contends for its allocator arena: on the 11 000-bundle archive
+    /// that cost a fifth of a replay and varied from run to run. A
+    /// finished (or never started) worker just means dropping here.
+    fn recycle(&self, chunk: Vec<StreamedBundle>) {
+        if let Some(spent) = &self.source.spent {
+            let _ = spent.send(chunk);
+        }
+    }
+
     /// Consumes the stream, returning the round references and every
     /// fault recorded (including any from bundles never pulled).
     pub fn finish(mut self) -> (Vec<BenchmarkReference>, Vec<StoreFault>) {
@@ -1381,13 +1388,11 @@ impl RoundStream {
 
 impl Drop for RoundStream {
     fn drop(&mut self) {
-        if let PrefetchSource::Worker { items, reader } = &mut self.source {
-            // Closing the receiver makes the reader's next send fail,
-            // which stops the walk; then reap the thread.
-            drop(items.take());
-            if let Some(handle) = reader.take() {
-                let _ = handle.join();
-            }
+        // Closing the receiver makes the reader's next send fail, which
+        // stops the walk; then reap the thread.
+        drop(self.source.batches.take());
+        if let Some(handle) = self.source.reader.take() {
+            let _ = handle.join();
         }
     }
 }
@@ -1573,21 +1578,32 @@ mod tests {
         archive.write_round(&subs).unwrap();
         let replay = archive.replay().unwrap();
         assert!(replay.faults.is_empty());
+        let ingest = archive.read_round(Round::V05).unwrap();
+        assert_eq!(ingest.submissions, subs);
 
         let snapshot = telemetry.snapshot();
         let find = |name: &str| snapshot.spans.iter().find(|s| s.name == name).unwrap();
+        // Replay nests each round's streamed review under itself, and
+        // the review nests every bundle under the round.
         let replay_span = find("replay");
-        // Per-round reads and the re-run ingest nest under the replay.
-        assert_eq!(find("read_round").parent, Some(replay_span.id));
-        assert_eq!(find("run_round").parent, Some(replay_span.id));
+        let stream_span = find("stream_round");
+        assert_eq!(stream_span.parent, Some(replay_span.id));
+        let bundles: Vec<_> = snapshot.spans.iter().filter(|s| s.name == "review_bundle").collect();
+        assert_eq!(bundles.len(), subs.bundles.len());
+        assert!(bundles.iter().all(|s| s.parent == Some(stream_span.id)));
+        // A materialized read is a root span of its own.
+        assert_eq!(find("read_round").parent, None);
+        assert_eq!(find("read_round").args.get("bundles"), Some(&json!(subs.bundles.len())));
         assert!(find("write_round").args.get("bundles").is_some());
 
         let counter = |name: &str| {
             snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap_or(0)
         };
         assert!(counter("store.bytes_written") > 0);
-        // A clean replay reads back every byte that was written.
-        assert_eq!(counter("store.bytes_read"), counter("store.bytes_written"));
+        // A clean replay reads back every byte that was written, and
+        // so does the materialized read after it.
+        assert_eq!(counter("store.bytes_read"), 2 * counter("store.bytes_written"));
+        assert_eq!(counter("ingest.bundles_reviewed") as usize, subs.bundles.len());
         assert_eq!(counter("store.faults"), 0);
         fs::remove_dir_all(&root).unwrap();
     }

@@ -6,8 +6,9 @@
 
 use mlperf_suite::distsim::Round;
 use mlperf_suite::submission::{
-    leaderboards, run_round, synthetic_round, synthetic_stress_round, FaultReason,
-    LeaderboardAccumulator, RoundArchive, StoreError, SyntheticRoundSpec, MANIFEST_SCHEMA,
+    leaderboards, review_bundle, run_round, synthetic_round, synthetic_stress_round, FaultReason,
+    LeaderboardAccumulator, RoundArchive, StoreError, StreamingReview, SubmissionBundle,
+    SyntheticRoundSpec, MANIFEST_SCHEMA,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -205,7 +206,7 @@ fn corrupt_round_manifest_never_panics_the_replay() {
 
 /// The streaming acceptance property at scale: a synthetic
 /// 1000-bundle round ingested through `review_round_streaming` — which
-/// holds one bundle's logs at a time — produces a `RoundOutcome`
+/// holds a read-ahead window of bundles at a time — produces a `RoundOutcome`
 /// identical to materializing the whole round and reviewing it, and
 /// the incrementally-built leaderboards match the batch ones.
 #[test]
@@ -232,6 +233,119 @@ fn thousand_bundle_round_streams_to_the_materialized_outcome() {
     }
     assert_eq!(acc.finish(), leaderboards(&materialized));
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Replay reviews a round a read-ahead window (64 bundles) at a time.
+/// Rounds that end just short of, exactly on, just past and well past
+/// a window edge — each with a truncated log, a duplicated bundle
+/// directory and a submission-index collision planted around the edge
+/// — must publish the same outcome and the same fault list, in the
+/// same order, whichever entry point ingests them.
+#[test]
+fn faults_on_either_side_of_a_chunk_edge_replay_identically() {
+    let round = Round::V06;
+    let bundle_dir =
+        |root: &PathBuf, i: usize| root.join(format!("v0.6/org-{i:04}/stressnode-{i:04}"));
+    for bundles in [63usize, 64, 65, 131] {
+        for near in [63usize, 64, 127, 128] {
+            if near > bundles {
+                continue;
+            }
+            let dir = temp_archive(&format!("edge-{bundles}-{near}"));
+            let archive = RoundArchive::create(&dir).unwrap();
+            archive.write_round(&synthetic_stress_round(round, bundles, 29)).unwrap();
+
+            // The bundle that will arrive `near`th (the collision below
+            // moves it up one): last of its chunk when `near` is 63 or
+            // 127, first of the next when 64 or 128. One of its logs
+            // is cut off mid-line.
+            let truncated = near - 1;
+            let log = fs::read_dir(bundle_dir(&dir, truncated))
+                .unwrap()
+                .filter_map(Result::ok)
+                .map(|e| e.path().join("run_0.log"))
+                .find(|p| p.is_file())
+                .expect("a run log");
+            let text = fs::read_to_string(&log).unwrap();
+            fs::write(&log, &text[..text.len() - 7]).unwrap();
+            // Before it, the same bundle in a second directory (skipped,
+            // so later arrivals do not shift).
+            let duplicated = near - 2;
+            let copy = bundle_dir(&dir, duplicated).with_file_name("twin");
+            copy_dir(&bundle_dir(&dir, duplicated), &copy);
+            // And before that, another org re-using a submission index
+            // (kept, so every later arrival moves up by one).
+            let collided = near - 3;
+            let mirror = dir.join(format!("v0.6/org-{collided:04}-mirror"));
+            copy_dir(&dir.join(format!("v0.6/org-{collided:04}")), &mirror);
+            let manifest = mirror.join(format!("stressnode-{collided:04}/bundle.json"));
+            let renamed = fs::read_to_string(&manifest)
+                .unwrap()
+                .replace(&format!("Org-{collided:04}"), &format!("Org-{collided:04}-Mirror"));
+            fs::write(&manifest, renamed).unwrap();
+
+            let ingest = archive.read_round(round).unwrap();
+            let batch = run_round(&ingest.submissions);
+            let what = format!("{bundles} bundles, faults near {near}");
+            let reasons: Vec<&FaultReason> = ingest.faults.iter().map(|f| &f.reason).collect();
+            assert!(
+                matches!(
+                    reasons[..],
+                    [
+                        FaultReason::DuplicateIndex(_),
+                        FaultReason::DuplicateBundle,
+                        FaultReason::TruncatedLog(_)
+                    ]
+                ),
+                "{what}: {reasons:?}"
+            );
+            assert_eq!(batch.reports.len(), bundles + 1, "{what}");
+            assert_eq!(batch.quarantined.len(), 1, "{what}");
+            assert_eq!(batch.quarantined[0].org, format!("Org-{truncated:04}"), "{what}");
+
+            let (streamed, stream_faults) = archive.review_round_streaming(round).unwrap();
+            assert_eq!(streamed, batch, "{what}");
+            assert_eq!(stream_faults, ingest.faults, "{what}");
+            let replay = archive.replay().unwrap();
+            assert_eq!(replay, archive.replay_streaming().unwrap(), "{what}");
+            assert_eq!(replay.history.outcomes(), [batch], "{what}");
+            assert_eq!(replay.faults, ingest.faults, "{what}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// A bundle far larger than the run-count rule produces reviews the
+/// same on the calling thread as on a pool worker in the middle of a
+/// chunk: nothing about review depends on where it runs.
+#[test]
+fn eighty_log_bundle_reviews_the_same_inline_and_in_a_pooled_chunk() {
+    let subs = synthetic_stress_round(Round::V06, 40, 53);
+    // Fold every same-benchmark bundle's logs into the first one's run
+    // set until it carries 80, two of them damaged.
+    let mut big: SubmissionBundle = subs.bundles[0].clone();
+    let benchmark = big.run_sets[0].benchmark;
+    let donors = subs.bundles.iter().filter(|b| b.run_sets[0].benchmark == benchmark);
+    big.run_sets[0].logs =
+        donors.flat_map(|b| b.run_sets[0].logs.clone()).cycle().take(80).collect();
+    big.run_sets[0].logs[17].truncate(40);
+    big.run_sets[0].logs[61] = "not a log at all\n".to_string();
+    let inline = review_bundle(&big, &subs.references);
+    assert_eq!(inline.benchmarks[0].runs, 80);
+    assert_eq!(inline.diagnostics().count(), 2, "{:?}", inline.benchmarks[0].diagnostics);
+
+    let mut alone = StreamingReview::new(subs.round, subs.references.clone());
+    alone.add_bundle(0, 0, &big);
+    assert_eq!(alone.finish().reports, std::slice::from_ref(&inline));
+
+    let mut chunk: Vec<(u64, usize, &SubmissionBundle)> =
+        subs.bundles.iter().enumerate().map(|(i, b)| (i as u64, i, b)).collect();
+    chunk[20].2 = &big;
+    let mut pooled = StreamingReview::new(subs.round, subs.references.clone());
+    pooled.add_bundles(&chunk);
+    let outcome = pooled.finish();
+    assert_eq!(outcome.reports[20], inline);
+    assert_eq!(outcome.quarantined, [inline]);
 }
 
 /// Reads a manifest's `schema` field through the serde `Value` tree,
