@@ -32,11 +32,16 @@
 //! - Operations whose parents are all constants skip recording a
 //!   backward closure entirely, so evaluation-only forward passes build
 //!   no tape.
+//! - Every op here is one implementation for every tensor backend: the
+//!   crate never reads a tensor's backend tag, so no graph node exists
+//!   on one backend only. A layer is the same composition of these ops
+//!   wherever it runs, and a backend can differ only in the kernels the
+//!   ops dispatch to (DESIGN.md, "No backend-gated graph nodes", has
+//!   the measurement behind that choice).
 
 #![warn(missing_docs)]
 
 mod check;
-mod fused;
 mod nnops;
 mod ops;
 mod var;

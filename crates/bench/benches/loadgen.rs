@@ -52,7 +52,7 @@ fn bench_server_dispatch(c: &mut Criterion) {
         })
     });
     // The same loop with per-query telemetry recording: the gap is the
-    // full cost of span/histogram capture on the dispatch path.
+    // full cost of span/sketch capture on the dispatch path.
     group.bench_function("server_dispatch_stubbed_traced", |b| {
         b.iter(|| {
             let clock = SimClock::new();

@@ -65,7 +65,7 @@
 //! ingest of the same bundles.
 //!
 //! `--metrics FILE` writes a Prometheus text-exposition snapshot of
-//! every counter, gauge, histogram, quantile sketch, and windowed
+//! every counter, gauge, quantile sketch, and windowed
 //! time-series at the end of the run, and turns on tensor kernel
 //! dispatch counters. `--progress` prints live one-line throughput
 //! updates to stderr (bundles/s, logs/s, busy workers) while ingest or

@@ -242,8 +242,9 @@ pub fn render_round_comparison(
 
 /// Renders a telemetry snapshot as a plain-text summary: span time
 /// grouped by layer and name (first-seen order), then the counter,
-/// gauge and histogram readings. The plain-text sibling of the Chrome
-/// trace exporter — what `round_pipeline --trace` prints after ingest.
+/// gauge, sketch and series readings. The plain-text sibling of the
+/// Chrome trace exporter — what `round_pipeline --trace` prints after
+/// ingest.
 pub fn render_telemetry_report(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     writeln!(out, "telemetry report").unwrap();
@@ -286,17 +287,6 @@ pub fn render_telemetry_report(snapshot: &TelemetrySnapshot) -> String {
         }
         for g in &snapshot.gauges {
             writeln!(out, "  {:<40} {:>12}  (gauge)", g.name, g.value).unwrap();
-        }
-    }
-    if !snapshot.histograms.is_empty() {
-        writeln!(out, "histograms").unwrap();
-        for h in &snapshot.histograms {
-            let mean = h.mean().map_or_else(|| "-".to_string(), |m| format!("{m:.2}"));
-            write!(out, "  {:<40} count {:>6}  mean {mean:>8}  ", h.name, h.count).unwrap();
-            for (bound, count) in h.bounds.iter().zip(&h.counts) {
-                write!(out, "le_{bound}:{count} ").unwrap();
-            }
-            writeln!(out, "inf:{}", h.counts.last().copied().unwrap_or(0)).unwrap();
         }
     }
     if !snapshot.sketches.is_empty() {
@@ -448,14 +438,16 @@ mod tests {
         scope.record("ingest", "parse_log", || ());
         telemetry.counter("ingest.logs").add(3);
         telemetry.gauge("pool.workers").set(4);
-        telemetry.histogram("latency", &[10.0]).observe(2.0);
+        telemetry.sketch("latency").observe(2.0);
         let report = render_telemetry_report(&telemetry.snapshot());
         let epoch_line = report.lines().find(|l| l.contains("epoch")).unwrap();
         assert!(epoch_line.starts_with("harness"), "line: {epoch_line}");
         assert_eq!(epoch_line.split_whitespace().nth(2), Some("2"), "grouped count");
         assert!(report.contains("ingest.logs"));
         assert!(report.contains("(gauge)"));
-        assert!(report.contains("le_10:1"));
+        let latency_line = report.lines().find(|l| l.contains("latency")).unwrap();
+        assert!(latency_line.contains("count      1"), "line: {latency_line}");
+        assert!(latency_line.contains("p50     2.00"), "line: {latency_line}");
     }
 
     #[test]

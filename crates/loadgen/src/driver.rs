@@ -33,9 +33,6 @@ use mlperf_telemetry::{arg, QuantileSketch, Telemetry};
 use serde_json::{json, Map};
 use std::time::Duration;
 
-/// Latency histogram bucket bounds, milliseconds.
-const LATENCY_BOUNDS: [f64; 10] = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0];
-
 /// Cap on Server rate-search probes: 24 doublings from 1 QPS reaches
 /// ~16M QPS, far beyond any simulated model's capacity.
 const MAX_DOUBLINGS: u32 = 24;
@@ -194,7 +191,8 @@ pub struct LoadGenDriver<'a> {
 impl<'a> LoadGenDriver<'a> {
     /// A driver measuring on `clock`, waiting via `pacer` (which must
     /// wait on the *same* timeline — pair [`SimPacer`] with its
-    /// [`SimClock`]), recording spans and histograms into `telemetry`.
+    /// [`SimClock`]), recording spans and latency sketches into
+    /// `telemetry`.
     pub fn new(clock: &'a dyn Clock, pacer: &'a dyn Pacer, telemetry: &'a Telemetry) -> Self {
         LoadGenDriver { clock, pacer, telemetry }
     }
@@ -295,7 +293,6 @@ impl<'a> LoadGenDriver<'a> {
     ) -> Measurement {
         let rules = Scenario::SingleStream.rules();
         let min_duration = Duration::from_millis(rules.min_duration_ms);
-        let hist = self.telemetry.histogram("loadgen.single_stream.latency_ms", &LATENCY_BOUNDS);
         let sketch = self.telemetry.sketch("loadgen.latency_ms");
         let query_counter = self.telemetry.counter("loadgen.queries");
         let stride = self.telemetry.span_stride(rules.min_query_count);
@@ -306,7 +303,6 @@ impl<'a> LoadGenDriver<'a> {
             let issued = self.clock.now();
             model.serve(queries);
             let latency_ms = ms(self.clock.now() - issued);
-            hist.observe(latency_ms);
             sketch.observe(latency_ms);
             if queries.is_multiple_of(stride) {
                 scope.event_with("loadgen", "query", || {
@@ -376,7 +372,8 @@ impl<'a> LoadGenDriver<'a> {
         config: &ScenarioConfig,
         scope: &mut mlperf_telemetry::SpanScope<'_>,
     ) -> (Measurement, bool) {
-        let hist = self.telemetry.histogram("loadgen.server.latency_ms", &LATENCY_BOUNDS);
+        // One observation per probe: its p99, not a query latency.
+        let probe_p99 = self.telemetry.sketch("loadgen.server.latency_ms");
         let passes = |m: &Measurement| m.pct(99.0) <= config.slo_ms;
         let mut probe_index = 0u64;
         let mut probe = |rate: f64, scope: &mut mlperf_telemetry::SpanScope<'_>| {
@@ -386,7 +383,7 @@ impl<'a> LoadGenDriver<'a> {
             let m = self.server_probe(model, config, rate, probe_index);
             probe_index += 1;
             let p99 = m.pct(99.0);
-            hist.observe(p99);
+            probe_p99.observe(p99);
             scope.end_with(span, || {
                 Map::from([arg("p99_ms", json!(p99)), arg("queries", json!(m.queries))])
             });

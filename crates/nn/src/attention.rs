@@ -3,7 +3,7 @@
 
 use crate::{Linear, Module};
 use mlperf_autograd::Var;
-use mlperf_tensor::{BackendKind, Tensor, TensorRng};
+use mlperf_tensor::{Tensor, TensorRng};
 
 /// Multi-head attention with separate query/key/value/output
 /// projections, after Vaswani et al. (2017).
@@ -37,32 +37,26 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Attends `query` over `key`/`value`.
+    /// Attends `query` over `key`/`value`: one composition of `Var` ops
+    /// on every backend (`tests/layer_backend_parity.rs` holds it to
+    /// bit equality across them).
     ///
-    /// All inputs are `[batch, time, model_dim]`; `mask`, if present, is
-    /// `[t_q, t_k]` with 0 for visible and `-inf`-like large negatives
-    /// for hidden positions (use [`causal_mask`]).
+    /// `query` is `[batch, t_q, model_dim]`, `key` and `value` are both
+    /// `[batch, t_k, model_dim]`; `mask`, if present, is `[t_q, t_k]`
+    /// with 0 for visible and `-inf`-like large negatives for hidden
+    /// positions (use [`causal_mask`]).
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatches.
+    /// Panics if the query's trailing dim is not `model_dim`, if `key`
+    /// is not `[batch, t_k, model_dim]`, if `value`'s shape differs
+    /// from `key`'s, or if the mask is not `[t_q, t_k]`.
     pub fn forward(&self, query: &Var, key: &Var, value: &Var, mask: Option<&Tensor>) -> Var {
         let (b, tq, d) = dims3(query);
         let (_, tk, _) = dims3(key);
         assert_eq!(d, self.model_dim, "attention model-dim mismatch");
-        if query.value().backend() == BackendKind::Blocked {
-            // One fused graph node for everything between the q/k/v
-            // projections and the output projection, bit-identical to
-            // the composition below.
-            let merged = Var::attention_core(
-                &self.wq.forward(query),
-                &self.wk.forward(key),
-                &self.wv.forward(value),
-                mask,
-                self.heads,
-            );
-            return self.wo.forward(&merged);
-        }
+        assert_eq!(key.shape(), [b, tk, d], "attention key shape");
+        assert_eq!(value.shape(), [b, tk, d], "attention value shape");
         let q = self.split_heads(&self.wq.forward(query), b, tq);
         let k = self.split_heads(&self.wk.forward(key), b, tk);
         let v = self.split_heads(&self.wv.forward(value), b, tk);
@@ -184,6 +178,27 @@ mod tests {
     fn indivisible_heads_panics() {
         let mut rng = TensorRng::new(3);
         MultiHeadAttention::new(6, 4, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention key shape")]
+    fn mismatched_key_batch_panics_naming_the_key() {
+        let mut rng = TensorRng::new(5);
+        let mha = MultiHeadAttention::new(8, 2, &mut rng);
+        let q = Var::constant(rng.normal(&[2, 5, 8], 0.0, 1.0));
+        let kv = Var::constant(rng.normal(&[3, 7, 8], 0.0, 1.0));
+        mha.forward(&q, &kv, &kv, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention value shape")]
+    fn mismatched_value_length_panics_naming_the_value() {
+        let mut rng = TensorRng::new(6);
+        let mha = MultiHeadAttention::new(8, 2, &mut rng);
+        let q = Var::constant(rng.normal(&[2, 5, 8], 0.0, 1.0));
+        let k = Var::constant(rng.normal(&[2, 7, 8], 0.0, 1.0));
+        let v = Var::constant(rng.normal(&[2, 6, 8], 0.0, 1.0));
+        mha.forward(&q, &k, &v, None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   `_workers` variant threads explicit per-worker state through
 //!   (created on the worker, torn down with the worker's claimed-item
 //!   count), which is how the ingest pipeline hangs telemetry scopes
-//!   and histograms off the pool without this crate knowing what
+//!   and sketches off the pool without this crate knowing what
 //!   telemetry is.
 //! - [`parallel_chunks_mut`] / [`parallel_chunks_mut_with`] split one
 //!   mutable buffer into disjoint chunks and process each chunk on the
@@ -160,7 +160,7 @@ where
 /// Each worker calls `init` once when it starts, passes the state to
 /// every `f(state, index, item)` call for the items it claims, and
 /// finally calls `done(state, claimed)` with how many items it claimed
-/// — the hook instrumented callers use for per-worker histograms.
+/// — the hook instrumented callers use for per-worker distributions.
 ///
 /// With one worker (single core, or a single item) everything runs
 /// inline on the calling thread.

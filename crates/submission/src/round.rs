@@ -121,9 +121,6 @@ impl RoundOutcome {
     }
 }
 
-/// Bucket bounds for the bundles-claimed-per-worker histogram.
-const ITEMS_PER_WORKER_BUCKETS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-
 /// Runs review over every bundle and publishes the outcome. Bundles
 /// are reviewed on a scoped worker pool; ingest is fault-tolerant
 /// throughout — parse failures, compliance violations, and even panics
@@ -384,15 +381,14 @@ impl StreamingReview {
     /// worker pool — one bundle per claim, a chunk of one inline — and
     /// publishes the results in chunk order. With instrumentation, an
     /// `ingest.review_bundle.workers` gauge carries the pool size and
-    /// an `ingest.review_bundle.items_per_worker` histogram shows how
+    /// an `ingest.review_bundle.items_per_worker` sketch shows how
     /// evenly the atomic cursor spread the chunk.
     pub fn add_bundles(&mut self, chunk: &[(u64, usize, &SubmissionBundle)]) {
         let telemetry = &self.telemetry;
         telemetry
             .gauge("ingest.review_bundle.workers")
             .set(mlperf_pool::workers_for(chunk.len()) as u64);
-        let per_worker =
-            telemetry.histogram("ingest.review_bundle.items_per_worker", &ITEMS_PER_WORKER_BUCKETS);
+        let per_worker = telemetry.sketch("ingest.review_bundle.items_per_worker");
         let reviewed = mlperf_pool::parallel_map_workers(
             chunk,
             || telemetry.timeline_scope_under(self.parent),
@@ -621,18 +617,18 @@ mod tests {
             assert!(beneath.iter().all(|l| l.track == span.track));
         }
 
-        // Pool utilization: gauge with the pool size, histogram whose
+        // Pool utilization: gauge with the pool size, sketch whose
         // observations (bundles claimed per worker) sum to the chunk.
         let gauge =
             snapshot.gauges.iter().find(|g| g.name == "ingest.review_bundle.workers").unwrap();
         assert!(gauge.value >= 1);
-        let hist = snapshot
-            .histograms
+        let per_worker = snapshot
+            .sketches
             .iter()
-            .find(|h| h.name == "ingest.review_bundle.items_per_worker")
+            .find(|s| s.name == "ingest.review_bundle.items_per_worker")
             .unwrap();
-        assert_eq!(hist.sum as usize, subs.bundles.len());
-        assert_eq!(hist.count, gauge.value);
+        assert_eq!(per_worker.sum as usize, subs.bundles.len());
+        assert_eq!(per_worker.count, gauge.value);
 
         let counter = |name: &str| {
             snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap_or(0)

@@ -21,7 +21,7 @@
 //! Exporters: [`trace::write_trace`] emits Chrome `trace_event`
 //! JSON-lines (loadable in `chrome://tracing` / Perfetto),
 //! [`prometheus::render_prometheus`] renders the registry — counters,
-//! gauges, histograms, sketch quantiles, and time-series rates — in
+//! gauges, sketch quantiles, and time-series rates — in
 //! Prometheus text exposition format, [`flame::write_collapsed`] folds
 //! completed span trees into a collapsed-stack profile (the format
 //! `inferno` / `flamegraph.pl` consume), and `mlperf-core`'s
@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use clock::{Clock, MonotonicClock};
 pub use flame::{render_collapsed, write_collapsed};
-pub use metrics::{Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, CounterSnapshot, Gauge, GaugeSnapshot};
 pub use prometheus::{render_prometheus, write_prometheus};
 pub use series::{
     Reporter, SeriesKind, SeriesSample, TimeSeries, TimeSeriesSnapshot, Window,
@@ -84,7 +84,7 @@ struct Inner {
 }
 
 /// 1-in-N per-item span sampling for very large workloads. Metrics
-/// (counters, gauges, histograms) are never sampled — only the
+/// (counters, gauges, sketches) are never sampled — only the
 /// per-item span volume is thinned, so tracing a many-thousand-bundle
 /// round stays cheap while the aggregates stay exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,44 +210,19 @@ impl Telemetry {
         self.inner.as_ref().map_or_else(Gauge::disabled, |inner| inner.metrics.gauge(name))
     }
 
-    /// The named histogram. The first registration fixes `bounds`
-    /// (inclusive upper bucket bounds, strictly increasing).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        self.inner
-            .as_ref()
-            .map_or_else(Histogram::disabled, |inner| inner.metrics.histogram(name, bounds))
-    }
-
     /// The named quantile sketch at the default relative-error bound
     /// ([`DEFAULT_SKETCH_ALPHA`]). A disabled handle returns an inert
     /// sketch.
     pub fn sketch(&self, name: &str) -> Sketch {
-        self.sketch_with_alpha(name, DEFAULT_SKETCH_ALPHA)
+        self.inner.as_ref().map_or_else(Sketch::disabled, |inner| inner.metrics.sketch(name))
     }
 
-    /// The named quantile sketch. The first registration fixes
-    /// `alpha`.
-    pub fn sketch_with_alpha(&self, name: &str, alpha: f64) -> Sketch {
-        self.inner.as_ref().map_or_else(Sketch::disabled, |inner| inner.metrics.sketch(name, alpha))
-    }
-
-    /// The named time-series with the default ring capacity. The first
-    /// registration fixes the kind.
+    /// The named time-series, a ring of [`DEFAULT_SERIES_CAPACITY`]
+    /// samples. The first registration fixes the kind.
     pub fn time_series(&self, name: &str, kind: SeriesKind) -> TimeSeries {
-        self.time_series_with_capacity(name, kind, DEFAULT_SERIES_CAPACITY)
-    }
-
-    /// [`Telemetry::time_series`] with an explicit ring capacity
-    /// (fixed by the first registration).
-    pub fn time_series_with_capacity(
-        &self,
-        name: &str,
-        kind: SeriesKind,
-        capacity: usize,
-    ) -> TimeSeries {
-        self.inner.as_ref().map_or_else(TimeSeries::disabled, |inner| {
-            inner.metrics.time_series(name, kind, capacity)
-        })
+        self.inner
+            .as_ref()
+            .map_or_else(TimeSeries::disabled, |inner| inner.metrics.time_series(name, kind))
     }
 
     /// Installs `reporter` into the sink; subsequent
@@ -302,7 +277,6 @@ impl Telemetry {
             events,
             counters: inner.metrics.counter_snapshots(),
             gauges: inner.metrics.gauge_snapshots(),
-            histograms: inner.metrics.histogram_snapshots(),
             sketches: inner.metrics.sketch_snapshots(),
             series: inner.metrics.series_snapshots(),
         }

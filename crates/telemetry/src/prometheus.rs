@@ -2,9 +2,9 @@
 //!
 //! [`render_prometheus`] turns a [`TelemetrySnapshot`] into the
 //! `text/plain; version=0.0.4` exposition format a Prometheus server
-//! scrapes: counters as `<name>_total`, gauges as-is, histograms with
-//! cumulative `le` buckets plus `_sum`/`_count`, quantile sketches as
-//! summaries with `quantile` labels, and time-series as derived
+//! scrapes: counters as `<name>_total`, gauges as-is, quantile sketches
+//! as summaries with `quantile` labels plus `_sum`/`_count` (the one
+//! distribution type the registry has), and time-series as derived
 //! gauges — counter-kind series export their mean throughput over the
 //! retained window as `<name>_per_sec`, gauge-kind series export the
 //! last reading plus a `<name>_peak` high-water mark. Metric names are
@@ -41,9 +41,8 @@ fn sanitize(name: &str) -> String {
     out
 }
 
-/// An `le` / value label in canonical form: integral floats print
-/// without the trailing `.0` so buckets read `le="10"` not
-/// `le="10.0"`.
+/// A sample value in canonical form: integral floats print without
+/// the trailing `.0` (`250`, not `250.0`).
 fn number(v: f64) -> String {
     if v == f64::INFINITY {
         "+Inf".to_string()
@@ -73,18 +72,6 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
         let name = sanitize(&gauge.name);
         header(&mut out, &name, "gauge", &gauge.name);
         let _ = writeln!(out, "{name} {}", gauge.value);
-    }
-    for histogram in &snapshot.histograms {
-        let name = sanitize(&histogram.name);
-        header(&mut out, &name, "histogram", &histogram.name);
-        let mut cumulative = 0u64;
-        for (bound, count) in histogram.bounds.iter().zip(&histogram.counts) {
-            cumulative += count;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", number(*bound));
-        }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", histogram.count);
-        let _ = writeln!(out, "{name}_sum {}", number(histogram.sum));
-        let _ = writeln!(out, "{name}_count {}", histogram.count);
     }
     for sketch in &snapshot.sketches {
         let name = sanitize(&sketch.name);
@@ -156,14 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_histograms_render_canonically() {
+    fn counters_and_gauges_render_canonically() {
         let telemetry = Telemetry::recording();
         telemetry.counter("ingest.bundles_reviewed").add(42);
         telemetry.gauge("pool.workers").set(8);
-        let h = telemetry.histogram("latency.ms", &[1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        h.observe(100.0);
         let text = render_prometheus(&telemetry.snapshot());
         assert!(text.contains("# TYPE ingest_bundles_reviewed_total counter\n"));
         assert!(text.contains("ingest_bundles_reviewed_total 42\n"));
@@ -172,12 +155,6 @@ mod tests {
         ));
         assert!(text.contains("# TYPE pool_workers gauge\n"));
         assert!(text.contains("pool_workers 8\n"));
-        // Histogram buckets are cumulative and close with +Inf.
-        assert!(text.contains("latency_ms_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("latency_ms_bucket{le=\"10\"} 2\n"));
-        assert!(text.contains("latency_ms_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("latency_ms_sum 105.5\n"));
-        assert!(text.contains("latency_ms_count 3\n"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Default ring capacity for reporter-created series.
+/// Ring capacity of every registered series.
 pub const DEFAULT_SERIES_CAPACITY: usize = 512;
 
 /// What a series' samples mean.
@@ -228,7 +228,6 @@ impl std::fmt::Debug for Progress {
 #[derive(Debug)]
 pub struct Reporter {
     interval: Duration,
-    capacity: usize,
     next_due: Option<Duration>,
     last_tick: Option<Duration>,
     sources: Vec<Source>,
@@ -239,21 +238,7 @@ impl Reporter {
     /// A reporter sampling every `interval` (the first
     /// `maybe_tick`/`tick` always samples, establishing the baseline).
     pub fn new(interval: Duration) -> Self {
-        Reporter {
-            interval,
-            capacity: DEFAULT_SERIES_CAPACITY,
-            next_due: None,
-            last_tick: None,
-            sources: Vec::new(),
-            progress: None,
-        }
-    }
-
-    /// Ring capacity for series created by *subsequent* `track_*`
-    /// calls.
-    pub fn with_series_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
+        Reporter { interval, next_due: None, last_tick: None, sources: Vec::new(), progress: None }
     }
 
     /// Emit a progress line (stderr by default) on every interval
@@ -307,7 +292,7 @@ impl Reporter {
     }
 
     fn track(&mut self, telemetry: &Telemetry, name: &str, kind: SeriesKind, read: Reading) {
-        let series = telemetry.time_series_with_capacity(name, kind, self.capacity);
+        let series = telemetry.time_series(name, kind);
         self.sources.push(Source { name: name.to_string(), kind, series, read, last_value: 0.0 });
     }
 

@@ -117,10 +117,15 @@ impl QuantileSketch {
         }
         let key = (value.ln() / self.gamma_ln).ceil() as i32;
         *self.buckets.entry(key).or_insert(0) += n;
+        self.collapse_to_cap();
+    }
+
+    /// Enforces the bucket cap by folding the lowest bucket into its
+    /// neighbour above until the map fits: the tail (high quantiles)
+    /// keeps its guarantee, the far bottom of the distribution becomes
+    /// approximate.
+    fn collapse_to_cap(&mut self) {
         while self.buckets.len() > self.max_buckets {
-            // Collapse the lowest bucket into its neighbour above: the
-            // tail (high quantiles) keeps its guarantee, the far bottom
-            // of the distribution becomes approximate.
             let (lowest, c) = self.buckets.pop_first().expect("bucket map cannot be empty here");
             let (_, next) = self
                 .buckets
@@ -156,16 +161,7 @@ impl QuantileSketch {
         for (key, c) in &other.buckets {
             *self.buckets.entry(*key).or_insert(0) += c;
         }
-        while self.buckets.len() > self.max_buckets {
-            let (lowest, c) = self.buckets.pop_first().expect("bucket map cannot be empty here");
-            let (_, next) = self
-                .buckets
-                .range_mut(lowest..)
-                .next()
-                .expect("max_buckets >= 2 leaves a neighbour");
-            *next += c;
-            self.collapsed = true;
-        }
+        self.collapse_to_cap();
     }
 
     /// The estimated `q`-quantile (`q` in `[0, 1]`), `None` when the
@@ -234,16 +230,11 @@ impl QuantileSketch {
     }
 }
 
-/// Shared storage behind a registered [`Sketch`] handle.
-#[derive(Debug)]
+/// Shared storage behind a registered [`Sketch`] handle: one sketch at
+/// the default error bound ([`DEFAULT_SKETCH_ALPHA`]).
+#[derive(Debug, Default)]
 pub(crate) struct SketchCore {
     pub(crate) sketch: Mutex<QuantileSketch>,
-}
-
-impl SketchCore {
-    pub(crate) fn new(alpha: f64) -> Self {
-        SketchCore { sketch: Mutex::new(QuantileSketch::new(alpha)) }
-    }
 }
 
 /// A registry-backed quantile sketch handle (clones share storage).
@@ -443,7 +434,7 @@ mod tests {
 
     #[test]
     fn shards_fold_into_the_shared_sketch() {
-        let core = Arc::new(SketchCore::new(0.01));
+        let core = Arc::new(SketchCore::default());
         let handle = Sketch(Some(Arc::clone(&core)));
         std::thread::scope(|scope| {
             for t in 0..4 {

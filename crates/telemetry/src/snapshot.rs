@@ -2,7 +2,7 @@
 //! recorded, decoupled from the live atomics so exporters and report
 //! renderers work on stable data.
 
-use crate::metrics::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
+use crate::metrics::{CounterSnapshot, GaugeSnapshot};
 use crate::series::TimeSeriesSnapshot;
 use crate::sketch::SketchSnapshot;
 use crate::span::{EventRecord, SpanRecord};
@@ -20,8 +20,6 @@ pub struct TelemetrySnapshot {
     pub counters: Vec<CounterSnapshot>,
     /// Gauges in registration order.
     pub gauges: Vec<GaugeSnapshot>,
-    /// Histograms in registration order.
-    pub histograms: Vec<HistogramSnapshot>,
     /// Quantile sketches in registration order.
     pub sketches: Vec<SketchSnapshot>,
     /// Time-series in registration order.
@@ -35,7 +33,6 @@ impl TelemetrySnapshot {
             && self.events.is_empty()
             && self.counters.is_empty()
             && self.gauges.is_empty()
-            && self.histograms.is_empty()
             && self.sketches.is_empty()
             && self.series.is_empty()
     }

@@ -1,7 +1,7 @@
 //! Chrome `trace_event` export: one JSON object per line.
 //!
-//! Every span becomes a complete (`"ph": "X"`) event and every metric a
-//! counter (`"ph": "C"`) event, so the file loads directly in
+//! Every span becomes a complete (`"ph": "X"`) event and every counter
+//! and gauge a counter (`"ph": "C"`) event, so the file loads directly in
 //! `chrome://tracing` / Perfetto (both accept concatenated JSON
 //! events) while staying trivially greppable and parseable line by
 //! line. The file is written atomically — tmp file then rename — the
@@ -34,7 +34,7 @@ impl std::error::Error for TraceWriteError {}
 /// (`"ph": "M"`) events naming the process and every span track, then
 /// one complete-span event per span (chronological), one instant
 /// (`"ph": "i"`) event per recorded [`crate::EventRecord`], then one
-/// counter event per metric. The metadata makes `chrome://tracing` /
+/// counter event per counter and gauge. The metadata makes `chrome://tracing` /
 /// Perfetto label lanes with the emitting layer instead of bare track
 /// ids.
 pub fn trace_events(snapshot: &TelemetrySnapshot) -> Vec<Value> {
@@ -57,9 +57,7 @@ pub fn trace_events(snapshot: &TelemetrySnapshot) -> Vec<Value> {
         for event in &snapshot.events {
             tracks.entry(event.track).or_insert(&event.layer);
         }
-        let has_metrics = !snapshot.counters.is_empty()
-            || !snapshot.gauges.is_empty()
-            || !snapshot.histograms.is_empty();
+        let has_metrics = !snapshot.counters.is_empty() || !snapshot.gauges.is_empty();
         if has_metrics {
             tracks.entry(0).or_insert("metrics");
         }
@@ -140,24 +138,6 @@ pub fn trace_events(snapshot: &TelemetrySnapshot) -> Vec<Value> {
             "args": {"value": gauge.value},
         }));
     }
-    for histogram in &snapshot.histograms {
-        let mut args = serde_json::Map::new();
-        args.insert("count".to_string(), json!(histogram.count));
-        args.insert("sum".to_string(), json!(histogram.sum));
-        for (bound, count) in histogram.bounds.iter().zip(&histogram.counts) {
-            args.insert(format!("le_{bound}"), json!(*count));
-        }
-        args.insert("le_inf".to_string(), json!(histogram.counts.last().copied().unwrap_or(0)));
-        events.push(json!({
-            "name": histogram.name,
-            "cat": "metric",
-            "ph": "C",
-            "pid": 1,
-            "tid": 0,
-            "ts": last_ts,
-            "args": Value::Object(args),
-        }));
-    }
     events
 }
 
@@ -209,7 +189,6 @@ mod tests {
         scope.end(outer);
         telemetry.counter("events").add(2);
         telemetry.gauge("workers").set(4);
-        telemetry.histogram("sizes", &[1.0, 8.0]).observe(3.0);
         telemetry.snapshot()
     }
 
@@ -217,8 +196,8 @@ mod tests {
     fn events_carry_chrome_trace_fields() {
         let events = trace_events(&sample_snapshot());
         // process_name + span-track thread_name + metrics thread_name,
-        // then two spans and three metrics.
-        assert_eq!(events.len(), 3 + 2 + 3);
+        // then two spans and two metrics.
+        assert_eq!(events.len(), 3 + 2 + 2);
         for event in &events {
             assert!(event.get("name").is_some());
             assert!(event.get("ph").is_some());
@@ -263,20 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_event_flattens_buckets() {
-        let events = trace_events(&sample_snapshot());
-        let hist = events.iter().find(|e| e["name"] == json!("sizes")).unwrap();
-        assert_eq!(hist["args"]["count"], json!(1));
-        assert_eq!(hist["args"]["le_8"], json!(1));
-        assert_eq!(hist["args"]["le_inf"], json!(0));
-    }
-
-    #[test]
     fn rendered_trace_is_valid_json_lines() {
         let text = render_trace(&sample_snapshot());
         assert!(text.ends_with('\n'));
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 8, "3 metadata + 2 spans + 3 metrics");
+        assert_eq!(lines.len(), 7, "3 metadata + 2 spans + 2 metrics");
         for line in lines {
             let value: Value = serde_json::from_str(line).expect("every line parses alone");
             assert!(value.as_object().is_some());

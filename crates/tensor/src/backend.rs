@@ -43,6 +43,13 @@
 //! clone or a reshape copies nothing). Neither reads the backend tag,
 //! and neither can touch a result bit.
 //!
+//! Nor does a backend own anything above this crate: a backend is a set
+//! of kernels, not a second implementation of a layer. `mlperf-autograd`,
+//! `mlperf-nn` and `mlperf-models` build one graph of ops whatever the
+//! tag and never read it (CI greps that they do not name
+//! [`BackendKind`]), so the only place the two backends can disagree is
+//! inside the [`Backend`] methods below.
+//!
 //! # Selection
 //!
 //! Every tensor carries a [`BackendKind`] tag. Freshly constructed

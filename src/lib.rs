@@ -41,7 +41,7 @@
 //!   stage, with process-wide busy/queue instrumentation.
 //! - [`telemetry`] — zero-dependency instrumentation shared by the
 //!   harness, ingest, and archive layers: hierarchical spans on
-//!   explicit clocks, counters/gauges/histograms, quantile sketches,
+//!   explicit clocks, counters and gauges, quantile sketches,
 //!   windowed time-series with a clock-driven reporter, and Chrome
 //!   `trace_event`, Prometheus text, and collapsed-stack flamegraph
 //!   exporters.

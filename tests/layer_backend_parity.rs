@@ -1,16 +1,17 @@
-//! Differential tests for the fused Blocked-backend graph nodes.
+//! Layer-level backend parity: the composition is bit-identical
+//! across backends.
 //!
-//! `LayerNorm` and `MultiHeadAttention` dispatch to single fused nodes
-//! when their input is tagged `Blocked`, and to the primitive-op
-//! composition on `Reference`. The fused implementations are required
-//! to be *bit-identical* to the compositions — in the forward value AND
-//! in every gradient — because the harness asserts that training
-//! trajectories match across backends. These tests run the same layer
+//! `LayerNorm` and `MultiHeadAttention` are each one composition of
+//! primitive `Var` ops on every backend, so the only thing that can
+//! differ between a `Reference` and a `Blocked` run of a layer is the
+//! kernels underneath. The harness asserts that training trajectories
+//! match across backends, so that difference must be nil — in the
+//! forward value AND in every gradient. These tests run the same layer
 //! on both backends and compare raw `f32` bits, no tolerance.
 
-use mlperf_autograd::Var;
-use mlperf_nn::{causal_mask, LayerNorm, Module, MultiHeadAttention};
-use mlperf_tensor::{BackendKind, Tensor, TensorRng};
+use mlperf_suite::autograd::Var;
+use mlperf_suite::nn::{causal_mask, LayerNorm, Module, MultiHeadAttention};
+use mlperf_suite::tensor::{BackendKind, Tensor, TensorRng};
 
 fn assert_bits_equal(label: &str, reference: &Tensor, blocked: &Tensor) {
     assert_eq!(reference.shape(), blocked.shape(), "{label}: shape mismatch");
@@ -49,7 +50,7 @@ fn assert_layer_parity(
 }
 
 #[test]
-fn layernorm_fused_matches_composition() {
+fn layernorm_matches_across_backends() {
     for shape in [&[16usize, 12, 16][..], &[5, 16][..], &[3, 7, 9][..], &[2, 3, 4, 8][..]] {
         assert_layer_parity(shape, 11, |_, x| {
             let ln = LayerNorm::new(*shape.last().unwrap());
@@ -59,7 +60,7 @@ fn layernorm_fused_matches_composition() {
 }
 
 #[test]
-fn attention_fused_matches_composition() {
+fn attention_matches_across_backends() {
     for (b, t, d, h) in [(16usize, 12usize, 16usize, 2usize), (2, 5, 8, 4), (1, 3, 6, 1)] {
         assert_layer_parity(&[b, t, d], 13, |rng, x| {
             let mha = MultiHeadAttention::new(d, h, rng);
@@ -69,7 +70,7 @@ fn attention_fused_matches_composition() {
 }
 
 #[test]
-fn masked_attention_fused_matches_composition() {
+fn masked_attention_matches_across_backends() {
     assert_layer_parity(&[3, 6, 8], 17, |rng, x| {
         let mha = MultiHeadAttention::new(8, 2, rng);
         (mha.self_attention(x, Some(&causal_mask(6))), mha.params())
@@ -77,7 +78,7 @@ fn masked_attention_fused_matches_composition() {
 }
 
 #[test]
-fn cross_attention_fused_matches_composition() {
+fn cross_attention_matches_across_backends() {
     // Distinct query and key/value lengths exercise the tq != tk paths.
     for kind in BackendKind::ALL {
         let mut rng = TensorRng::new(19).with_backend(kind);

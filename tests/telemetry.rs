@@ -1,9 +1,9 @@
 //! Integration tests for the telemetry layer at the umbrella level:
-//! concurrent span emission still yields a valid tree, histogram
-//! bucket boundaries are inclusive, a disabled handle records nothing,
-//! the Chrome `trace_event` file round-trips through `serde_json`, and
-//! a clock-driven reporter sampling counters fed by real pool workers
-//! yields time-series whose window deltas telescope to the counter.
+//! concurrent span emission still yields a valid tree, a disabled
+//! handle records nothing, the Chrome `trace_event` file round-trips
+//! through `serde_json`, and a clock-driven reporter sampling counters
+//! fed by real pool workers yields time-series whose window deltas
+//! telescope to the counter.
 
 use mlperf_suite::pool::parallel_map;
 use mlperf_suite::telemetry::{arg, write_trace, Reporter, Telemetry};
@@ -73,29 +73,8 @@ fn concurrent_span_emission_reconstructs_a_valid_tree() {
     assert!(!worker_tracks.contains(&root_span.track));
 }
 
-/// Bucket upper bounds are inclusive: an observation exactly on a
-/// bound lands in that bucket, just past it lands in the next, and
-/// past the last bound lands in the overflow bucket.
-#[test]
-fn histogram_bucket_boundaries_are_inclusive() {
-    let telemetry = Telemetry::recording();
-    let histogram = telemetry.histogram("boundaries", &[1.0, 10.0, 100.0]);
-    histogram.observe(1.0);
-    histogram.observe(1.0001);
-    histogram.observe(10.0);
-    histogram.observe(100.0);
-    histogram.observe(100.0001);
-
-    let snapshot = telemetry.snapshot();
-    let hist = &snapshot.histograms[0];
-    assert_eq!(hist.name, "boundaries");
-    assert_eq!(hist.bounds, vec![1.0, 10.0, 100.0]);
-    assert_eq!(hist.counts, vec![1, 2, 1, 1], "last bucket is overflow");
-    assert_eq!(hist.count, 5);
-}
-
 /// The disabled handle is inert end to end: spans, counters, gauges,
-/// and histograms all record nothing and the snapshot stays empty.
+/// and sketches all record nothing and the snapshot stays empty.
 #[test]
 fn disabled_handle_emits_nothing() {
     let telemetry = Telemetry::disabled();
@@ -105,14 +84,14 @@ fn disabled_handle_emits_nothing() {
     scope.end(span);
     telemetry.counter("c").add(5);
     telemetry.gauge("g").set(5);
-    telemetry.histogram("h", &[1.0]).observe(5.0);
+    telemetry.sketch("s").observe(5.0);
 
     let snapshot = telemetry.snapshot();
     assert!(snapshot.is_empty());
     assert!(snapshot.spans.is_empty());
     assert!(snapshot.counters.is_empty());
     assert!(snapshot.gauges.is_empty());
-    assert!(snapshot.histograms.is_empty());
+    assert!(snapshot.sketches.is_empty());
 }
 
 /// The trace file is JSON-lines Chrome `trace_event` data: every line
