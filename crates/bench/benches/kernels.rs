@@ -1,9 +1,5 @@
 //! Criterion benchmarks for the numerical kernels underlying every
-//! benchmark in the suite, including the im2col-vs-direct convolution
-//! ablation (§2.2.4 discusses algorithmic variants of the same
-//! operator as a source of cross-framework numerical differences; the
-//! performance gap between lowerings is why frameworks pick per-shape
-//! algorithms at all).
+//! benchmark in the suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
 use mlperf_distsim::{allreduce_time, Interconnect};
@@ -24,16 +20,13 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_conv_lowerings(c: &mut Criterion) {
+fn bench_conv(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv2d");
     let mut rng = TensorRng::new(1);
     let x = rng.normal(&[4, 8, 12, 12], 0.0, 1.0);
     let w = rng.normal(&[16, 8, 3, 3], 0.0, 0.5);
     let spec = Conv2dSpec::new(3, 1, 1);
     group.bench_function("im2col", |b| b.iter(|| black_box(&x).conv2d(black_box(&w), None, spec)));
-    group.bench_function("direct", |b| {
-        b.iter(|| black_box(&x).conv2d_direct(black_box(&w), None, spec))
-    });
     group.finish();
 }
 
@@ -121,7 +114,7 @@ fn bench_go_engine(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
-    bench_conv_lowerings,
+    bench_conv,
     bench_softmax_and_reductions,
     bench_broadcast,
     bench_permute,

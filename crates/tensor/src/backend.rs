@@ -17,9 +17,10 @@
 //!   pins what that means, to the bit).
 //! - [`BackendKind::Blocked`] adds register-tiled and cache-blocked
 //!   GEMM kernels, fused transposed-GEMM variants (so backward passes
-//!   skip materializing `Aᵀ`/`Bᵀ` copies), buffer-reusing convolution,
-//!   and a multithreaded outer loop on the shared scoped worker pool
-//!   (`mlperf-pool`, the same pool the submission ingest uses).
+//!   skip materializing `Aᵀ`/`Bᵀ` copies), and a multithreaded outer
+//!   loop — over row bands, batch entries and convolution samples — on
+//!   the shared scoped worker pool (`mlperf-pool`, the same pool the
+//!   submission ingest uses).
 //!
 //! # Numerical contract
 //!
@@ -43,6 +44,16 @@
 //! clone or a reshape copies nothing). Neither reads the backend tag,
 //! and neither can touch a result bit.
 //!
+//! Convolution is the same story. Its lowering (`conv::im2col_into`,
+//! `conv::col2im_one`: whole row runs moved per kernel tap, never one
+//! bounds-tested element at a time; none at all for a 1×1 stride-1
+//! convolution, whose columns are the input planes) and its driver
+//! (`ConvGeometry`, `conv2d_forward` and the provided
+//! [`Backend::conv2d_backward`]: shape checks up front, one lowering
+//! scratch reused across samples, the product written straight into the
+//! output) are shared; a backend contributes only the three GEMM forms
+//! they call, and `Blocked` its per-sample fan-out in forward.
+//!
 //! Nor does a backend own anything above this crate: a backend is a set
 //! of kernels, not a second implementation of a layer. `mlperf-autograd`,
 //! `mlperf-nn` and `mlperf-models` build one graph of ops whatever the
@@ -61,7 +72,7 @@
 //! and optimizer state inherit the tag through the ops that produce
 //! them.
 
-use crate::conv::{col2im_one, im2col_into, im2col_one, nchw, Conv2dSpec};
+use crate::conv::{col2im_one, im2col_into, nchw, Conv2dSpec};
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
@@ -226,22 +237,65 @@ pub trait Backend: Sync {
     );
 
     /// Full conv2d forward (`input` NCHW, `weight` `[oc, c, k, k]`).
+    /// Provided: shape checks, lowering and bias are the shared driver's;
+    /// a backend contributes its [`Backend::gemm`].
     fn conv2d(
         &self,
         input: &Tensor,
         weight: &Tensor,
         bias: Option<&Tensor>,
         spec: Conv2dSpec,
-    ) -> Tensor;
+    ) -> Tensor {
+        let gemm = |a: &[f32], b: &[f32], out: &mut [f32], m, k, n| self.gemm(a, b, out, m, k, n);
+        conv2d_forward(input, weight, bias, spec, gemm, false)
+    }
 
     /// Full conv2d backward: `(grad_input, grad_weight, grad_bias)`.
+    /// Provided: a backend contributes its [`Backend::gemm_abt`] and
+    /// [`Backend::gemm_atb`].
     fn conv2d_backward(
         &self,
         input: &Tensor,
         weight: &Tensor,
         grad_out: &Tensor,
         spec: Conv2dSpec,
-    ) -> (Tensor, Tensor, Tensor);
+    ) -> (Tensor, Tensor, Tensor) {
+        let g = ConvGeometry::new(input, weight, spec);
+        let (chw, ckk, ohow) = (g.dims.iter().product::<usize>(), g.ckk, g.ohow);
+        assert_eq!(
+            grad_out.shape(),
+            &[g.n, g.oc, g.oh, g.ow],
+            "grad_out shape mismatch in conv2d_backward"
+        );
+        let mut grad_in = vec![0.0f32; g.n * chw];
+        let mut grad_w = vec![0.0f32; g.oc * ckk];
+        let mut grad_b = vec![0.0f32; g.oc];
+        // Serial over samples — the per-sample `grad_w` accumulation
+        // order is part of the numerical contract — with one `cols`,
+        // `gw` and `dcols` scratch reused across all of them.
+        let mut cols = Vec::new();
+        let mut gw = vec![0.0f32; g.oc * ckk];
+        let mut dcols = vec![0.0f32; ckk * ohow];
+        for ni in 0..g.n {
+            let go = &grad_out.data()[ni * g.oc * ohow..(ni + 1) * g.oc * ohow];
+            gw.fill(0.0);
+            self.gemm_abt(go, g.lower(input, ni, &mut cols), &mut gw, g.oc, ohow, ckk);
+            for (acc, &v) in grad_w.iter_mut().zip(gw.iter()) {
+                *acc += v;
+            }
+            dcols.fill(0.0);
+            self.gemm_atb(weight.data(), go, &mut dcols, ckk, g.oc, ohow);
+            col2im_one(&dcols, &mut grad_in[ni * chw..(ni + 1) * chw], g.dims, spec);
+            for (acc, plane) in grad_b.iter_mut().zip(go.chunks_exact(ohow)) {
+                *acc += plane.iter().sum::<f32>();
+            }
+        }
+        (
+            Tensor::from_vec(grad_in, input.shape()),
+            Tensor::from_vec(grad_w, weight.shape()),
+            Tensor::from_vec(grad_b, &[g.oc]),
+        )
+    }
 
     /// Row-wise fused softmax: `rows` rows of `inner` elements.
     fn softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize);
@@ -252,6 +306,93 @@ pub trait Backend: Sync {
     /// Axis sum: `src` viewed as `[outer, extent, inner]`, reduced over
     /// `extent` into `out` of `outer * inner` zeros.
     fn sum_axis(&self, src: &[f32], out: &mut [f32], outer: usize, extent: usize, inner: usize);
+}
+
+// ---------------------------------------------------------------------
+// The convolution driver: one for every backend.
+// ---------------------------------------------------------------------
+
+/// The geometry of one convolution, checked once up front so neither
+/// direction can index a malformed weight or mis-size its scratch.
+struct ConvGeometry {
+    n: usize,
+    /// One input sample: `[c, h, w]`.
+    dims: [usize; 3],
+    oc: usize,
+    oh: usize,
+    ow: usize,
+    /// Rows of the column form, `c * k * k`.
+    ckk: usize,
+    /// Columns of the column form, `oh * ow`.
+    ohow: usize,
+    spec: Conv2dSpec,
+}
+
+impl ConvGeometry {
+    fn new(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Self {
+        let (n, c, h, w) = nchw(input);
+        let ws = weight.shape();
+        assert_eq!(ws.len(), 4, "conv2d weight must be 4-D, got {:?}", ws);
+        let (oc, wc, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
+        assert_eq!(wc, c, "conv2d channel mismatch: input {c}, weight {wc}");
+        assert_eq!(kh, spec.kernel, "weight kernel height disagrees with spec");
+        assert_eq!(kw, spec.kernel, "weight kernel width disagrees with spec");
+        let (oh, ow) = (spec.out_extent(h), spec.out_extent(w));
+        ConvGeometry { n, dims: [c, h, w], oc, oh, ow, ckk: c * kh * kw, ohow: oh * ow, spec }
+    }
+
+    /// Sample `ni` in column form `[ckk, ohow]`. The columns of a 1×1,
+    /// stride-1, unpadded convolution *are* the input planes, so that
+    /// case borrows them; every other lowers into `cols`.
+    fn lower<'a>(&self, input: &'a Tensor, ni: usize, cols: &'a mut Vec<f32>) -> &'a [f32] {
+        let chw = self.dims.iter().product::<usize>();
+        let sample = &input.data()[ni * chw..(ni + 1) * chw];
+        if self.spec == Conv2dSpec::new(1, 1, 0) {
+            return sample;
+        }
+        cols.resize(self.ckk * self.ohow, 0.0);
+        im2col_into(sample, self.dims, self.spec, cols);
+        cols
+    }
+}
+
+/// The one conv2d forward body: lower a sample, multiply the weight
+/// matrix straight into that sample's output slice, add the bias.
+/// `pooled` hands the samples to the worker pool one per chunk (each
+/// worker keeps its own lowering scratch) instead of looping over them.
+fn conv2d_forward(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    gemm: impl Fn(&[f32], &[f32], &mut [f32], usize, usize, usize) + Sync,
+    pooled: bool,
+) -> Tensor {
+    let g = ConvGeometry::new(input, weight, spec);
+    if let Some(b) = bias {
+        assert_eq!(b.shape(), &[g.oc], "conv2d bias must be [{}]", g.oc);
+    }
+    let per_sample = g.oc * g.ohow;
+    let mut out = vec![0.0f32; g.n * per_sample];
+    let one_sample = |cols: &mut Vec<f32>, ni: usize, chunk: &mut [f32]| {
+        gemm(weight.data(), g.lower(input, ni, cols), chunk, g.oc, g.ckk, g.ohow);
+        if let Some(b) = bias {
+            for (plane, &bv) in chunk.chunks_exact_mut(g.ohow).zip(b.data()) {
+                for v in plane {
+                    *v += bv;
+                }
+            }
+        }
+    };
+    if pooled {
+        mlperf_pool::parallel_chunks_mut_with(&mut out, per_sample, Vec::new, one_sample);
+    } else {
+        let mut cols = Vec::new();
+        for ni in 0..g.n {
+            one_sample(&mut cols, ni, &mut out[ni * per_sample..(ni + 1) * per_sample]);
+        }
+    }
+    Tensor::from_vec(out, &[g.n, g.oc, g.oh, g.ow])
 }
 
 // ---------------------------------------------------------------------
@@ -284,7 +425,7 @@ pub(crate) fn reference_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k:
 /// operating on raw buffers so the reference transposed-GEMM variants
 /// compose it with [`reference_gemm`] exactly like the pre-backend
 /// call sites did.
-fn reference_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+pub(crate) fn reference_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; rows * cols];
     for i in 0..rows {
         for j in 0..cols {
@@ -398,90 +539,6 @@ impl Backend for Reference {
                 *o += bv;
             }
         }
-    }
-
-    fn conv2d(
-        &self,
-        input: &Tensor,
-        weight: &Tensor,
-        bias: Option<&Tensor>,
-        spec: Conv2dSpec,
-    ) -> Tensor {
-        let (n, c, h, w) = nchw(input);
-        let ws = weight.shape();
-        assert_eq!(ws.len(), 4, "conv2d weight must be 4-D, got {:?}", ws);
-        let (oc, wc, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        assert_eq!(wc, c, "conv2d channel mismatch: input {c}, weight {wc}");
-        assert_eq!(kh, spec.kernel, "weight kernel height disagrees with spec");
-        assert_eq!(kw, spec.kernel, "weight kernel width disagrees with spec");
-        let oh = spec.out_extent(h);
-        let ow = spec.out_extent(w);
-        let wmat = weight.reshape(&[oc, c * kh * kw]);
-        let mut out = Vec::with_capacity(n * oc * oh * ow);
-        for ni in 0..n {
-            let cols = im2col_one(input, ni, spec, oh, ow);
-            let mut prod = vec![0.0f32; oc * oh * ow];
-            reference_gemm(wmat.data(), cols.data(), &mut prod, oc, c * kh * kw, oh * ow);
-            out.extend_from_slice(&prod);
-        }
-        let mut out = Tensor::from_vec(out, &[n, oc, oh, ow]);
-        if let Some(b) = bias {
-            assert_eq!(b.shape(), &[oc], "conv2d bias must be [{oc}]");
-            let data = out.data_mut();
-            for ni in 0..n {
-                for o in 0..oc {
-                    let bv = b.data()[o];
-                    let base = (ni * oc + o) * oh * ow;
-                    for v in &mut data[base..base + oh * ow] {
-                        *v += bv;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn conv2d_backward(
-        &self,
-        input: &Tensor,
-        weight: &Tensor,
-        grad_out: &Tensor,
-        spec: Conv2dSpec,
-    ) -> (Tensor, Tensor, Tensor) {
-        let (n, c, h, w) = nchw(input);
-        let ws = weight.shape();
-        let (oc, _, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        let oh = spec.out_extent(h);
-        let ow = spec.out_extent(w);
-        assert_eq!(
-            grad_out.shape(),
-            &[n, oc, oh, ow],
-            "grad_out shape mismatch in conv2d_backward"
-        );
-        let wmat = weight.reshape(&[oc, c * kh * kw]);
-        let wmat_t = wmat.transpose(); // [c*kh*kw, oc]
-        let mut grad_w = Tensor::zeros(&[oc, c * kh * kw]);
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let mut grad_b = vec![0.0f32; oc];
-        for ni in 0..n {
-            let go = grad_out.narrow(0, ni, 1).reshape(&[oc, oh * ow]);
-            let cols = im2col_one(input, ni, spec, oh, ow); // [c*kh*kw, oh*ow]
-            grad_w.axpy(1.0, &{
-                let mut prod = vec![0.0f32; oc * c * kh * kw];
-                let cols_t = reference_transpose(cols.data(), c * kh * kw, oh * ow);
-                reference_gemm(go.data(), &cols_t, &mut prod, oc, oh * ow, c * kh * kw);
-                Tensor::from_vec(prod, &[oc, c * kh * kw])
-            });
-            let mut dcols = vec![0.0f32; c * kh * kw * oh * ow];
-            reference_gemm(wmat_t.data(), go.data(), &mut dcols, c * kh * kw, oc, oh * ow);
-            let dcols = Tensor::from_vec(dcols, &[c * kh * kw, oh * ow]);
-            col2im_one(&dcols, &mut grad_in, ni, c, h, w, spec, oh, ow);
-            for (o, acc) in grad_b.iter_mut().enumerate() {
-                let s: f32 = go.data()[o * oh * ow..(o + 1) * oh * ow].iter().sum();
-                *acc += s;
-            }
-        }
-        (grad_in, grad_w.reshape(&[oc, c, kh, kw]), Tensor::from_vec(grad_b, &[oc]))
     }
 
     fn softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
@@ -965,89 +1022,9 @@ impl Backend for Blocked {
         bias: Option<&Tensor>,
         spec: Conv2dSpec,
     ) -> Tensor {
-        let (n, c, h, w) = nchw(input);
-        let ws = weight.shape();
-        assert_eq!(ws.len(), 4, "conv2d weight must be 4-D, got {:?}", ws);
-        let (oc, wc, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        assert_eq!(wc, c, "conv2d channel mismatch: input {c}, weight {wc}");
-        assert_eq!(kh, spec.kernel, "weight kernel height disagrees with spec");
-        assert_eq!(kw, spec.kernel, "weight kernel width disagrees with spec");
-        if let Some(b) = bias {
-            assert_eq!(b.shape(), &[oc], "conv2d bias must be [{oc}]");
-        }
-        let oh = spec.out_extent(h);
-        let ow = spec.out_extent(w);
-        let (ckk, ohow) = (c * kh * kw, oh * ow);
-        let wmat = weight.reshape(&[oc, ckk]);
-        let mut out = vec![0.0f32; n * oc * ohow];
-        // One sample per chunk; each worker reuses one im2col scratch
-        // buffer across all the samples it claims.
-        mlperf_pool::parallel_chunks_mut_with(
-            &mut out,
-            oc * ohow,
-            || vec![0.0f32; ckk * ohow],
-            |cols, ni, chunk| {
-                im2col_into(input, ni, spec, oh, ow, cols);
-                blocked_gemm_serial(wmat.data(), cols, chunk, oc, ckk, ohow);
-                if let Some(b) = bias {
-                    for o in 0..oc {
-                        let bv = b.data()[o];
-                        for v in &mut chunk[o * ohow..(o + 1) * ohow] {
-                            *v += bv;
-                        }
-                    }
-                }
-            },
-        );
-        Tensor::from_vec(out, &[n, oc, oh, ow])
-    }
-
-    fn conv2d_backward(
-        &self,
-        input: &Tensor,
-        weight: &Tensor,
-        grad_out: &Tensor,
-        spec: Conv2dSpec,
-    ) -> (Tensor, Tensor, Tensor) {
-        let (n, c, h, w) = nchw(input);
-        let ws = weight.shape();
-        let (oc, _, kh, kw) = (ws[0], ws[1], ws[2], ws[3]);
-        let oh = spec.out_extent(h);
-        let ow = spec.out_extent(w);
-        assert_eq!(
-            grad_out.shape(),
-            &[n, oc, oh, ow],
-            "grad_out shape mismatch in conv2d_backward"
-        );
-        let (ckk, ohow) = (c * kh * kw, oh * ow);
-        let wmat = weight.reshape(&[oc, ckk]);
-        let mut grad_w = vec![0.0f32; oc * ckk];
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let mut grad_b = vec![0.0f32; oc];
-        // Serial over samples — the per-sample `grad_w` accumulation
-        // order is part of the numerical contract — but with all four
-        // scratch buffers reused and both transposes fused away.
-        let mut cols = vec![0.0f32; ckk * ohow];
-        let mut gw = vec![0.0f32; oc * ckk];
-        let mut dcols = Tensor::zeros(&[ckk, ohow]);
-        for ni in 0..n {
-            let go = &grad_out.data()[ni * oc * ohow..(ni + 1) * oc * ohow];
-            im2col_into(input, ni, spec, oh, ow, &mut cols);
-            gw.fill(0.0);
-            blocked_gemm_abt(go, &cols, &mut gw, oc, ohow, ckk);
-            for (acc, &g) in grad_w.iter_mut().zip(gw.iter()) {
-                *acc += g;
-            }
-            let dst = dcols.data_mut();
-            dst.fill(0.0);
-            blocked_gemm_atb(wmat.data(), go, dst, ckk, oc, ohow);
-            col2im_one(&dcols, &mut grad_in, ni, c, h, w, spec, oh, ow);
-            for (o, acc) in grad_b.iter_mut().enumerate() {
-                let s: f32 = go[o * ohow..(o + 1) * ohow].iter().sum();
-                *acc += s;
-            }
-        }
-        (grad_in, Tensor::from_vec(grad_w, &[oc, c, kh, kw]), Tensor::from_vec(grad_b, &[oc]))
+        // One sample per pool chunk, each multiplied serially: a GEMM
+        // that fanned out inside the fan-out would only queue.
+        conv2d_forward(input, weight, bias, spec, blocked_gemm_serial, true)
     }
 
     fn softmax_rows(&self, src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
@@ -1148,7 +1125,7 @@ mod tests {
     #[test]
     fn kernel_stats_count_dispatch_paths() {
         // The counters are process-global and sticky-on, and other
-        // tests exercise GEMMs concurrently, so assert deltas with >=.
+        // tests exercise GEMMs concurrently, so only bound the deltas below.
         enable_kernel_stats();
         let before = kernel_stats();
 
@@ -1169,9 +1146,9 @@ mod tests {
         blocked_gemm_serial(&a, &b, &mut out, m, k, n);
 
         let after = kernel_stats();
-        assert!(after.gemm_reference >= before.gemm_reference + 1);
-        assert!(after.gemm_direct >= before.gemm_direct + 1);
-        assert!(after.gemm_packed >= before.gemm_packed + 1);
+        assert!(after.gemm_reference > before.gemm_reference);
+        assert!(after.gemm_direct > before.gemm_direct);
+        assert!(after.gemm_packed > before.gemm_packed);
         let pack = (k * n * std::mem::size_of::<f32>()) as u64;
         assert!(after.packed_bytes >= before.packed_bytes + pack, "all of b is packed once");
     }
