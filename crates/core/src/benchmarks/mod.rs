@@ -36,22 +36,12 @@ pub use transformer::TransformerBenchmark;
 
 use crate::harness::Benchmark;
 use crate::suite::BenchmarkId;
-use mlperf_tensor::BackendKind;
+use mlperf_tensor::{default_backend, BackendKind};
 
-/// Builds the default-scale implementation of any suite benchmark.
+/// Builds the default-scale implementation of any suite benchmark on
+/// the process-default tensor backend.
 pub fn build(id: BenchmarkId) -> Box<dyn Benchmark> {
-    match id {
-        BenchmarkId::ImageClassification => Box::new(ResNetBenchmark::new()),
-        BenchmarkId::ObjectDetection => Box::new(SsdBenchmark::new()),
-        BenchmarkId::InstanceSegmentation => Box::new(MaskRcnnBenchmark::new()),
-        BenchmarkId::TranslationRecurrent => Box::new(GnmtBenchmark::new()),
-        BenchmarkId::TranslationNonRecurrent => Box::new(TransformerBenchmark::new()),
-        BenchmarkId::Recommendation => Box::new(NcfBenchmark::new()),
-        BenchmarkId::ReinforcementLearning => Box::new(MiniGoBenchmark::new()),
-        BenchmarkId::LanguageModeling => Box::new(BertBenchmark::new()),
-        BenchmarkId::RecommendationDlrm => Box::new(DlrmBenchmark::new()),
-        BenchmarkId::SpeechRecognition => Box::new(RnnTBenchmark::new()),
-    }
+    build_on(id, default_backend())
 }
 
 /// Builds the default-scale implementation pinned to a tensor backend,
@@ -110,6 +100,12 @@ mod tests {
             assert_eq!(b.id(), id);
             assert!(b.target() > 0.0);
             assert!(b.max_epochs() > 0);
+            let pinned = build_on(id, default_backend());
+            assert_eq!(
+                (b.id(), b.target(), b.max_epochs()),
+                (pinned.id(), pinned.target(), pinned.max_epochs()),
+                "{id}: build is build_on at the process default"
+            );
         }
     }
 

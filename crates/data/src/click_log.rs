@@ -214,13 +214,9 @@ mod tests {
         // categorical signal DLRM's embeddings latch onto.
         let cfg = ClickLogConfig::default();
         let d = SyntheticClickLog::generate(cfg.clone(), 3);
-        let mut clicks = vec![vec![0.0f64; 0]; 0];
-        let mut counts = vec![vec![0.0f64; 0]; 0];
-        for (f, &v) in cfg.categorical_vocabs.iter().enumerate() {
-            clicks.push(vec![0.0; v]);
-            counts.push(vec![0.0; v]);
-            let _ = f;
-        }
+        let mut clicks: Vec<Vec<f64>> =
+            cfg.categorical_vocabs.iter().map(|&v| vec![0.0; v]).collect();
+        let mut counts = clicks.clone();
         for imp in &d.train {
             for (f, &v) in imp.categorical.iter().enumerate() {
                 clicks[f][v] += imp.label as f64;

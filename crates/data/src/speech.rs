@@ -202,16 +202,17 @@ mod tests {
         let mut counts = vec![0usize; cfg.classes()];
         for u in &d.train {
             for (f, &c) in u.alignment.iter().enumerate() {
-                for k in 0..cfg.frame_dim {
-                    centroids[c][k] += u.frames[f * cfg.frame_dim + k];
+                let frame = &u.frames[f * cfg.frame_dim..(f + 1) * cfg.frame_dim];
+                for (sum, &x) in centroids[c].iter_mut().zip(frame) {
+                    *sum += x;
                 }
                 counts[c] += 1;
             }
         }
         for (c, count) in counts.iter().enumerate() {
             assert!(*count > 0, "class {c} never emitted");
-            for k in 0..cfg.frame_dim {
-                centroids[c][k] /= *count as f32;
+            for sum in &mut centroids[c] {
+                *sum /= *count as f32;
             }
         }
         let (mut hits, mut total) = (0, 0);

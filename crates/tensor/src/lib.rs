@@ -37,7 +37,7 @@ mod tensor;
 
 pub use backend::{
     default_backend, enable_kernel_stats, kernel_stats, reset_kernel_stats, set_default_backend,
-    Backend, BackendKind, KernelStats,
+    BackendKind, KernelStats,
 };
 pub use conv::{
     avg_pool2d, avg_pool2d_backward, conv2d_backward, max_pool2d, max_pool2d_backward, Conv2dSpec,

@@ -1,10 +1,12 @@
 //! Matrix multiplication: 2-D GEMM, batched 3-D matmul, and the fused
 //! transposed/bias variants the backward passes and layers use.
 //!
-//! Shape checking and output allocation live here; the inner loops are
-//! dispatched to the [`Backend`](crate::Backend) the operands resolve
-//! to (see [`BackendKind::join`](crate::BackendKind::join)).
+//! Shape checking, output allocation, the batch loop of the `bmm*`
+//! forms and the bias rows of `matmul_bias` live here, written once;
+//! only the GEMM itself is dispatched to the backend the operands
+//! resolve to (see [`BackendKind::join`](crate::BackendKind::join)).
 
+use crate::backend::Backend;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -35,9 +37,9 @@ impl Tensor {
     /// Fused `self · rhsᵀ`: `[m, c] x [n, c] -> [m, n]` (both operands
     /// contract over their **last** dimension).
     ///
-    /// Numerically identical to `self.matmul(&rhs.transpose())` but
-    /// skips materializing the transpose. This is the backward-pass
-    /// form `grad · Bᵀ`.
+    /// Numerically identical to `self.matmul(&rhs.transpose())` with the
+    /// transpose a raw scratch copy instead of a second `Tensor`. This
+    /// is the backward-pass form `grad · Bᵀ`.
     ///
     /// # Panics
     ///
@@ -64,9 +66,9 @@ impl Tensor {
     /// Fused `selfᵀ · rhs`: `[c, m] x [c, n] -> [m, n]` (both operands
     /// contract over their **first** dimension).
     ///
-    /// Numerically identical to `self.transpose().matmul(rhs)` but
-    /// skips materializing the transpose. This is the backward-pass
-    /// form `Aᵀ · grad`.
+    /// Numerically identical to `self.transpose().matmul(rhs)` with the
+    /// transpose a raw scratch copy instead of a second `Tensor`. This
+    /// is the backward-pass form `Aᵀ · grad`.
     ///
     /// # Panics
     ///
@@ -115,7 +117,12 @@ impl Tensor {
         assert_eq!(bias.shape(), &[n], "matmul_bias bias must be [{n}], got {:?}", bias.shape());
         let kind = self.backend().join(rhs.backend()).join(bias.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm_bias(self.data(), rhs.data(), bias.data(), &mut out, m, k, n);
+        kind.imp().gemm(self.data(), rhs.data(), &mut out, m, k, n);
+        for i in 0..m {
+            for (o, &bv) in out[i * n..i * n + n].iter_mut().zip(bias.data()) {
+                *o += bv;
+            }
+        }
         Tensor::from_vec(out, &[m, n]).on(kind)
     }
 
@@ -133,16 +140,13 @@ impl Tensor {
         let (b2, k2, n) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm inner dimension mismatch: {:?} x {:?}", self.shape(), rhs.shape());
-        let kind = self.backend().join(rhs.backend());
-        let mut out = vec![0.0f32; b * m * n];
-        kind.imp().bmm(self.data(), rhs.data(), &mut out, b, m, k, n);
-        Tensor::from_vec(out, &[b, m, n]).on(kind)
+        batched(self, rhs, [b, m, k, n], Backend::gemm)
     }
 
     /// Batched fused `self · rhsᵀ`: `[b, m, c] x [b, n, c] -> [b, m, n]`.
     ///
     /// Numerically identical to `self.bmm(&rhs.transpose_last2())`
-    /// without the transpose copy.
+    /// without the transposed `Tensor`.
     ///
     /// # Panics
     ///
@@ -155,16 +159,13 @@ impl Tensor {
         let (b2, n, k2) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm_abt batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm_abt contraction mismatch: {:?} x {:?}ᵀ", self.shape(), rhs.shape());
-        let kind = self.backend().join(rhs.backend());
-        let mut out = vec![0.0f32; b * m * n];
-        kind.imp().bmm_abt(self.data(), rhs.data(), &mut out, b, m, k, n);
-        Tensor::from_vec(out, &[b, m, n]).on(kind)
+        batched(self, rhs, [b, m, k, n], Backend::gemm_abt)
     }
 
     /// Batched fused `selfᵀ · rhs`: `[b, c, m] x [b, c, n] -> [b, m, n]`.
     ///
     /// Numerically identical to `self.transpose_last2().bmm(rhs)`
-    /// without the transpose copy.
+    /// without the transposed `Tensor`.
     ///
     /// # Panics
     ///
@@ -177,10 +178,7 @@ impl Tensor {
         let (b2, k2, n) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm_atb batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm_atb contraction mismatch: {:?}ᵀ x {:?}", self.shape(), rhs.shape());
-        let kind = self.backend().join(rhs.backend());
-        let mut out = vec![0.0f32; b * m * n];
-        kind.imp().bmm_atb(self.data(), rhs.data(), &mut out, b, m, k, n);
-        Tensor::from_vec(out, &[b, m, n]).on(kind)
+        batched(self, rhs, [b, m, k, n], Backend::gemm_atb)
     }
 
     /// Transposes the last two dimensions of a 3-D tensor (copying).
@@ -194,11 +192,165 @@ impl Tensor {
     }
 }
 
+/// One of the backend's three GEMM forms (`gemm`, `gemm_abt`,
+/// `gemm_atb`).
+type GemmForm = fn(&'static dyn Backend, &[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// The batch loop of the three `bmm*` forms: entry `bi` of each operand
+/// is one contiguous block (`m·k`, `k·n` and `m·n` elements, whichever
+/// side `gemm` reads transposed), multiplied independently.
+fn batched(lhs: &Tensor, rhs: &Tensor, [batch, m, k, n]: [usize; 4], gemm: GemmForm) -> Tensor {
+    let kind = lhs.backend().join(rhs.backend());
+    let (a, b) = (lhs.data(), rhs.data());
+    let mut out = vec![0.0f32; batch * m * n];
+    for bi in 0..batch {
+        gemm(
+            kind.imp(),
+            &a[bi * m * k..(bi + 1) * m * k],
+            &b[bi * k * n..(bi + 1) * k * n],
+            &mut out[bi * m * n..(bi + 1) * m * n],
+            m,
+            k,
+            n,
+        );
+    }
+    Tensor::from_vec(out, &[batch, m, n]).on(kind)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assert_close;
-    use crate::backend::BackendKind;
+    use crate::backend::{
+        assert_bits_equal, buf, gemm_shapes, reference_gemm, reference_transpose, BackendKind,
+    };
+    use proptest::prelude::*;
+
+    /// `Reference::bmm` as it stood when each backend had a batch loop
+    /// of its own, verbatim: the oracle of the one in `batched`.
+    fn reference_parent_bmm(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        batch: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        for bi in 0..batch {
+            reference_gemm(
+                &a[bi * m * k..(bi + 1) * m * k],
+                &b[bi * k * n..(bi + 1) * k * n],
+                &mut out[bi * m * n..(bi + 1) * m * n],
+                m,
+                k,
+                n,
+            );
+        }
+    }
+
+    /// `Reference::bmm_abt` likewise (with the `gemm_abt` it called).
+    fn reference_parent_bmm_abt(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        batch: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        for bi in 0..batch {
+            let bt = reference_transpose(&b[bi * n * k..(bi + 1) * n * k], n, k); // [n,k] -> [k,n]
+            reference_gemm(
+                &a[bi * m * k..(bi + 1) * m * k],
+                &bt,
+                &mut out[bi * m * n..(bi + 1) * m * n],
+                m,
+                k,
+                n,
+            );
+        }
+    }
+
+    /// `Reference::bmm_atb` likewise.
+    fn reference_parent_bmm_atb(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        batch: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        for bi in 0..batch {
+            let at = reference_transpose(&a[bi * k * m..(bi + 1) * k * m], k, m); // [k,m] -> [m,k]
+            reference_gemm(
+                &at,
+                &b[bi * k * n..(bi + 1) * k * n],
+                &mut out[bi * m * n..(bi + 1) * m * n],
+                m,
+                k,
+                n,
+            );
+        }
+    }
+
+    /// `Reference::gemm_bias` as it stood, verbatim: the oracle of the
+    /// bias rows in `matmul_bias`.
+    fn reference_parent_gemm_bias(
+        a: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        reference_gemm(a, b, out, m, k, n);
+        for i in 0..m {
+            for (o, &bv) in out[i * n..i * n + n].iter_mut().zip(bias.iter()) {
+                *o += bv;
+            }
+        }
+    }
+
+    proptest! {
+        /// The one batch loop and the one bias pass, on both backends,
+        /// against the bodies `Reference` had of its own, to the bit.
+        #[test]
+        fn batch_loop_and_bias_rows_match_the_parent_reference(
+            batch in 1usize..6,
+            (m, k, n) in gemm_shapes(),
+            seed in 0u64..1 << 32,
+        ) {
+            let sample = |shape: &[usize], salt: u64| {
+                Tensor::from_vec(buf(shape.iter().product(), seed + salt), shape)
+            };
+            let (a, a_t) = (sample(&[batch, m, k], 0), sample(&[batch, k, m], 1));
+            let (b, b_t) = (sample(&[batch, k, n], 2), sample(&[batch, n, k], 3));
+            let bias = sample(&[n], 4);
+            let zeros = || vec![0.0f32; batch * m * n];
+            let (mut bmm, mut abt, mut atb, mut affine) = (zeros(), zeros(), zeros(), zeros());
+            reference_parent_bmm(a.data(), b.data(), &mut bmm, batch, m, k, n);
+            reference_parent_bmm_abt(a.data(), b_t.data(), &mut abt, batch, m, k, n);
+            reference_parent_bmm_atb(a_t.data(), b.data(), &mut atb, batch, m, k, n);
+            // The affine map sees the batch as `batch·m` rows of one matrix.
+            let (rows, b0) = (batch * m, b.narrow(0, 0, 1).reshape(&[k, n]));
+            reference_parent_gemm_bias(a.data(), b0.data(), bias.data(), &mut affine, rows, k, n);
+            for kind in BackendKind::ALL {
+                let what = format!("{kind} {batch}x{m}x{k}x{n}");
+                let on = |t: &Tensor| t.clone().on(kind);
+                let got = on(&a).bmm(&b);
+                assert_eq!(got.shape(), &[batch, m, n], "{what}");
+                assert_bits_equal(got.data(), &bmm, &format!("bmm {what}"));
+                assert_bits_equal(on(&a).bmm_abt(&b_t).data(), &abt, &format!("bmm_abt {what}"));
+                assert_bits_equal(on(&a_t).bmm_atb(&b).data(), &atb, &format!("bmm_atb {what}"));
+                let got = on(&a).reshape(&[rows, k]).matmul_bias(&b0, &bias);
+                assert_eq!(got.shape(), &[rows, n], "{what}");
+                assert_bits_equal(got.data(), &affine, &format!("matmul_bias {what}"));
+            }
+        }
+    }
 
     #[test]
     fn matmul_small() {

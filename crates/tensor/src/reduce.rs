@@ -1,5 +1,10 @@
 //! Reductions (sum, mean, max, argmax), softmax / log-softmax, and
 //! gradient-side helpers such as [`Tensor::sum_to`].
+//!
+//! Plain serial loops, one body whatever the backend tag: none of them
+//! contains a GEMM, and the pool fan-outs `Blocked` used to carry for
+//! softmax, log-softmax and the axis sum were taken by 31 of 157 512
+//! calls across the whole suite (ROADMAP item 4 has the table).
 
 use crate::tensor::Tensor;
 
@@ -52,7 +57,7 @@ impl Tensor {
         let extent = dims[axis];
         let inner: usize = dims[axis + 1..].iter().product();
         let mut out = vec![0.0; outer * inner];
-        self.backend().imp().sum_axis(self.data(), &mut out, outer, extent, inner);
+        sum_axis_into(self.data(), &mut out, outer, extent, inner);
         let mut new_dims: Vec<usize> = dims.to_vec();
         if keepdim {
             new_dims[axis] = 1;
@@ -104,10 +109,10 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics on a 0-dimensional tensor.
+    /// Panics on a 0-dimensional tensor, or if the last axis is empty
+    /// (there is no maximum to index).
     pub fn argmax_last_axis(&self) -> Vec<usize> {
-        assert!(self.ndim() >= 1, "argmax of scalar");
-        let inner = *self.shape().last().expect("ndim >= 1");
+        let inner = self.last_axis_extent("argmax");
         let rows = self.len() / inner;
         let mut out = Vec::with_capacity(rows);
         for r in 0..rows {
@@ -125,20 +130,37 @@ impl Tensor {
 
     /// Softmax along the last axis, numerically stabilized by max
     /// subtraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a 0-dimensional tensor, or if the last axis is empty.
     pub fn softmax_last_axis(&self) -> Tensor {
-        let inner = *self.shape().last().expect("softmax of scalar");
-        let rows = self.len() / inner;
-        let mut out = vec![0.0; self.len()];
-        self.backend().imp().softmax_rows(self.data(), &mut out, rows, inner);
-        Tensor::from_vec(out, self.shape()).on(self.backend())
+        self.map_last_axis("softmax", softmax_one_row)
     }
 
     /// Log-softmax along the last axis (stable log-sum-exp form).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a 0-dimensional tensor, or if the last axis is empty.
     pub fn log_softmax_last_axis(&self) -> Tensor {
-        let inner = *self.shape().last().expect("log_softmax of scalar");
-        let rows = self.len() / inner;
+        self.map_last_axis("log_softmax", log_softmax_one_row)
+    }
+
+    /// Extent of the last axis, for an op that works row by row.
+    fn last_axis_extent(&self, op: &str) -> usize {
+        let inner = *self.shape().last().unwrap_or_else(|| panic!("{op} of scalar"));
+        assert!(inner > 0, "{op} over an empty last axis: shape {:?}", self.shape());
+        inner
+    }
+
+    /// `f(row, out_row)` over every last-axis row.
+    fn map_last_axis(&self, op: &str, f: impl Fn(&[f32], &mut [f32])) -> Tensor {
+        let inner = self.last_axis_extent(op);
         let mut out = vec![0.0; self.len()];
-        self.backend().imp().log_softmax_rows(self.data(), &mut out, rows, inner);
+        for (row, orow) in self.data().chunks_exact(inner).zip(out.chunks_exact_mut(inner)) {
+            f(row, orow);
+        }
         Tensor::from_vec(out, self.shape()).on(self.backend())
     }
 
@@ -175,10 +197,164 @@ impl Tensor {
     }
 }
 
+/// Axis sum: `src` viewed as `[outer, extent, inner]`, reduced over
+/// `extent` into `out` of `outer * inner` zeros.
+fn sum_axis_into(src: &[f32], out: &mut [f32], outer: usize, extent: usize, inner: usize) {
+    if inner == 1 && extent > 0 {
+        // Last-axis reduction (every row mean): the general loop
+        // below would run a one-element inner loop per addend, so
+        // carry the row's sum in a local — same addends, same
+        // left-to-right order.
+        for (slot, row) in out.iter_mut().zip(src.chunks_exact(extent)) {
+            let mut acc = *slot;
+            for &v in row {
+                acc += v;
+            }
+            *slot = acc;
+        }
+        return;
+    }
+    for o in 0..outer {
+        for e in 0..extent {
+            let base = (o * extent + e) * inner;
+            for i in 0..inner {
+                out[o * inner + i] += src[base + i];
+            }
+        }
+    }
+}
+
+/// Stable softmax of one row: max, exp and accumulate, divide.
+fn softmax_one_row(row: &[f32], out: &mut [f32]) {
+    let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut z = 0.0;
+    for (slot, &v) in out.iter_mut().zip(row.iter()) {
+        let e = (v - m).exp();
+        *slot = e;
+        z += e;
+    }
+    for slot in out.iter_mut() {
+        *slot /= z;
+    }
+}
+
+/// Stable log-softmax of one row.
+fn log_softmax_one_row(row: &[f32], out: &mut [f32]) {
+    let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+    for (slot, &v) in out.iter_mut().zip(row.iter()) {
+        *slot = v - lse;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assert_close;
+    use crate::backend::{assert_bits_equal, BackendKind};
+    use crate::init::TensorRng;
+    use proptest::prelude::*;
+
+    /// `Reference::softmax_rows` as it stood when softmax was a backend
+    /// method, verbatim: the oracle of `softmax_one_row`.
+    fn reference_parent_softmax_rows(src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
+        for r in 0..rows {
+            let row = &src[r * inner..(r + 1) * inner];
+            let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            let mut z = 0.0;
+            for (i, &v) in row.iter().enumerate() {
+                let e = (v - m).exp();
+                out[r * inner + i] = e;
+                z += e;
+            }
+            for slot in &mut out[r * inner..(r + 1) * inner] {
+                *slot /= z;
+            }
+        }
+    }
+
+    /// `Reference::log_softmax_rows` likewise.
+    fn reference_parent_log_softmax_rows(src: &[f32], out: &mut [f32], rows: usize, inner: usize) {
+        for r in 0..rows {
+            let row = &src[r * inner..(r + 1) * inner];
+            let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+            for (i, &v) in row.iter().enumerate() {
+                out[r * inner + i] = v - lse;
+            }
+        }
+    }
+
+    /// The general loop of `Reference::sum_axis`, verbatim and without
+    /// the `inner == 1` carry — what the carry claims to equal.
+    fn sum_axis_general(src: &[f32], out: &mut [f32], outer: usize, extent: usize, inner: usize) {
+        for o in 0..outer {
+            for e in 0..extent {
+                let base = (o * extent + e) * inner;
+                for i in 0..inner {
+                    out[o * inner + i] += src[base + i];
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// One body per reduction whatever the tag, against the loops
+        /// `Reference` ran as backend methods, to the bit. Extents start
+        /// at 1 (so `inner == 1` takes the carry on the last axis and
+        /// `extent == 1` sums a single addend), and `-0.0` is sprinkled
+        /// in: a carry seeded from anything but the zeroed output would
+        /// return it where the general loop returns `+0.0`.
+        #[test]
+        fn reductions_match_the_parent_reference(
+            (outer, extent, inner) in (1usize..7, 1usize..40, 1usize..12),
+            seed in 0u64..1 << 32,
+        ) {
+            let mut t = TensorRng::new(seed).uniform(&[outer, extent, inner], -3.0, 3.0);
+            for v in t.data_mut().iter_mut().step_by(5) {
+                *v = -0.0;
+            }
+            for kind in BackendKind::ALL {
+                let (t, rows) = (t.clone().on(kind), outer * extent);
+                let views = [(1, outer, extent * inner), (outer, extent, inner), (rows, inner, 1)];
+                for (axis, (o, e, i)) in views.into_iter().enumerate() {
+                    let mut want = vec![0.0f32; o * i];
+                    sum_axis_general(t.data(), &mut want, o, e, i);
+                    let got = t.sum_axis(axis, false);
+                    let what = format!("{kind} sum_axis({axis}) of {:?}", t.shape());
+                    assert_bits_equal(got.data(), &want, &what);
+                    assert_eq!(got.backend(), kind);
+                }
+                let mut want = vec![0.0f32; t.len()];
+                reference_parent_softmax_rows(t.data(), &mut want, rows, inner);
+                let got = t.softmax_last_axis();
+                assert_bits_equal(got.data(), &want, &format!("{kind} softmax of {:?}", t.shape()));
+                reference_parent_log_softmax_rows(t.data(), &mut want, rows, inner);
+                let got = t.log_softmax_last_axis();
+                let what = format!("{kind} log_softmax of {:?}", t.shape());
+                assert_bits_equal(got.data(), &want, &what);
+                assert_eq!((got.backend(), got.shape()), (kind, t.shape()));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "softmax over an empty last axis: shape [2, 0]")]
+    fn softmax_rejects_an_empty_last_axis() {
+        Tensor::zeros(&[2, 0]).softmax_last_axis();
+    }
+
+    #[test]
+    #[should_panic(expected = "log_softmax over an empty last axis: shape [2, 0]")]
+    fn log_softmax_rejects_an_empty_last_axis() {
+        Tensor::zeros(&[2, 0]).log_softmax_last_axis();
+    }
+
+    #[test]
+    #[should_panic(expected = "argmax over an empty last axis: shape [2, 0]")]
+    fn argmax_rejects_an_empty_last_axis() {
+        Tensor::zeros(&[2, 0]).argmax_last_axis();
+    }
 
     #[test]
     fn sum_axis_all_axes() {

@@ -1,17 +1,30 @@
-//! Differential property tests: the `Blocked` backend agrees with
-//! `Reference` on every op it reimplements, across randomized shapes.
+//! Differential property tests: wherever two kernels exist, the
+//! `Blocked` backend agrees with `Reference`, across randomized shapes.
 //!
-//! The Blocked kernels accumulate each output element over the same
-//! ascending-k order as the reference loops, so for the finite inputs
-//! generated here agreement is *bitwise* — `assert_eq!` on the raw f32
-//! data, no tolerance — on every path: the direct register-tile GEMM,
-//! the packed-panel GEMM (`k·n` above the L1 threshold), the fused
-//! transposed variants, conv2d and its backward, and the fused
-//! reductions. (Broadcasting runs one walk whatever the tag — its
-//! oracle tests live beside it in `src/ops.rs` — so the broadcast case
-//! here only checks that the tag changes nothing but the tag.) A
-//! tolerance would only be needed if a kernel reordered summation; this
-//! suite is what keeps that contract honest.
+//! A backend is a serial GEMM kernel and a fan-out rule, so the cases
+//! here are the ops with a GEMM inside — `matmul` and its transposed
+//! and bias forms, `bmm*`, conv2d and its backward. The Blocked kernels
+//! accumulate each output element over the same ascending-k order as
+//! the reference loop, and a fan-out only hands disjoint row bands or
+//! samples to different workers, so for the finite inputs generated
+//! here agreement is *bitwise* — `to_bits()` on the raw f32 data, no
+//! tolerance — on every path: the reference row kernel (`n < 16`), the
+//! direct register-tile GEMM, the packed-panel GEMM (`k·n` above the L1
+//! threshold), and each of them on either side of the fan-out
+//! threshold (`2·m·k·n = 2¹⁸` for a GEMM's row bands, the whole batch's
+//! multiply-adds for a convolution's samples). A tolerance would only
+//! be needed if a kernel reordered summation; this suite is what keeps
+//! that contract honest.
+//!
+//! What is *not* here: softmax, log-softmax and `sum_axis` had a
+//! `reductions_agree` case while each backend carried its own copy of
+//! them. Both tags now run one function in `src/reduce.rs`, so there
+//! are no two things left to compare; the oracle proptest beside that
+//! function (`reductions_match_the_parent_reference`) holds it to the
+//! loops `Reference` used to run. Broadcasting likewise runs one walk
+//! whatever the tag — its oracle tests live beside it in `src/ops.rs` —
+//! and the broadcast case here only checks that the tag changes nothing
+//! but the tag.
 //!
 //! The umbrella package compiles this same file as
 //! `tests/kernel_backend_parity.rs`, so the Tier-1 `cargo test -q` runs
@@ -65,11 +78,16 @@ fn assert_conv_parity(input_shape: [usize; 4], cout: usize, spec: Conv2dSpec, se
     assert_bits_equal("conv2d_backward grad_bias", &rb, &bb);
 }
 
+/// `(m, k, n)`: small and ragged (every serial kernel, `k·n` crossing
+/// the packed-panel threshold), or drawn around `2·m·k·n = 2¹⁸` so some
+/// land on each side of the fan-out threshold.
+fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+    prop_oneof![(1usize..24, 1usize..96, 1usize..96), (30usize..36, 60usize..68, 60usize..68)]
+}
+
 proptest! {
     #[test]
-    fn matmul_agrees(m in 1usize..24, k in 1usize..96, n in 1usize..96, seed in 0u64..1 << 32) {
-        // k and n range high enough that k*n crosses the packed-panel
-        // threshold on some cases, covering both Blocked GEMM paths.
+    fn matmul_agrees((m, k, n) in gemm_shapes(), seed in 0u64..1 << 32) {
         let mut rng = TensorRng::new(seed);
         let a = tensor(&mut rng, &[m, k], BackendKind::Reference);
         let b = tensor(&mut rng, &[k, n], BackendKind::Reference);
@@ -111,7 +129,9 @@ proptest! {
     }
 
     #[test]
-    fn bmm_agrees(b in 1usize..5, m in 1usize..12, k in 1usize..16, n in 1usize..16, seed in 0u64..1 << 32) {
+    fn bmm_agrees(b in 1usize..5, (m, k, n) in gemm_shapes(), seed in 0u64..1 << 32) {
+        // Each batch entry is one GEMM under the one rule, so the
+        // entries around the threshold fan out by row bands.
         let mut rng = TensorRng::new(seed);
         let lhs = tensor(&mut rng, &[b, m, k], BackendKind::Reference);
         let rhs = tensor(&mut rng, &[b, k, n], BackendKind::Reference);
@@ -150,6 +170,19 @@ proptest! {
     }
 
     #[test]
+    fn conv2d_agrees_on_each_side_of_the_fan_out_threshold(
+        (n, extent) in (2usize..5, 6usize..13),
+        seed in 0u64..1 << 32,
+    ) {
+        // 8 → 16 channels, 3×3 "same": the batch's `2·n·oc·ckk·oh·ow`
+        // multiply-adds run from 0.17 M to 1.3 M around the 2¹⁸
+        // threshold, so on more than one core `Blocked` loops over the
+        // smaller batches and hands the samples of the larger ones to
+        // the pool. (The random geometries above all stay below it.)
+        assert_conv_parity([n, 8, extent, extent], 16, Conv2dSpec::new(3, 1, 1), seed);
+    }
+
+    #[test]
     fn pointwise_conv2d_and_backward_agree(
         (n, cin, cout) in (1usize..4, 1usize..6, 1usize..6),
         (h, w) in (1usize..9, 1usize..9),
@@ -158,25 +191,6 @@ proptest! {
         // 1×1, stride 1, no padding: the driver multiplies the input
         // planes themselves, no lowering in between.
         assert_conv_parity([n, cin, h, w], cout, Conv2dSpec::new(1, 1, 0), seed);
-    }
-
-    #[test]
-    fn reductions_agree(rows in 1usize..48, cols in 1usize..96, seed in 0u64..1 << 32) {
-        let mut rng = TensorRng::new(seed);
-        let reference = tensor(&mut rng, &[rows, cols], BackendKind::Reference);
-        let blocked = reference.clone().on(BackendKind::Blocked);
-        assert_bits_equal("sum_axis(0)", &reference.sum_axis(0, false), &blocked.sum_axis(0, false));
-        assert_bits_equal("sum_axis(1)", &reference.sum_axis(1, true), &blocked.sum_axis(1, true));
-        assert_bits_equal(
-            "softmax_last_axis",
-            &reference.softmax_last_axis(),
-            &blocked.softmax_last_axis(),
-        );
-        assert_bits_equal(
-            "log_softmax_last_axis",
-            &reference.log_softmax_last_axis(),
-            &blocked.log_softmax_last_axis(),
-        );
     }
 
     #[test]
