@@ -81,7 +81,16 @@ mod tests {
         use crate::harness::run_benchmark;
         use crate::timing::RealClock;
         let clock = RealClock::new();
-        for id in [BenchmarkId::LanguageModeling, BenchmarkId::RecommendationDlrm] {
+        // The two translation rows are here because their evaluation is
+        // the batched lock-step decode: its groups are the largest GEMMs
+        // these models issue, so this is where a row-dependent kernel
+        // would show.
+        for id in [
+            BenchmarkId::LanguageModeling,
+            BenchmarkId::RecommendationDlrm,
+            BenchmarkId::TranslationRecurrent,
+            BenchmarkId::TranslationNonRecurrent,
+        ] {
             let mut reference = build_on(id, BackendKind::Reference);
             let mut blocked = build_on(id, BackendKind::Blocked);
             let r = run_benchmark(reference.as_mut(), 21, &clock);

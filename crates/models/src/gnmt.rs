@@ -2,7 +2,18 @@
 //! representative — an LSTM encoder/decoder with dot-product attention
 //! over encoder states (the core structure of Wu et al., 2016, at toy
 //! scale).
+//!
+//! Greedy decoding is a batch operation
+//! ([`GnmtMini::greedy_translate_batch`]): the lock-step driver in
+//! `common.rs` groups sources by exact length and this model supplies
+//! only "encode this group" and "next token per row" (last maximum of
+//! each row's log-probabilities). One `decode_step` over a slice of
+//! previous tokens serves greedy decoding, beam search and
+//! `sequence_logprob` (the latter two pass a slice of one). The
+//! per-sentence decode the batch replaced survives as the
+//! `#[cfg(test)]` oracle it is held to, token for token.
 
+use crate::common::{assert_no_empty_source, greedy_decode_batch};
 use mlperf_autograd::Var;
 use mlperf_data::{PaddedBatch, BOS, EOS, PAD};
 use mlperf_nn::{Embedding, Linear, LstmCell, Module};
@@ -61,7 +72,13 @@ impl GnmtMini {
 
     /// Encodes padded sources: all encoder hidden states
     /// `[batch, src_len, hidden]` plus the final recurrent state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source sentence is empty (the recurrence would run
+    /// zero steps and leave no state to attend over).
     fn encode(&self, sources: &[Vec<usize>]) -> EncoderOut {
+        assert_no_empty_source(sources);
         let x = self.src_embed.forward_batch(sources);
         let init = self.encoder.zero_state(sources.len());
         let (states, last) = self.encoder.run(&x, &init);
@@ -116,15 +133,16 @@ impl GnmtMini {
         total.scale(1.0 / losses.len() as f32)
     }
 
-    /// One decoder step from a detached state: returns the vocabulary
-    /// log-probabilities and the next (detached) state.
+    /// One decoder step from a detached state for a batch of rows, one
+    /// previous token per row: returns the vocabulary log-probabilities,
+    /// row-major `[rows × vocab]`, and the next (detached) state.
     fn decode_step(
         &self,
         enc_states: &Var,
         state: &mlperf_nn::LstmState,
-        prev_token: usize,
+        prev_tokens: &[usize],
     ) -> (Vec<f32>, mlperf_nn::LstmState) {
-        let x = self.tgt_embed.forward(&[prev_token]);
+        let x = self.tgt_embed.forward(prev_tokens);
         let next = self.decoder.step(&x, state);
         let ctx = self.attend(enc_states, &next.h);
         let combined = self.attn_combine.forward(&Var::concat(&[&next.h, &ctx], 1)).tanh();
@@ -133,14 +151,46 @@ impl GnmtMini {
         (logp.into_vec(), detached)
     }
 
-    /// Greedy decode of one source sentence.
-    pub fn greedy_translate(&self, source: &[usize]) -> Vec<usize> {
+    /// Greedy decode of a batch of source sentences, results in input
+    /// order; a caller with one sentence passes a slice of one. Sources
+    /// of equal length are decoded together in lock-step (one decoder
+    /// step for the whole group), and every sentence gets exactly the
+    /// tokens it would get decoded alone. An empty batch returns
+    /// `vec![]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source sentence is empty.
+    pub fn greedy_translate_batch(&self, sources: &[&[usize]]) -> Vec<Vec<usize>> {
+        greedy_decode_batch(
+            sources,
+            self.config.max_len,
+            |group| {
+                let enc = self.encode(group);
+                let state = mlperf_nn::LstmState { h: enc.last.h.detach(), c: enc.last.c.detach() };
+                (enc.states, state)
+            },
+            |(enc_states, state), fed| {
+                let prev: Vec<usize> =
+                    fed.iter().map(|row| *row.last().expect("fed starts at BOS")).collect();
+                let (dist, next_state) = self.decode_step(enc_states, state, &prev);
+                *state = next_state;
+                dist.chunks(self.config.vocab).map(last_maximum).collect()
+            },
+        )
+    }
+
+    /// The per-sentence greedy decode [`Self::greedy_translate_batch`]
+    /// replaced, verbatim (but for `decode_step`'s slice): the oracle
+    /// the batch is held to.
+    #[cfg(test)]
+    fn greedy_translate(&self, source: &[usize]) -> Vec<usize> {
         let enc = self.encode(&[source.to_vec()]);
         let mut state = mlperf_nn::LstmState { h: enc.last.h.detach(), c: enc.last.c.detach() };
         let mut tokens = Vec::new();
         let mut prev = BOS;
         for _ in 0..self.config.max_len {
-            let (dist, next_state) = self.decode_step(&enc.states, &state, prev);
+            let (dist, next_state) = self.decode_step(&enc.states, &state, &[prev]);
             let next = dist
                 .iter()
                 .enumerate()
@@ -159,13 +209,17 @@ impl GnmtMini {
 
     /// Teacher-forced log-probability of a candidate translation
     /// (including its end-of-sequence token).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is empty.
     pub fn sequence_logprob(&self, source: &[usize], target: &[usize]) -> f32 {
         let enc = self.encode(&[source.to_vec()]);
         let mut state = mlperf_nn::LstmState { h: enc.last.h.detach(), c: enc.last.c.detach() };
         let mut prev = BOS;
         let mut total = 0.0;
         for &tok in target.iter().chain(std::iter::once(&EOS)) {
-            let (logp, next) = self.decode_step(&enc.states, &state, prev);
+            let (logp, next) = self.decode_step(&enc.states, &state, &[prev]);
             total += logp[tok];
             state = next;
             prev = tok;
@@ -174,11 +228,11 @@ impl GnmtMini {
     }
 
     /// Beam-search decode (the GNMT reference's decode mode); `width` 1
-    /// reproduces [`GnmtMini::greedy_translate`].
+    /// reproduces [`GnmtMini::greedy_translate_batch`] on a batch of one.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero.
+    /// Panics if `width` is zero or `source` is empty.
     pub fn beam_translate(&self, source: &[usize], width: usize) -> Vec<usize> {
         self.beam_translate_scored(source, width).0
     }
@@ -188,7 +242,7 @@ impl GnmtMini {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero.
+    /// Panics if `width` is zero or `source` is empty.
     pub fn beam_translate_scored(&self, source: &[usize], width: usize) -> (Vec<usize>, f32, bool) {
         assert!(width > 0, "beam width must be positive");
         let enc = self.encode(&[source.to_vec()]);
@@ -207,7 +261,7 @@ impl GnmtMini {
                     continue;
                 }
                 let prev = *tokens.last().unwrap_or(&BOS);
-                let (dist, next_state) = self.decode_step(&enc.states, state, prev);
+                let (dist, next_state) = self.decode_step(&enc.states, state, &[prev]);
                 let mut scored: Vec<(usize, f32)> =
                     dist.iter().enumerate().map(|(t, &lp)| (t, lp)).collect();
                 scored.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -232,6 +286,17 @@ impl GnmtMini {
             .map(|(tokens, score, _, done)| (tokens, score, done))
             .unwrap_or_default()
     }
+}
+
+/// Index of the last maximum of one row of log-probabilities: the
+/// tie-break this model's greedy decode has always had (`max_by` keeps
+/// the last of equal maxima).
+fn last_maximum(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(t, _)| t)
+        .expect("non-empty vocabulary")
 }
 
 /// Encoder outputs: all states plus the final recurrent state.
@@ -259,6 +324,7 @@ impl Module for GnmtMini {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_batch_matches_oracle;
     use mlperf_data::{SyntheticTranslation, TranslationConfig};
     use mlperf_optim::{clip_grad_norm, Adam, Optimizer};
 
@@ -302,9 +368,9 @@ mod tests {
     #[test]
     fn greedy_decode_bounded() {
         let (model, data) = setup(2);
-        let out = model.greedy_translate(&data.val[0].source);
+        let out = &model.greedy_translate_batch(&[&data.val[0].source])[0];
         assert!(out.len() <= model.config().max_len);
-        for &t in &out {
+        for &t in out {
             assert!(t < model.config().vocab);
         }
     }
@@ -313,8 +379,61 @@ mod tests {
     fn beam_width_one_matches_greedy() {
         let (model, data) = setup(4);
         for pair in data.val.iter().take(3) {
-            assert_eq!(model.beam_translate(&pair.source, 1), model.greedy_translate(&pair.source),);
+            assert_eq!(
+                model.beam_translate(&pair.source, 1),
+                model.greedy_translate_batch(&[&pair.source])[0]
+            );
         }
+    }
+
+    #[test]
+    fn batched_greedy_matches_the_per_sentence_oracle_at_every_checkpoint() {
+        // The benchmark's own geometry: 64 validation sentences of
+        // lengths 3–6, so four groups of about sixteen.
+        let data_cfg = TranslationConfig::default();
+        let data = SyntheticTranslation::generate(data_cfg, 11);
+        let model = GnmtMini::new(
+            GnmtConfig {
+                vocab: data_cfg.vocab,
+                max_len: data_cfg.max_len + 2,
+                ..Default::default()
+            },
+            &mut TensorRng::new(11),
+        );
+        let sources: Vec<&[usize]> = data.val.iter().map(|p| p.source.as_slice()).collect();
+        // An epoch between checks, so rows finish at different steps.
+        let mut opt = Adam::with_defaults(model.params());
+        assert_batch_matches_oracle(
+            &sources,
+            4,
+            || {
+                for pairs in data.train.chunks(32) {
+                    let refs: Vec<&_> = pairs.iter().collect();
+                    opt.zero_grad();
+                    model
+                        .loss(&SyntheticTranslation::pad_batch(&refs, data_cfg.max_len))
+                        .backward();
+                    clip_grad_norm(&model.params(), 5.0);
+                    opt.step(0.012);
+                }
+            },
+            |batch| model.greedy_translate_batch(batch),
+            |source| model.greedy_translate(source),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "source sentence 1 is empty")]
+    fn empty_source_in_a_batch_is_named() {
+        let (model, data) = setup(7);
+        model.greedy_translate_batch(&[&data.val[0].source, &[]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "source sentence 0 is empty")]
+    fn empty_source_is_refused_before_the_recurrence() {
+        let (model, _) = setup(7);
+        model.sequence_logprob(&[], &[3]);
     }
 
     #[test]

@@ -6,8 +6,18 @@
 //! connections and layer norm (pre-norm variant for small-scale
 //! stability), sinusoidal position encodings, teacher-forced training
 //! and greedy autoregressive decoding.
+//!
+//! Greedy decoding is a batch operation
+//! ([`TransformerMini::greedy_translate_batch`]): the lock-step driver in
+//! `common.rs` groups sources by exact length and this model supplies
+//! only "encode this group" and "next token per row" (first maximum of
+//! the last position's logits). The per-sentence decode it replaced
+//! survives as the `#[cfg(test)]` oracle the batch is held to, token
+//! for token. There is deliberately no incremental key/value cache:
+//! after batching, this model's whole evaluation is a few percent of a
+//! training job, which does not pay for a second decoder forward path.
 
-use crate::common::sinusoidal_positions;
+use crate::common::{assert_no_empty_source, greedy_decode_batch, sinusoidal_positions};
 use mlperf_autograd::Var;
 use mlperf_data::{PaddedBatch, BOS, EOS, PAD};
 use mlperf_nn::{causal_mask, Embedding, LayerNorm, Linear, Module, MultiHeadAttention};
@@ -183,7 +193,13 @@ impl TransformerMini {
 
     /// Encodes padded source sequences into memory states
     /// `[batch, src_len, dim]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source sentence is empty (attention over zero
+    /// positions is undefined), or if the batch is empty or ragged.
     pub fn encode(&self, sources: &[Vec<usize>]) -> Var {
+        assert_no_empty_source(sources);
         let mut h = self.embed(&self.src_embed, sources);
         for block in &self.encoder {
             h = block.forward(&h);
@@ -229,6 +245,10 @@ impl TransformerMini {
     /// Teacher-forced log-probability of a full candidate translation
     /// (including its end-of-sequence token) — the quantity beam search
     /// maximizes; exposed for evaluation and tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is empty.
     pub fn sequence_logprob(&self, source: &[usize], target: &[usize]) -> f32 {
         let memory = self.encode(&[source.to_vec()]);
         let mut inputs = vec![BOS];
@@ -244,11 +264,12 @@ impl TransformerMini {
     }
 
     /// Beam-search translation (the reference implementation's decode
-    /// mode). `width` 1 reproduces [`TransformerMini::greedy_translate`].
+    /// mode). `width` 1 reproduces
+    /// [`TransformerMini::greedy_translate_batch`] on a batch of one.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero.
+    /// Panics if `width` is zero or `source` is empty.
     pub fn beam_translate(&self, source: &[usize], width: usize) -> Vec<usize> {
         self.beam_translate_scored(source, width).0
     }
@@ -260,7 +281,7 @@ impl TransformerMini {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero.
+    /// Panics if `width` is zero or `source` is empty.
     pub fn beam_translate_scored(&self, source: &[usize], width: usize) -> (Vec<usize>, f32, bool) {
         assert!(width > 0, "beam width must be positive");
         let memory = self.encode(&[source.to_vec()]);
@@ -307,8 +328,34 @@ impl TransformerMini {
             .unwrap_or_default()
     }
 
-    /// Greedy autoregressive translation of one source sentence.
-    pub fn greedy_translate(&self, source: &[usize]) -> Vec<usize> {
+    /// Greedy autoregressive translation of a batch of source sentences,
+    /// results in input order; a caller with one sentence passes a slice
+    /// of one. Sources of equal length are decoded together in lock-step
+    /// (one decoder forward per step for the whole group), and every
+    /// sentence gets exactly the tokens it would get decoded alone.
+    /// An empty batch returns `vec![]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source sentence is empty.
+    pub fn greedy_translate_batch(&self, sources: &[&[usize]]) -> Vec<Vec<usize>> {
+        greedy_decode_batch(
+            sources,
+            self.config.max_len,
+            |group| self.encode(group),
+            |memory, fed| {
+                let logits = self.decode(memory, fed);
+                let (rows, t) = (fed.len(), fed[0].len());
+                let last = logits.value().narrow(1, t - 1, 1).reshape(&[rows, self.config.vocab]);
+                last.argmax_last_axis()
+            },
+        )
+    }
+
+    /// The per-sentence greedy decode [`Self::greedy_translate_batch`]
+    /// replaced, verbatim: the oracle the batch is held to.
+    #[cfg(test)]
+    fn greedy_translate(&self, source: &[usize]) -> Vec<usize> {
         let memory = self.encode(&[source.to_vec()]);
         let mut tokens = vec![BOS];
         for _ in 0..self.config.max_len {
@@ -345,6 +392,7 @@ impl Module for TransformerMini {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_batch_matches_oracle;
     use mlperf_data::{SyntheticTranslation, TranslationConfig};
     use mlperf_optim::{Adam, Optimizer};
 
@@ -389,7 +437,7 @@ mod tests {
     #[test]
     fn greedy_translate_terminates_and_respects_max_len() {
         let (model, data) = setup(2);
-        let out = model.greedy_translate(&data.val[0].source);
+        let out = &model.greedy_translate_batch(&[&data.val[0].source])[0];
         assert!(out.len() <= model.config().max_len);
     }
 
@@ -397,8 +445,61 @@ mod tests {
     fn beam_width_one_matches_greedy() {
         let (model, data) = setup(4);
         for pair in data.val.iter().take(4) {
-            assert_eq!(model.beam_translate(&pair.source, 1), model.greedy_translate(&pair.source),);
+            assert_eq!(
+                model.beam_translate(&pair.source, 1),
+                model.greedy_translate_batch(&[&pair.source])[0]
+            );
         }
+    }
+
+    #[test]
+    fn batched_greedy_matches_the_per_sentence_oracle_at_every_checkpoint() {
+        // The benchmark's own geometry: 64 validation sentences of
+        // lengths 3–6, so four groups of about sixteen.
+        let data_cfg = TranslationConfig::default();
+        let data = SyntheticTranslation::generate(data_cfg, 11);
+        let model = TransformerMini::new(
+            TransformerConfig {
+                vocab: data_cfg.vocab,
+                max_len: data_cfg.max_len + 2,
+                ..Default::default()
+            },
+            &mut TensorRng::new(11),
+        );
+        let sources: Vec<&[usize]> = data.val.iter().map(|p| p.source.as_slice()).collect();
+        // A few batches between checks, so rows finish at different steps.
+        let mut opt = Adam::with_defaults(model.params());
+        let mut batches = data.train.chunks(32);
+        assert_batch_matches_oracle(
+            &sources,
+            3,
+            || {
+                for pairs in batches.by_ref().take(3) {
+                    let refs: Vec<&_> = pairs.iter().collect();
+                    opt.zero_grad();
+                    model
+                        .loss(&SyntheticTranslation::pad_batch(&refs, data_cfg.max_len))
+                        .backward();
+                    opt.step(0.01);
+                }
+            },
+            |batch| model.greedy_translate_batch(batch),
+            |source| model.greedy_translate(source),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "source sentence 1 is empty")]
+    fn empty_source_in_a_batch_is_named() {
+        let (model, data) = setup(7);
+        model.greedy_translate_batch(&[&data.val[0].source, &[]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "source sentence 0 is empty")]
+    fn empty_source_is_refused_before_attention() {
+        let (model, _) = setup(7);
+        model.beam_translate(&[], 2);
     }
 
     #[test]
@@ -429,7 +530,8 @@ mod tests {
         let mut total_g = 0.0;
         let mut total_b = 0.0;
         for pair in data.val.iter().take(8) {
-            total_g += model.sequence_logprob(&pair.source, &model.greedy_translate(&pair.source));
+            let greedy = &model.greedy_translate_batch(&[&pair.source])[0];
+            total_g += model.sequence_logprob(&pair.source, greedy);
             total_b += model.sequence_logprob(&pair.source, &model.beam_translate(&pair.source, 4));
         }
         assert!(total_b >= total_g - 1.0, "beam total {total_b} far below greedy total {total_g}");

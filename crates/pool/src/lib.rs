@@ -29,13 +29,23 @@
 //! parallelism to be had.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// Number of pool workers for `items` work items: one per available
 /// core, capped at the item count, and at least one.
+///
+/// The core count is read once per process:
+/// `std::thread::available_parallelism` re-reads the affinity mask and
+/// the cgroup quota on every call (15–30 µs on a two-core container —
+/// more than a small GEMM), and every pool entry point and every
+/// fan-out decision in `mlperf-tensor` asks this.
 pub fn workers_for(items: usize) -> usize {
-    thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1).min(items).max(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    });
+    cores.min(items).max(1)
 }
 
 // Process-global pool statistics. This crate sits at the bottom of the

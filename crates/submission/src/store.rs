@@ -1594,7 +1594,7 @@ mod tests {
         // A materialized read is a root span of its own.
         assert_eq!(find("read_round").parent, None);
         assert_eq!(find("read_round").args.get("bundles"), Some(&json!(subs.bundles.len())));
-        assert!(find("write_round").args.get("bundles").is_some());
+        assert!(find("write_round").args.contains_key("bundles"));
 
         let counter = |name: &str| {
             snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap_or(0)

@@ -90,7 +90,6 @@
 use crate::conv::{col2im_one, im2col_into, nchw, Conv2dSpec};
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Which execution backend a tensor's kernels run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -649,13 +648,7 @@ impl Backend for Blocked {
     }
 
     fn fans_out(&self, work: usize, items: usize) -> bool {
-        // The core count is read once: `available_parallelism` re-reads
-        // the affinity mask and the cgroup quota on every call (15–30 µs
-        // on the two-core sandbox, more than a whole 1×1 convolution),
-        // and this is asked once per GEMM and per convolution.
-        static CORES: OnceLock<usize> = OnceLock::new();
-        let cores = || *CORES.get_or_init(|| mlperf_pool::workers_for(usize::MAX));
-        work >= PARALLEL_MIN_FLOPS && cores().min(items) > 1
+        work >= PARALLEL_MIN_FLOPS && mlperf_pool::workers_for(items) > 1
     }
 }
 
