@@ -235,3 +235,109 @@ fn malformed_requests_get_4xx_and_the_server_survives() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Writes `bytes` to a fresh connection, half-closes it, and returns
+/// the whole reply.
+fn raw_exchange(addr: &str, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(bytes).expect("write request bytes");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("read reply");
+    String::from_utf8(reply).expect("the server replies in UTF-8")
+}
+
+/// Asserts that `reply` is a structured refusal: a 4xx status line, a
+/// JSON content type, and a body that is one JSON object naming the
+/// error.
+fn assert_structured_4xx(reply: &str, sent: &[u8]) {
+    let sent = String::from_utf8_lossy(sent);
+    let (head, body) = reply.split_once("\r\n\r\n").unwrap_or_else(|| {
+        panic!("no complete reply to {sent:?}: {reply:?}");
+    });
+    let status: u16 = head
+        .strip_prefix("HTTP/1.1 ")
+        .and_then(|rest| rest.get(..3))
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in the reply to {sent:?}: {head:?}"));
+    assert!((400..500).contains(&status), "{sent:?} got {status}: {body}");
+    assert!(head.contains("content-type: application/json"), "{sent:?} got {head:?}");
+    let parsed: serde_json::Value = serde_json::from_str(body)
+        .unwrap_or_else(|e| panic!("reply body to {sent:?} is not JSON ({e}): {body:?}"));
+    assert!(parsed["error"].as_str().is_some(), "{sent:?} got {body:?}");
+}
+
+/// The head parser against hostile sockets (ROADMAP 5(d)): arbitrary
+/// bytes, every truncation of a well-formed request, and
+/// `content-length` values that are oversized, overflowing or not
+/// numbers at all each get a structured 4xx JSON body — never a
+/// dropped connection, a 5xx or a hang — and the server still answers
+/// afterwards.
+#[test]
+fn hostile_heads_get_structured_4xx_and_the_server_survives() {
+    let (core, dir) = new_core("hostile-heads");
+    core.open_round(Round::V07, round_references(Round::V07)).expect("open");
+    let server = HttpServer::bind(Arc::clone(&core), "127.0.0.1:0").expect("bind");
+    let handle = server.serve_background().expect("serve");
+    let addr = handle.addr().to_string();
+
+    // Arbitrary bytes, seeded: bare, and ahead of a blank line so the
+    // request-line and header parsers see them too.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for case in 0..48 {
+        let len = (next() % 400) as usize;
+        let mut bytes: Vec<u8> = (0..len).map(|_| (next() >> 24) as u8).collect();
+        match case % 3 {
+            0 => {}
+            1 => bytes.extend_from_slice(b"\r\n\r\n"),
+            _ => {
+                let mut framed = b"POST /rounds/v0.7/bundles HTTP/1.1\r\n".to_vec();
+                framed.append(&mut bytes);
+                framed.extend_from_slice(b"\r\n\r\n");
+                bytes = framed;
+            }
+        }
+        assert_structured_4xx(&raw_exchange(&addr, &bytes), &bytes);
+    }
+
+    // Every truncation of a well-formed submit, head and body, and the
+    // whole of it (whose body is no bundle).
+    let request: &[u8] =
+        b"POST /rounds/v0.7/bundles HTTP/1.1\r\nhost: x\r\ncontent-length: 11\r\n\r\n{\"org\":\"x\"}";
+    for cut in 0..=request.len() {
+        assert_structured_4xx(&raw_exchange(&addr, &request[..cut]), &request[..cut]);
+    }
+
+    // Lengths no body can have.
+    for length in [
+        "abc",
+        "",
+        " ",
+        "-1",
+        "1e3",
+        "0x10",
+        "12 34",
+        "+5",
+        "8388609",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999",
+    ] {
+        let request =
+            format!("POST /rounds/v0.7/bundles HTTP/1.1\r\ncontent-length: {length}\r\n\r\n");
+        assert_structured_4xx(&raw_exchange(&addr, request.as_bytes()), request.as_bytes());
+    }
+
+    let health = http_get(&addr, "/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body, "ok\n");
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

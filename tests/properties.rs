@@ -18,6 +18,186 @@ use mlperf_suite::submission::manifest::{
 use mlperf_suite::submission::BenchmarkReference;
 use mlperf_suite::tensor::{broadcast_shapes, Precision, TensorRng};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// Text a damaged or hostile writer could leave behind, spliced into
+/// canonical renderings by [`damaged`]: whitespace, escapes (complete
+/// and cut short), structural bytes, and numbers on either side of
+/// what `u64` and `f64` hold.
+const SPLICES: [&str; 16] = [
+    " ",
+    "\t",
+    "\n",
+    "\\n",
+    "\\\"",
+    "\\u00e9",
+    "\\",
+    "\"",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999",
+    "-0",
+    "1e999",
+    ",",
+    "{",
+    "}",
+];
+
+/// A JSON object (or, while scanning, an array) of a text: its opening
+/// and closing bytes and the byte range of each `"name":value` member.
+struct Span {
+    object: bool,
+    open: usize,
+    close: usize,
+    members: Vec<std::ops::Range<usize>>,
+}
+
+/// Every JSON object of a well-formed text.
+fn object_members(text: &[u8]) -> Vec<Span> {
+    let mut objects = Vec::new();
+    // Containers still open; `close` holds the start of the open member.
+    let mut stack: Vec<Span> = Vec::new();
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, &b) in text.iter().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'{' | b'[' => {
+                stack.push(Span { object: b == b'{', open: i, close: i + 1, members: Vec::new() })
+            }
+            b',' => {
+                if let Some(top) = stack.last_mut().filter(|top| top.object) {
+                    top.members.push(top.close..i);
+                    top.close = i + 1;
+                }
+            }
+            b'}' | b']' => {
+                if let Some(mut span) = stack.pop().filter(|span| span.object) {
+                    if span.close < i {
+                        span.members.push(span.close..i);
+                    }
+                    objects.push(Span { close: i, ..span });
+                }
+            }
+            _ => {}
+        }
+    }
+    objects
+}
+
+/// `text` after the damage `ops` describe, one `(kind, a, b)` each,
+/// `a` and `b` reduced modulo whatever they index: a field deleted,
+/// duplicated or inserted in one of the text's objects; two bytes
+/// swapped; a [`SPLICES`] entry inserted; a digit run replaced by a
+/// 20-digit number. Bytes that no longer form UTF-8 become U+FFFD, as
+/// they would on the way in from a file.
+fn damaged(text: &str, ops: &[(usize, usize, usize)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(kind, a, b) in ops {
+        if bytes.is_empty() {
+            break;
+        }
+        match kind % 6 {
+            field_op @ 0..=2 => {
+                let objects = object_members(&bytes);
+                if objects.is_empty() {
+                    continue;
+                }
+                let Span { open, close, members: spans, .. } = &objects[a % objects.len()];
+                let mut members: Vec<Vec<u8>> =
+                    spans.iter().map(|span| bytes[span.clone()].to_vec()).collect();
+                match field_op {
+                    0 if !members.is_empty() => drop(members.remove(b % members.len())),
+                    1 if !members.is_empty() => {
+                        let copy = members[b % members.len()].clone();
+                        members.insert(a % (members.len() + 1), copy);
+                    }
+                    _ => members.insert(b % (members.len() + 1), b"\"extra\":0".to_vec()),
+                }
+                let mut rebuilt = bytes[..=*open].to_vec();
+                rebuilt.extend(members.join(&b","[..]));
+                rebuilt.extend(&bytes[*close..]);
+                bytes = rebuilt;
+            }
+            3 => {
+                let (p, q) = (a % bytes.len(), b % bytes.len());
+                bytes.swap(p, q);
+            }
+            4 => {
+                let at = a % (bytes.len() + 1);
+                bytes.splice(at..at, SPLICES[b % SPLICES.len()].bytes());
+            }
+            _ => {
+                let from = a % bytes.len();
+                let Some(start) = (from..bytes.len()).find(|&i| bytes[i].is_ascii_digit()) else {
+                    continue;
+                };
+                let end = (start..bytes.len())
+                    .find(|&i| !bytes[i].is_ascii_digit())
+                    .unwrap_or(bytes.len());
+                bytes.splice(start..end, SPLICES[8 + b % 3].bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Arbitrary bytes made text: half drawn from all 256 values, half
+/// from the bytes JSON is made of, so that some samples get past the
+/// first character of a scanner.
+fn hostile_text(raw: &[u16]) -> String {
+    const JSONISH: &[u8] = b"{}[]\":,\\ 0123456789.eE+-ntfalsrukyvim_";
+    let bytes: Vec<u8> = raw
+        .iter()
+        .map(|&v| if v < 256 { v as u8 } else { JSONISH[v as usize % JSONISH.len()] })
+        .collect();
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The mllog fast paths against the serde referee on one text: every
+/// line parses to the same entry or the same error, and `validate`
+/// gives the full parse's verdict, which is serde's line by line.
+fn check_mllog_against_serde(text: &str) -> Result<(), TestCaseError> {
+    for line in text.lines() {
+        let (fast, serde) = (parse_mllog_line(line), parse_mllog_line_serde(line));
+        prop_assert!(fast == serde, "{line:?} reads {fast:?}, serde reads {serde:?}");
+    }
+    let verdict = MlLogger::validate(text);
+    prop_assert_eq!(&verdict, &MlLogger::parse(text).map(|_| ()));
+    let serde_accepts = text.lines().all(|line| parse_mllog_line_serde(line).is_ok());
+    prop_assert!(verdict.is_ok() == serde_accepts, "validate and serde disagree on {text:?}");
+    Ok(())
+}
+
+/// The three manifest fast paths against the serde referee on one
+/// text: each either declines or reads exactly what serde reads, and
+/// `parse` is serde's verdict.
+fn check_manifests_against_serde(text: &str) -> Result<(), TestCaseError> {
+    macro_rules! check {
+        ($manifest:ty) => {
+            let serde = <$manifest>::parse_serde(text);
+            if let Some(fast) = <$manifest>::parse_fast(text) {
+                prop_assert!(
+                    serde.as_ref() == Ok(&fast),
+                    "{text:?} reads {fast:?}, serde reads {serde:?}"
+                );
+            }
+            prop_assert_eq!(<$manifest>::parse(text), serde);
+        };
+    }
+    check!(ArchiveManifest);
+    check!(RoundManifest);
+    check!(BundleManifest);
+    Ok(())
+}
 
 proptest! {
     /// Broadcasting is symmetric and idempotent on the result shape.
@@ -326,6 +506,112 @@ proptest! {
         damaged.truncate(cut);
         if let Some(fast) = BundleManifest::parse_fast(&damaged) {
             prop_assert_eq!(Ok(fast), BundleManifest::parse_serde(&damaged));
+        }
+    }
+
+    /// Robustness of the log scanners (ROADMAP 5(d), item 8): on
+    /// arbitrary bytes made text — bare, behind the `:::MLLOG ` prefix
+    /// and inside a canonical frame — and on rendered logs with
+    /// structured damage, `parse_mllog_line` and `MlLogger::validate`
+    /// never panic and never accept what the serde parser rejects or
+    /// reads differently.
+    #[test]
+    fn mllog_scanners_survive_hostile_text(
+        raw in proptest::collection::vec(0u16..512, 0..96),
+        entries in proptest::collection::vec(
+            (0u64..u64::MAX, "[a-z_]{1,12}", -1e6f64..1e6, 0usize..6), 1..5),
+        damage in proptest::collection::vec(
+            proptest::collection::vec((0usize..6, 0usize..10_000, 0usize..10_000), 1..4), 8..9),
+    ) {
+        let hostile = hostile_text(&raw);
+        check_mllog_against_serde(&hostile)?;
+        check_mllog_against_serde(&format!(":::MLLOG {hostile}"))?;
+        check_mllog_against_serde(&format!(
+            ":::MLLOG {{\"key\":\"k\",\"time_ms\":7,\"value\":{hostile}}}"
+        ))?;
+        check_mllog_against_serde(&format!(":::MLLOG {{\"key\":\"{hostile}"))?;
+
+        let mut logger = MlLogger::new();
+        for (t, key, v, kind) in &entries {
+            logger.set_time_ms(*t);
+            let value = match kind {
+                0 => serde_json::json!(v),
+                1 => serde_json::json!(*v as i64),
+                2 => serde_json::json!(key),
+                3 => serde_json::json!([*t, v, key]),
+                4 => serde_json::json!({"status": key, "value": v}),
+                _ => serde_json::json!(null),
+            };
+            logger.log(key, value);
+        }
+        let rendered = logger.render();
+        check_mllog_against_serde(&rendered)?;
+        // The field-level damage has something to work on: one object per line at least.
+        prop_assert!(object_members(rendered.as_bytes()).len() >= entries.len());
+        for ops in &damage {
+            check_mllog_against_serde(&damaged(&rendered, ops))?;
+        }
+    }
+
+    /// The same for the manifest scanners: no arbitrary text and no
+    /// damaged canonical manifest makes `parse_fast` panic, accept what
+    /// `parse_serde` rejects, or read a different manifest.
+    #[test]
+    fn manifest_scanners_survive_hostile_text(
+        raw in proptest::collection::vec(0u16..512, 0..96),
+        (org, index, accelerators) in ("[a-z0-9 _.-]{0,12}", 0u64..u64::MAX, 0usize..100_000),
+        hp in proptest::collection::vec(("[a-z_]{1,8}", -1e9f64..1e9), 0..3),
+        shapes in proptest::collection::vec(
+            proptest::collection::vec(1usize..2048, 0..3), 0..3),
+        damage in proptest::collection::vec(
+            proptest::collection::vec((0usize..6, 0usize..10_000, 0usize..10_000), 1..4), 8..9),
+    ) {
+        check_manifests_against_serde(&hostile_text(&raw))?;
+
+        let hyperparameters: std::collections::BTreeMap<String, f64> = hp.into_iter().collect();
+        let fielded = BenchmarkId::in_version(SuiteVersion::V07);
+        let benchmark = fielded[index as usize % fielded.len()];
+        let signature = ModelSignature::from_shapes(shapes);
+        let bundle = BundleManifest {
+            schema: 2,
+            index,
+            org: org.clone(),
+            system: SystemDescription {
+                submitter: org.clone(),
+                system_name: "dgx".to_string(),
+                accelerators,
+                accelerator_model: "sim-chip".to_string(),
+                host_processors: accelerators / 8,
+                software: "mlperf-rs 0.1".to_string(),
+            },
+            division: Division::Closed,
+            category: Category::Available,
+            system_type: SystemType::OnPremise,
+            run_sets: vec![RunSetManifest {
+                benchmark,
+                dataset: "synthetic".to_string(),
+                hyperparameters: hyperparameters.clone(),
+                signature: signature.clone(),
+                logs: vec![format!("{}/run_0.log", benchmark.slug())],
+            }],
+        };
+        let round = RoundManifest {
+            schema: 2,
+            round: Round::V07,
+            references: vec![BenchmarkReference {
+                benchmark,
+                dataset: "synthetic".to_string(),
+                quality_target: 0.749,
+                hyperparameters,
+                signature,
+            }],
+        };
+        let archive = ArchiveManifest { schema: 2, kind: org };
+        for text in [canonical(&archive), canonical(&round), canonical(&bundle)] {
+            check_manifests_against_serde(&text)?;
+            for ops in &damage {
+                check_manifests_against_serde(&damaged(&text, ops))?;
+            }
         }
     }
 
