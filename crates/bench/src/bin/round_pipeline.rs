@@ -669,8 +669,6 @@ fn fold_process_stats(telemetry: &Telemetry) {
     telemetry.counter("tensor.gemm_direct").add(kernels.gemm_direct);
     telemetry.counter("tensor.gemm_packed").add(kernels.gemm_packed);
     telemetry.counter("tensor.packed_bytes").add(kernels.packed_bytes);
-    telemetry.counter("tensor.gemm_fanouts").add(kernels.gemm_fanouts);
-    telemetry.gauge("tensor.fanout_width_hwm").set(kernels.fanout_width_peak);
 }
 
 /// Writes the Chrome `trace_event` file and prints the plain-text

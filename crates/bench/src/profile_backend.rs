@@ -75,11 +75,11 @@ pub fn run(ctx: &Context) -> Report {
         );
         let k = kernel_stats();
         let (reference, direct, packed) = (k.gemm_reference, k.gemm_direct, k.gemm_packed);
-        let (kib, fanouts, peak) = (k.packed_bytes / 1024, k.gemm_fanouts, k.fanout_width_peak);
+        let kib = k.packed_bytes / 1024;
         out!(
             host_text,
             "  kernels on {kind}: gemm ref {reference} / direct {direct} / packed {packed} \
-             (packed {kib} KiB, {fanouts} fanouts, width peak {peak})"
+             (packed {kib} KiB)"
         );
         scope.end(backend_span);
     }

@@ -39,12 +39,6 @@ impl BatchNorm2d {
         }
     }
 
-    /// Sets the running-statistics momentum (default 0.1).
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
     /// Normalizes `[n, channels, h, w]`. In training mode batch
     /// statistics are used (and folded into the running estimates); in
     /// eval mode the running estimates are used.

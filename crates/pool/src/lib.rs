@@ -3,33 +3,30 @@
 //! This is the one pool idiom the whole workspace shares: `N` scoped
 //! threads (one per available core, capped at the item count) pull work
 //! items off a shared [`AtomicUsize`] cursor, so cheap items never wait
-//! behind an unlucky static partition. It was born in the submission
-//! ingest pipeline (`mlperf-submission`) and is now also the outer loop
-//! of the `Blocked` tensor backend (`mlperf-tensor`), which is why it
-//! lives at the bottom of the dependency graph with no dependencies of
-//! its own.
+//! behind an unlucky static partition. It serves the submission
+//! pipeline (`mlperf-submission`): bundle review on ingest and the
+//! per-bundle writes of an archived round. It sits at the bottom of the
+//! dependency graph with no dependencies of its own.
 //!
-//! Two families of entry points:
+//! It is not the outer loop of any tensor kernel: every
+//! `mlperf-tensor` op runs on the calling thread. Each call spawns and
+//! joins scoped threads, tens of microseconds on a two-core host, which
+//! only pays back at the grain of a whole training step, not a kernel.
 //!
-//! - [`parallel_map`] / [`parallel_map_workers`] apply a function to
-//!   every item of a slice and return the results in item order. The
-//!   `_workers` variant threads explicit per-worker state through
-//!   (created on the worker, torn down with the worker's claimed-item
-//!   count), which is how the ingest pipeline hangs telemetry scopes
-//!   and sketches off the pool without this crate knowing what
-//!   telemetry is.
-//! - [`parallel_chunks_mut`] / [`parallel_chunks_mut_with`] split one
-//!   mutable buffer into disjoint chunks and process each chunk on the
-//!   pool — the shape tensor kernels want, where workers write disjoint
-//!   slices of a shared output buffer.
+//! [`parallel_map`] / [`parallel_map_workers`] apply a function to every
+//! item of a slice and return the results in item order. The `_workers`
+//! variant threads explicit per-worker state through (created on the
+//! worker, torn down with the worker's claimed-item count), which is how
+//! the ingest pipeline hangs telemetry scopes and sketches off the pool
+//! without this crate knowing what telemetry is.
 //!
-//! On a single-core host (or for a single item/chunk) every entry point
-//! degrades to an inline serial loop on the calling thread: no threads
-//! are spawned, so using the pool never costs anything when there is no
-//! parallelism to be had.
+//! On a single-core host (or for a single item) both degrade to an
+//! inline serial loop on the calling thread: no threads are spawned, so
+//! using the pool never costs anything when there is no parallelism to
+//! be had.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 
 /// Number of pool workers for `items` work items: one per available
@@ -38,8 +35,7 @@ use std::thread;
 /// The core count is read once per process:
 /// `std::thread::available_parallelism` re-reads the affinity mask and
 /// the cgroup quota on every call (15–30 µs on a two-core container —
-/// more than a small GEMM), and every pool entry point and every
-/// fan-out decision in `mlperf-tensor` asks this.
+/// more than a small review), and every pool entry point asks this.
 pub fn workers_for(items: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| {
@@ -70,11 +66,11 @@ pub struct PoolSnapshot {
     pub workers_busy: u64,
     /// High-water mark of `workers_busy` since process start.
     pub workers_busy_peak: u64,
-    /// Items (or chunks) claimed by no worker yet.
+    /// Items claimed by no worker yet.
     pub queue_depth: u64,
     /// Pool invocations currently in flight.
     pub active_pools: u64,
-    /// Items (or chunks) completed since process start.
+    /// Items completed since process start.
     pub items_completed: u64,
     /// Pool invocations since process start.
     pub fanouts: u64,
@@ -232,81 +228,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Splits `data` into chunks of `chunk_len` elements (the last chunk
-/// may be shorter) and runs `f(chunk_index, chunk)` for each on the
-/// pool. Chunks are disjoint, so workers mutate them without
-/// synchronization.
-pub fn parallel_chunks_mut<E, F>(data: &mut [E], chunk_len: usize, f: F)
-where
-    E: Send,
-    F: Fn(usize, &mut [E]) + Sync,
-{
-    parallel_chunks_mut_with(data, chunk_len, || (), |(), i, chunk| f(i, chunk));
-}
-
-/// [`parallel_chunks_mut`] with per-worker scratch state: each worker
-/// calls `init` once and passes the state to every chunk it claims.
-/// Tensor kernels use this to reuse one scratch buffer (an im2col
-/// lowering, a packed GEMM panel) across all the chunks a worker
-/// processes instead of allocating per chunk.
-///
-/// # Panics
-///
-/// Panics if `chunk_len` is zero (with non-empty data); a panic in `f`
-/// propagates to the caller.
-pub fn parallel_chunks_mut_with<E, S, I, F>(data: &mut [E], chunk_len: usize, init: I, f: F)
-where
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [E]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = workers_for(n_chunks);
-    let pool = PoolScope::enter(workers, n_chunks);
-    if workers == 1 {
-        let _busy = BusyWorker::enter();
-        let mut state = init();
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(&mut state, i, chunk);
-        }
-        pool.items_done(n_chunks as u64);
-        return;
-    }
-    // Hand each chunk to exactly one worker through a take-once slot;
-    // the mutex is uncontended (each slot is locked once) and keeps the
-    // distribution safe without unsafe pointer arithmetic.
-    let chunks: Vec<Mutex<Option<&mut [E]>>> =
-        data.chunks_mut(chunk_len).map(|c| Mutex::new(Some(c))).collect();
-    let next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let (next, chunks, init, f) = (&next, &chunks, &init, &f);
-            let pool = &pool;
-            scope.spawn(move || {
-                let _busy = BusyWorker::enter();
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let chunk = chunks[i]
-                        .lock()
-                        .expect("chunk slot poisoned")
-                        .take()
-                        .expect("chunk claimed twice");
-                    f(&mut state, i, chunk);
-                    pool.items_done(1);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,44 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_covers_whole_buffer() {
-        let mut data = vec![0u32; 1000];
-        parallel_chunks_mut(&mut data, 7, |i, chunk| {
-            for (off, v) in chunk.iter_mut().enumerate() {
-                *v = (i * 7 + off) as u32;
-            }
-        });
-        assert_eq!(data, (0..1000).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn chunks_mut_with_reuses_worker_scratch() {
-        let mut data = vec![1.0f32; 64];
-        parallel_chunks_mut_with(
-            &mut data,
-            16,
-            || vec![2.0f32; 16],
-            |scratch, _, chunk| {
-                for (v, s) in chunk.iter_mut().zip(scratch.iter()) {
-                    *v *= s;
-                }
-            },
-        );
-        assert_eq!(data, vec![2.0f32; 64]);
-    }
-
-    #[test]
-    fn empty_and_degenerate_inputs() {
-        parallel_chunks_mut::<u8, _>(&mut [], 4, |_, _| panic!("no chunks expected"));
-        let mut one = [5u8];
-        parallel_chunks_mut(&mut one, 100, |i, chunk| {
-            assert_eq!(i, 0);
-            chunk[0] += 1;
-        });
-        assert_eq!(one, [6]);
-    }
-
-    #[test]
     fn workers_for_bounds() {
         assert_eq!(workers_for(0), 1);
         assert_eq!(workers_for(1), 1);
@@ -399,11 +282,9 @@ mod tests {
         let before = pool_stats();
         let items: Vec<usize> = (0..321).collect();
         parallel_map(&items, |i| i + 1);
-        let mut data = vec![0u8; 100];
-        parallel_chunks_mut(&mut data, 10, |_, chunk| chunk.fill(1));
         let after = pool_stats();
-        assert!(after.items_completed >= before.items_completed + 321 + 10);
-        assert!(after.fanouts >= before.fanouts + 2);
+        assert!(after.items_completed >= before.items_completed + 321);
+        assert!(after.fanouts > before.fanouts);
         assert!(after.workers_busy_peak >= 1, "even a serial loop counts as one busy worker");
         assert!(after.fanout_width_peak >= 1);
     }

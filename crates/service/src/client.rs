@@ -18,13 +18,6 @@ pub struct HttpResponse {
     pub body: String,
 }
 
-impl HttpResponse {
-    /// Whether the status is in the 2xx range.
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
-}
-
 /// Sends one request and reads the full response (the service always
 /// closes the connection after one exchange, so read-to-EOF is the
 /// framing).

@@ -372,14 +372,21 @@ fn route(core: &ServiceCore, request: &Request, stop: &AtomicBool) -> Response {
     }
 }
 
+/// A request body as text. Invalid UTF-8 is refused, not decoded
+/// lossily: a lossy decode would accept a bad byte inside a JSON string
+/// as U+FFFD and store a name the client never sent.
+fn body_text(body: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))
+}
+
 fn open_round(core: &ServiceCore, round: Round, body: &[u8]) -> Response {
     // An empty body means "the standard references for this round";
     // otherwise the body is the explicit reference list.
     let references: Vec<BenchmarkReference> = if body.is_empty() {
         round_references(round)
     } else {
-        let text = String::from_utf8_lossy(body);
-        match serde_json::from_str(&text) {
+        match body_text(body).and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        {
             Ok(refs) => refs,
             Err(e) => return Response::error(400, format!("invalid reference list: {e}")),
         }
@@ -391,8 +398,9 @@ fn open_round(core: &ServiceCore, round: Round, body: &[u8]) -> Response {
 }
 
 fn submit_bundle(core: &ServiceCore, round: Round, body: &[u8]) -> Response {
-    let text = String::from_utf8_lossy(body);
-    let bundle: SubmissionBundle = match serde_json::from_str(&text) {
+    let parsed =
+        body_text(body).and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()));
+    let bundle: SubmissionBundle = match parsed {
         Ok(bundle) => bundle,
         Err(e) => return Response::error(400, format!("invalid submission bundle: {e}")),
     };

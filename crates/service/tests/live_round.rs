@@ -341,3 +341,43 @@ fn hostile_heads_get_structured_4xx_and_the_server_survives() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A submit whose body is not UTF-8 (ROADMAP 5(d)): a `0xFF` byte
+/// inside the bundle's `org` string gets a structured 400, and the
+/// round stores nothing — a lossy decode would have accepted the bundle
+/// under an org name with U+FFFD in it, which the submitter never sent.
+#[test]
+fn invalid_utf8_body_is_refused_and_stores_nothing() {
+    let round = Round::V07;
+    let (core, dir) = new_core("invalid-utf8");
+    core.open_round(round, round_references(round)).expect("open");
+    let server = HttpServer::bind(Arc::clone(&core), "127.0.0.1:0").expect("bind");
+    let handle = server.serve_background().expect("serve");
+    let addr = handle.addr().to_string();
+    let bundles = |addr: &str| {
+        let status = http_get(addr, "/rounds/v0.7/status").expect("status");
+        let status: serde_json::Value = serde_json::from_str(&status.body).expect("status json");
+        status["bundles"].as_u64().expect("bundle count")
+    };
+    let before = bundles(&addr);
+
+    let bundle = &synthetic_stress_round(round, 1, 5).bundles[0];
+    let json = serde_json::to_string(bundle).expect("serialize bundle");
+    let org = format!("\"org\":{}", serde_json::to_string(&bundle.org).expect("org"));
+    let at = json.find(&org).expect("org field") + org.len() - 1;
+    let mut body = json.as_bytes().to_vec();
+    body.insert(at, 0xFF);
+    let mut request =
+        format!("POST /rounds/v0.7/bundles HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len())
+            .into_bytes();
+    request.extend_from_slice(&body);
+
+    let reply = raw_exchange(&addr, &request);
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    assert_structured_4xx(&reply, &request);
+    assert!(reply.contains("not UTF-8"), "{reply}");
+    assert_eq!(bundles(&addr), before, "a refused body must store no bundle");
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -104,12 +104,6 @@ fn sim_identity(b: &SimBenchmark) -> BenchmarkId {
     }
 }
 
-/// The cross-round comparison benchmarks paired with their suite
-/// identities (contested in every round — the Figure 4/5 set).
-pub fn comparison_benchmarks() -> Vec<(BenchmarkId, SimBenchmark)> {
-    SimBenchmark::round_comparison_suite().into_iter().map(|b| (sim_identity(&b), b)).collect()
-}
-
 /// Every benchmark contested in a round, paired with its suite
 /// identity: the comparison set plus, from v0.7, the added workloads.
 pub fn round_benchmarks(round: Round) -> Vec<(BenchmarkId, SimBenchmark)> {

@@ -23,7 +23,7 @@
 //! that into interval-spaced samples and (optionally) a live progress
 //! line on stderr.
 
-use crate::metrics::{Counter, Gauge};
+use crate::metrics::Counter;
 use crate::Telemetry;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -185,7 +185,6 @@ impl TimeSeriesSnapshot {
 /// How a [`Reporter`] reads one source on each tick.
 enum Reading {
     Counter(Counter),
-    Gauge(Gauge),
     Fn(Box<dyn Fn() -> f64 + Send>),
 }
 
@@ -193,7 +192,6 @@ impl std::fmt::Debug for Reading {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Reading::Counter(_) => f.write_str("Counter"),
-            Reading::Gauge(_) => f.write_str("Gauge"),
             Reading::Fn(_) => f.write_str("Fn"),
         }
     }
@@ -262,11 +260,6 @@ impl Reporter {
         self.track(telemetry, name, SeriesKind::Counter, Reading::Counter(counter));
     }
 
-    /// Samples `gauge` into a gauge-kind series named `name`.
-    pub fn track_gauge(&mut self, telemetry: &Telemetry, name: &str, gauge: Gauge) {
-        self.track(telemetry, name, SeriesKind::Gauge, Reading::Gauge(gauge));
-    }
-
     /// Samples `read()` into a counter-kind series — the bridge for
     /// cumulative stats living outside the registry (e.g.
     /// `mlperf-pool`'s completed-item count). `read` must not call
@@ -296,11 +289,6 @@ impl Reporter {
         self.sources.push(Source { name: name.to_string(), kind, series, read, last_value: 0.0 });
     }
 
-    /// Number of configured sources.
-    pub fn source_len(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Samples every source if the interval has elapsed since the last
     /// tick (the very first call always samples). Returns whether a
     /// sample was taken.
@@ -323,7 +311,6 @@ impl Reporter {
         for source in &mut self.sources {
             let value = match &source.read {
                 Reading::Counter(counter) => counter.value() as f64,
-                Reading::Gauge(gauge) => gauge.value() as f64,
                 Reading::Fn(read) => read(),
             };
             source.series.push(now, value);

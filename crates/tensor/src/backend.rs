@@ -1,5 +1,4 @@
-//! Execution backends: which serial GEMM runs, and when work goes to the
-//! worker pool.
+//! Execution backends: which serial GEMM kernel runs.
 //!
 //! [`Tensor`](crate::Tensor) methods validate shapes and allocate
 //! outputs, then hand the inner loops to the backend both operands
@@ -7,31 +6,29 @@
 //! autograph's `Device`-parameterized tensors and dfdx's op
 //! registration.
 //!
-//! # One kernel, one rule
+//! # A backend is one serial GEMM
 //!
-//! A backend is two decisions and nothing else (the `Backend` trait's
-//! two required methods):
+//! A backend is one decision and nothing else: which kernel computes
+//! `out += a · b` (`BackendKind::gemm`, whose only branch is a `match`
+//! on the kind).
 //!
-//! - **a serial GEMM kernel.** [`BackendKind::Reference`] runs the
-//!   original scalar `ikj` loop of this crate, verbatim: every
-//!   floating-point operation and the order it happens in. It is the
-//!   semantic baseline — every convergence result in the workspace is
-//!   defined by it, and it must never change numerically
-//!   (`tests/golden_trajectory.rs` pins what that means, to the bit).
-//!   [`BackendKind::Blocked`] picks per call between that row kernel
+//! - [`BackendKind::Reference`] runs the original scalar `ikj` loop of
+//!   this crate, verbatim: every floating-point operation and the order
+//!   it happens in. It is the semantic baseline — every convergence
+//!   result in the workspace is defined by it, and it must never change
+//!   numerically (`tests/golden_trajectory.rs` pins what that means, to
+//!   the bit).
+//! - [`BackendKind::Blocked`] picks per call between that row kernel
 //!   (outputs narrower than a register tile), a register-tiled direct
 //!   kernel and a cache-blocked packed-panel kernel.
-//! - **a fan-out rule**, `fans_out(work, items)`: whether `work`
-//!   multiply-adds that split into `items` independent pieces go to the
-//!   shared scoped worker pool (`mlperf-pool`, the same pool the
-//!   submission ingest uses). `Reference` never fans out; `Blocked` does
-//!   above a work threshold when more than one core would take a piece.
-//!   The rule is written once and asked at the two places a fan-out
-//!   carries real traffic: row bands of one GEMM, and the samples of a
-//!   convolution forward. Tuning the threshold is a change to that one
-//!   expression.
 //!
-//! Everything else is written once on top of those two, for every
+//! Every kernel runs on the calling thread, on both backends. This crate
+//! does not depend on the worker pool: a pool call spawns and joins
+//! threads, which at these shapes costs more than the GEMM it would
+//! split. Parallelism belongs at the grain of a training step (ROADMAP
+//! item 12), not inside a kernel.
+//!
+//! Everything else is written once on top of the GEMM, for every
 //! backend: the transposed forms `gemm_abt` / `gemm_atb` (transpose,
 //! then the serial kernel — a strided no-copy tile kernel was tried and
 //! lost on every training shape, because reading `b` with stride `k`
@@ -48,13 +45,11 @@
 //! `k` products in ascending-`k` order into an accumulator that starts
 //! at `+0.0`, exactly like the reference `ikj` loop. Tiling changes
 //! which elements are computed near each other in time, never the
-//! order of additions within one element, and a fan-out only hands
-//! disjoint output bands or samples to different workers, so for finite
-//! inputs the two backends are **bit-identical**. The only divergence
-//! is non-finite propagation: the reference GEMM skips `a` values that
-//! equal zero (so `0 × ∞` never happens), while the blocked kernels
-//! multiply through (yielding `NaN`); this is unobservable for finite
-//! data.
+//! order of additions within one element, so for finite inputs the two
+//! backends are **bit-identical**. The only divergence is non-finite
+//! propagation: the reference GEMM skips `a` values that equal zero (so
+//! `0 × ∞` never happens), while the blocked kernels multiply through
+//! (yielding `NaN`); this is unobservable for finite data.
 //!
 //! # What a backend does not own
 //!
@@ -72,9 +67,9 @@
 //! implementation of a layer. `mlperf-autograd`, `mlperf-nn` and
 //! `mlperf-models` build one graph of ops whatever the tag and never
 //! read it (CI greps that they do not name [`BackendKind`]), so the only
-//! place the two backends can disagree is inside the two required
-//! methods below — and CI greps that no per-backend batch loop, bias,
-//! softmax or axis-sum body comes back beside them.
+//! place the two backends can disagree is the one `match` in
+//! `BackendKind::gemm` — and CI greps that no per-backend batch loop,
+//! bias, softmax or axis-sum body comes back beside it.
 //!
 //! # Selection
 //!
@@ -98,22 +93,14 @@ pub enum BackendKind {
     /// The original scalar arithmetic, verbatim — the numerical
     /// baseline.
     Reference = 0,
-    /// Register-tiled, cache-blocked, pool-parallel kernels that are
-    /// bit-identical to [`BackendKind::Reference`] on finite inputs.
+    /// Register-tiled, cache-blocked kernels that are bit-identical to
+    /// [`BackendKind::Reference`] on finite inputs.
     Blocked = 1,
 }
 
 impl BackendKind {
     /// Every backend, for parity sweeps.
     pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Blocked];
-
-    /// The implementation behind this kind.
-    pub(crate) fn imp(self) -> &'static dyn Backend {
-        match self {
-            BackendKind::Reference => &Reference,
-            BackendKind::Blocked => &Blocked,
-        }
-    }
 
     /// Stable lower-case label (`"reference"` / `"blocked"`), also
     /// accepted by [`BackendKind::parse`] — the CLI `--backend` flag
@@ -174,65 +161,57 @@ pub fn default_backend() -> BackendKind {
     }
 }
 
-/// What the two backends disagree on — a serial GEMM kernel and a
-/// fan-out rule — with every composite kernel provided once on top of
-/// them.
-///
-/// All GEMM-family methods assume `out` is zero-filled (callers
-/// allocate with `vec![0.0; ..]`) and may either accumulate into it or
-/// overwrite it — the two are indistinguishable under that contract.
-pub(crate) trait Backend: Sync {
-    /// `out += a[m,k] · b[k,n]` on the calling thread, `out` pre-zeroed.
-    fn gemm_serial(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
-
-    /// The fan-out rule: whether `work` multiply-adds that split into
-    /// `items` independent pieces should be handed to the worker pool.
-    fn fans_out(&self, work: usize, items: usize) -> bool;
-
-    /// `out += a[m,k] · b[k,n]`, `out` pre-zeroed, fanned out over bands
-    /// of output rows when the rule says so. Each worker computes a
-    /// disjoint band with the serial kernel, so the result is the serial
-    /// kernel's; bands are whole `MR`-row tiles so no register tile
-    /// straddles two of them.
-    fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        let row_blocks = m.div_ceil(MR);
-        if !self.fans_out(2 * m * k * n, row_blocks) {
-            return self.gemm_serial(a, b, out, m, k, n);
+/// The kernels, all on the calling thread. All GEMM-family methods
+/// assume `out` is zero-filled (callers allocate with `vec![0.0; ..]`)
+/// and may either accumulate into it or overwrite it — the two are
+/// indistinguishable under that contract.
+impl BackendKind {
+    /// `out += a[m,k] · b[k,n]`, `out` pre-zeroed: the one place the two
+    /// backends differ.
+    pub(crate) fn gemm(self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        match self {
+            BackendKind::Reference => reference_gemm(a, b, out, m, k, n),
+            BackendKind::Blocked => blocked_gemm_serial(a, b, out, m, k, n),
         }
-        let rows_per = m.div_ceil(mlperf_pool::workers_for(row_blocks)).next_multiple_of(MR);
-        bump(&GEMM_FANOUTS, 1);
-        if KERNEL_STATS_ON.load(Ordering::Relaxed) {
-            let bands = (m * n).div_ceil(rows_per * n) as u64;
-            FANOUT_WIDTH_PEAK.fetch_max(bands, Ordering::Relaxed);
-        }
-        mlperf_pool::parallel_chunks_mut(out, rows_per * n, |blk, chunk| {
-            let i0 = blk * rows_per;
-            let rows = chunk.len() / n;
-            self.gemm_serial(&a[i0 * k..(i0 + rows) * k], b, chunk, rows, k, n);
-        });
     }
 
     /// `out = a[m,k] · b[n,k]ᵀ` (`b` row-major `[n, k]`), `out`
-    /// pre-zeroed: the backward-pass form `grad · Bᵀ`. Serial —
-    /// `a.matmul(&b.transpose())` with the copy kept off the tensor
-    /// API, accumulation still ascending-`k`.
-    fn gemm_abt(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        self.gemm_serial(a, &transpose(b, n, k), out, m, k, n);
+    /// pre-zeroed: the backward-pass form `grad · Bᵀ`, i.e.
+    /// `a.matmul(&b.transpose())` with the copy kept off the tensor API,
+    /// accumulation still ascending-`k`.
+    pub(crate) fn gemm_abt(
+        self,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        self.gemm(a, &transpose(b, n, k), out, m, k, n);
     }
 
     /// `out = a[k,m]ᵀ · b[k,n]` (`a` row-major `[k, m]`), `out`
-    /// pre-zeroed: the backward-pass form `Aᵀ · grad`. Serial, like
-    /// [`Backend::gemm_abt`].
-    fn gemm_atb(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        self.gemm_serial(&transpose(a, k, m), b, out, m, k, n);
+    /// pre-zeroed: the backward-pass form `Aᵀ · grad`, like
+    /// [`BackendKind::gemm_abt`].
+    pub(crate) fn gemm_atb(
+        self,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        self.gemm(&transpose(a, k, m), b, out, m, k, n);
     }
 
     /// Full conv2d forward (`input` NCHW, `weight` `[oc, c, k, k]`):
     /// shape checks up front, then per sample lower it, multiply the
     /// weight matrix straight into that sample's output slice and add
-    /// the bias.
-    fn conv2d(
-        &self,
+    /// the bias, with one lowering scratch reused across samples.
+    pub(crate) fn conv2d(
+        self,
         input: &Tensor,
         weight: &Tensor,
         bias: Option<&Tensor>,
@@ -244,10 +223,10 @@ pub(crate) trait Backend: Sync {
         }
         let per_sample = g.oc * g.ohow;
         let mut out = vec![0.0f32; g.n * per_sample];
-        // Serial GEMM per sample on either path: one that fanned out
-        // inside the sample fan-out would only queue.
-        let one_sample = |cols: &mut Vec<f32>, ni: usize, chunk: &mut [f32]| {
-            self.gemm_serial(weight.data(), g.lower(input, ni, cols), chunk, g.oc, g.ckk, g.ohow);
+        let mut cols = Vec::new();
+        for ni in 0..g.n {
+            let chunk = &mut out[ni * per_sample..(ni + 1) * per_sample];
+            self.gemm(weight.data(), g.lower(input, ni, &mut cols), chunk, g.oc, g.ckk, g.ohow);
             if let Some(b) = bias {
                 for (plane, &bv) in chunk.chunks_exact_mut(g.ohow).zip(b.data()) {
                     for v in plane {
@@ -255,23 +234,13 @@ pub(crate) trait Backend: Sync {
                     }
                 }
             }
-        };
-        if self.fans_out(2 * g.n * per_sample * g.ckk, g.n) {
-            // One sample per pool chunk; each worker keeps its own
-            // lowering scratch.
-            mlperf_pool::parallel_chunks_mut_with(&mut out, per_sample, Vec::new, one_sample);
-        } else {
-            let mut cols = Vec::new();
-            for ni in 0..g.n {
-                one_sample(&mut cols, ni, &mut out[ni * per_sample..(ni + 1) * per_sample]);
-            }
         }
         Tensor::from_vec(out, &[g.n, g.oc, g.oh, g.ow])
     }
 
     /// Full conv2d backward: `(grad_input, grad_weight, grad_bias)`.
-    fn conv2d_backward(
-        &self,
+    pub(crate) fn conv2d_backward(
+        self,
         input: &Tensor,
         weight: &Tensor,
         grad_out: &Tensor,
@@ -375,11 +344,6 @@ impl ConvGeometry {
 // Reference backend: the original scalar arithmetic, verbatim.
 // ---------------------------------------------------------------------
 
-/// The original scalar arithmetic of this crate: the same operations
-/// on the same operands in the same order as before backends existed,
-/// always on the calling thread.
-struct Reference;
-
 /// The reference accumulating GEMM kernel, exactly as it was before
 /// backends existed: i-k-j loop order with a zero-skip on `a`.
 pub(crate) fn reference_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -398,23 +362,9 @@ pub(crate) fn reference_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k:
     }
 }
 
-impl Backend for Reference {
-    fn gemm_serial(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        reference_gemm(a, b, out, m, k, n);
-    }
-
-    fn fans_out(&self, _work: usize, _items: usize) -> bool {
-        false
-    }
-}
-
 // ---------------------------------------------------------------------
-// Blocked backend: register-tiled, cache-blocked, pool-parallel.
+// Blocked backend: register-tiled, cache-blocked.
 // ---------------------------------------------------------------------
-
-/// Register-tiled, cache-blocked kernels, fanned out on the pool above
-/// a work threshold.
-struct Blocked;
 
 /// Microkernel tile height (rows of `a` held in registers).
 const MR: usize = 4;
@@ -426,9 +376,6 @@ const PACK_B_ABOVE: usize = 8 * 1024;
 /// Rows of `a` below which packing cannot amortize: each packed panel
 /// is streamed only `m / MR` times before being rebuilt.
 const PACK_MIN_M: usize = 32;
-/// Minimum multiply-add count before work fans out on the worker pool;
-/// below this the pool overhead dwarfs the work.
-const PARALLEL_MIN_FLOPS: usize = 1 << 18;
 
 // ---------------------------------------------------------------------
 // Optional kernel dispatch counters.
@@ -437,8 +384,7 @@ const PARALLEL_MIN_FLOPS: usize = 1 << 18;
 // relaxed bool load until `enable_kernel_stats()` flips them on (the
 // profiler and `round_pipeline --metrics` do). They answer the tuning
 // questions the dispatch constants above raise — which path did real
-// workloads actually take, how much packing did they pay for, how wide
-// did the pool fan-out go.
+// workloads actually take, and how much packing did they pay for.
 // ---------------------------------------------------------------------
 
 static KERNEL_STATS_ON: AtomicBool = AtomicBool::new(false);
@@ -446,8 +392,6 @@ static GEMM_REFERENCE: AtomicU64 = AtomicU64::new(0);
 static GEMM_DIRECT: AtomicU64 = AtomicU64::new(0);
 static GEMM_PACKED: AtomicU64 = AtomicU64::new(0);
 static PACKED_BYTES: AtomicU64 = AtomicU64::new(0);
-static GEMM_FANOUTS: AtomicU64 = AtomicU64::new(0);
-static FANOUT_WIDTH_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time reading of the `Blocked` backend's dispatch
 /// counters (all zero until [`enable_kernel_stats`] is called).
@@ -462,10 +406,11 @@ pub struct KernelStats {
     pub gemm_packed: u64,
     /// Bytes copied into packed `b` panels.
     pub packed_bytes: u64,
-    /// GEMM calls that fanned out on the worker pool.
+    /// Always 0: no kernel fans out to a worker pool any more. Kept
+    /// only because the benchmark (`benchmark/src/train.rs`) still
+    /// reports it as `tensor.gemm_fanouts`; it goes with that row
+    /// (ROADMAP item 1(d)).
     pub gemm_fanouts: u64,
-    /// Widest pool fan-out (bands) of any single GEMM.
-    pub fanout_width_peak: u64,
 }
 
 /// Turns the kernel dispatch counters on (they stay on for the life of
@@ -481,22 +426,14 @@ pub fn kernel_stats() -> KernelStats {
         gemm_direct: GEMM_DIRECT.load(Ordering::Relaxed),
         gemm_packed: GEMM_PACKED.load(Ordering::Relaxed),
         packed_bytes: PACKED_BYTES.load(Ordering::Relaxed),
-        gemm_fanouts: GEMM_FANOUTS.load(Ordering::Relaxed),
-        fanout_width_peak: FANOUT_WIDTH_PEAK.load(Ordering::Relaxed),
+        gemm_fanouts: 0,
     }
 }
 
 /// Zeroes the kernel dispatch counters (the profiler resets between
 /// backends to attribute counts per run).
 pub fn reset_kernel_stats() {
-    for cell in [
-        &GEMM_REFERENCE,
-        &GEMM_DIRECT,
-        &GEMM_PACKED,
-        &PACKED_BYTES,
-        &GEMM_FANOUTS,
-        &FANOUT_WIDTH_PEAK,
-    ] {
+    for cell in [&GEMM_REFERENCE, &GEMM_DIRECT, &GEMM_PACKED, &PACKED_BYTES] {
         cell.store(0, Ordering::Relaxed);
     }
 }
@@ -642,16 +579,6 @@ fn blocked_gemm_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
     }
 }
 
-impl Backend for Blocked {
-    fn gemm_serial(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        blocked_gemm_serial(a, b, out, m, k, n);
-    }
-
-    fn fans_out(&self, work: usize, items: usize) -> bool {
-        work >= PARALLEL_MIN_FLOPS && mlperf_pool::workers_for(items) > 1
-    }
-}
-
 /// The index-form 2-D transpose loop both `Reference` GEMM forms ran
 /// before [`transpose`] (as in `Tensor::transpose`), kept verbatim: the
 /// parent oracles here, in `matmul.rs` and in `conv.rs` are built on it.
@@ -669,7 +596,7 @@ pub(crate) fn reference_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<
 /// `(m, k, n)` on both sides of every dispatch edge of the `Blocked`
 /// GEMM: the first arm crosses `MR`, `NR` and `PACK_MIN_M` with `b`
 /// small, the second has `k·n` around `PACK_B_ABOVE` with `m` around
-/// `PACK_MIN_M` (and is all above the fan-out threshold).
+/// `PACK_MIN_M`, so it lands on the direct and the packed kernel.
 #[cfg(test)]
 pub(crate) fn gemm_shapes() -> impl proptest::strategy::Strategy<Value = (usize, usize, usize)> {
     proptest::prop_oneof![
@@ -785,25 +712,16 @@ mod tests {
             ];
             for (kind, parent_abt, parent_atb) in parents {
                 let (mut got, mut want) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-                kind.imp().gemm_abt(&a, &bt, &mut got, m, k, n);
+                kind.gemm_abt(&a, &bt, &mut got, m, k, n);
                 parent_abt(&a, &bt, &mut want, m, k, n);
                 assert_bits_equal(&got, &want, &format!("{kind} gemm_abt {m}x{k}x{n}"));
 
                 let (mut got, mut want) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-                kind.imp().gemm_atb(&at, &b, &mut got, m, k, n);
+                kind.gemm_atb(&at, &b, &mut got, m, k, n);
                 parent_atb(&at, &b, &mut want, m, k, n);
                 assert_bits_equal(&got, &want, &format!("{kind} gemm_atb {m}x{k}x{n}"));
             }
         }
-    }
-
-    #[test]
-    fn fan_out_rule_is_never_on_reference_and_a_work_threshold_on_blocked() {
-        assert!(!Reference.fans_out(usize::MAX, usize::MAX));
-        let cores = mlperf_pool::workers_for(usize::MAX);
-        assert_eq!(Blocked.fans_out(PARALLEL_MIN_FLOPS, 8), cores > 1);
-        assert!(!Blocked.fans_out(PARALLEL_MIN_FLOPS - 1, 8), "below the threshold");
-        assert!(!Blocked.fans_out(usize::MAX, 1), "one piece has nobody to share with");
     }
 
     #[test]
@@ -853,8 +771,8 @@ mod tests {
             let b = buf(k * n, 23);
             let mut r = vec![0.0f32; m * n];
             let mut bl = vec![0.0f32; m * n];
-            Reference.gemm(&a, &b, &mut r, m, k, n);
-            Blocked.gemm(&a, &b, &mut bl, m, k, n);
+            BackendKind::Reference.gemm(&a, &b, &mut r, m, k, n);
+            BackendKind::Blocked.gemm(&a, &b, &mut bl, m, k, n);
             assert_bits_equal(&r, &bl, &format!("gemm {m}x{k}x{n}"));
         }
     }
@@ -866,16 +784,16 @@ mod tests {
             let b = buf(n * k, 41);
             let mut r = vec![0.0f32; m * n];
             let mut bl = vec![0.0f32; m * n];
-            Reference.gemm_abt(&a, &b, &mut r, m, k, n);
-            Blocked.gemm_abt(&a, &b, &mut bl, m, k, n);
+            BackendKind::Reference.gemm_abt(&a, &b, &mut r, m, k, n);
+            BackendKind::Blocked.gemm_abt(&a, &b, &mut bl, m, k, n);
             assert_bits_equal(&r, &bl, &format!("gemm_abt {m}x{k}x{n}"));
 
             let a = buf(k * m, 51);
             let b = buf(k * n, 61);
             let mut r = vec![0.0f32; m * n];
             let mut bl = vec![0.0f32; m * n];
-            Reference.gemm_atb(&a, &b, &mut r, m, k, n);
-            Blocked.gemm_atb(&a, &b, &mut bl, m, k, n);
+            BackendKind::Reference.gemm_atb(&a, &b, &mut r, m, k, n);
+            BackendKind::Blocked.gemm_atb(&a, &b, &mut bl, m, k, n);
             assert_bits_equal(&r, &bl, &format!("gemm_atb {m}x{k}x{n}"));
         }
     }

@@ -66,7 +66,7 @@ impl Tensor {
             .backend()
             .join(weight.backend())
             .join(bias.map_or(self.backend(), |b| b.backend()));
-        kind.imp().conv2d(self, weight, bias, spec).on(kind)
+        kind.conv2d(self, weight, bias, spec).on(kind)
     }
 }
 
@@ -86,7 +86,7 @@ pub fn conv2d_backward(
     spec: Conv2dSpec,
 ) -> (Tensor, Tensor, Tensor) {
     let kind = input.backend().join(weight.backend()).join(grad_out.backend());
-    let (gi, gw, gb) = kind.imp().conv2d_backward(input, weight, grad_out, spec);
+    let (gi, gw, gb) = kind.conv2d_backward(input, weight, grad_out, spec);
     (gi.on(kind), gw.on(kind), gb.on(kind))
 }
 

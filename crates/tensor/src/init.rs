@@ -131,11 +131,6 @@ impl TensorRng {
             items.swap(i, j);
         }
     }
-
-    /// Mutable access to the underlying RNG for ad-hoc draws.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! only the GEMM itself is dispatched to the backend the operands
 //! resolve to (see [`BackendKind::join`](crate::BackendKind::join)).
 
-use crate::backend::Backend;
+use crate::backend::BackendKind;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -30,7 +30,7 @@ impl Tensor {
         );
         let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm(self.data(), rhs.data(), &mut out, m, k, n);
+        kind.gemm(self.data(), rhs.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n]).on(kind)
     }
 
@@ -59,7 +59,7 @@ impl Tensor {
         );
         let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm_abt(self.data(), rhs.data(), &mut out, m, k, n);
+        kind.gemm_abt(self.data(), rhs.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n]).on(kind)
     }
 
@@ -88,7 +88,7 @@ impl Tensor {
         );
         let kind = self.backend().join(rhs.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm_atb(self.data(), rhs.data(), &mut out, m, k, n);
+        kind.gemm_atb(self.data(), rhs.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n]).on(kind)
     }
 
@@ -117,7 +117,7 @@ impl Tensor {
         assert_eq!(bias.shape(), &[n], "matmul_bias bias must be [{n}], got {:?}", bias.shape());
         let kind = self.backend().join(rhs.backend()).join(bias.backend());
         let mut out = vec![0.0f32; m * n];
-        kind.imp().gemm(self.data(), rhs.data(), &mut out, m, k, n);
+        kind.gemm(self.data(), rhs.data(), &mut out, m, k, n);
         for i in 0..m {
             for (o, &bv) in out[i * n..i * n + n].iter_mut().zip(bias.data()) {
                 *o += bv;
@@ -140,7 +140,7 @@ impl Tensor {
         let (b2, k2, n) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm inner dimension mismatch: {:?} x {:?}", self.shape(), rhs.shape());
-        batched(self, rhs, [b, m, k, n], Backend::gemm)
+        batched(self, rhs, [b, m, k, n], BackendKind::gemm)
     }
 
     /// Batched fused `self · rhsᵀ`: `[b, m, c] x [b, n, c] -> [b, m, n]`.
@@ -159,7 +159,7 @@ impl Tensor {
         let (b2, n, k2) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm_abt batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm_abt contraction mismatch: {:?} x {:?}ᵀ", self.shape(), rhs.shape());
-        batched(self, rhs, [b, m, k, n], Backend::gemm_abt)
+        batched(self, rhs, [b, m, k, n], BackendKind::gemm_abt)
     }
 
     /// Batched fused `selfᵀ · rhs`: `[b, c, m] x [b, c, n] -> [b, m, n]`.
@@ -178,7 +178,7 @@ impl Tensor {
         let (b2, k2, n) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
         assert_eq!(b, b2, "bmm_atb batch mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm_atb contraction mismatch: {:?}ᵀ x {:?}", self.shape(), rhs.shape());
-        batched(self, rhs, [b, m, k, n], Backend::gemm_atb)
+        batched(self, rhs, [b, m, k, n], BackendKind::gemm_atb)
     }
 
     /// Transposes the last two dimensions of a 3-D tensor (copying).
@@ -194,7 +194,7 @@ impl Tensor {
 
 /// One of the backend's three GEMM forms (`gemm`, `gemm_abt`,
 /// `gemm_atb`).
-type GemmForm = fn(&'static dyn Backend, &[f32], &[f32], &mut [f32], usize, usize, usize);
+type GemmForm = fn(BackendKind, &[f32], &[f32], &mut [f32], usize, usize, usize);
 
 /// The batch loop of the three `bmm*` forms: entry `bi` of each operand
 /// is one contiguous block (`m·k`, `k·n` and `m·n` elements, whichever
@@ -205,7 +205,7 @@ fn batched(lhs: &Tensor, rhs: &Tensor, [batch, m, k, n]: [usize; 4], gemm: GemmF
     let mut out = vec![0.0f32; batch * m * n];
     for bi in 0..batch {
         gemm(
-            kind.imp(),
+            kind,
             &a[bi * m * k..(bi + 1) * m * k],
             &b[bi * k * n..(bi + 1) * k * n],
             &mut out[bi * m * n..(bi + 1) * m * n],
@@ -222,7 +222,7 @@ mod tests {
     use super::*;
     use crate::assert_close;
     use crate::backend::{
-        assert_bits_equal, buf, gemm_shapes, reference_gemm, reference_transpose, BackendKind,
+        assert_bits_equal, buf, gemm_shapes, reference_gemm, reference_transpose,
     };
     use proptest::prelude::*;
 

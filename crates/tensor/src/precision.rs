@@ -69,18 +69,6 @@ impl Precision {
             }
         }
     }
-
-    /// Relative rounding step near 1.0 (an epsilon-like measure used by
-    /// tests and by the distsim throughput model).
-    pub fn unit_roundoff(self) -> f32 {
-        match self {
-            Precision::Fp32 => f32::EPSILON / 2.0,
-            Precision::Bf16 => 2f32.powi(-8),
-            Precision::Fp16 => 2f32.powi(-11),
-            Precision::Fp8E4M3 => 2f32.powi(-4),
-            Precision::Ternary => 1.0,
-        }
-    }
 }
 
 impl fmt::Display for Precision {

@@ -124,11 +124,6 @@ impl Tensor {
         self.shape.dims()
     }
 
-    /// The shape object (for stride/offset helpers).
-    pub fn shape_obj(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Number of dimensions.
     pub fn ndim(&self) -> usize {
         self.shape.ndim()

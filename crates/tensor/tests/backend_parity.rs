@@ -1,20 +1,17 @@
 //! Differential property tests: wherever two kernels exist, the
 //! `Blocked` backend agrees with `Reference`, across randomized shapes.
 //!
-//! A backend is a serial GEMM kernel and a fan-out rule, so the cases
-//! here are the ops with a GEMM inside — `matmul` and its transposed
-//! and bias forms, `bmm*`, conv2d and its backward. The Blocked kernels
-//! accumulate each output element over the same ascending-k order as
-//! the reference loop, and a fan-out only hands disjoint row bands or
-//! samples to different workers, so for the finite inputs generated
-//! here agreement is *bitwise* — `to_bits()` on the raw f32 data, no
-//! tolerance — on every path: the reference row kernel (`n < 16`), the
-//! direct register-tile GEMM, the packed-panel GEMM (`k·n` above the L1
-//! threshold), and each of them on either side of the fan-out
-//! threshold (`2·m·k·n = 2¹⁸` for a GEMM's row bands, the whole batch's
-//! multiply-adds for a convolution's samples). A tolerance would only
-//! be needed if a kernel reordered summation; this suite is what keeps
-//! that contract honest.
+//! A backend is one serial GEMM kernel, so the cases here are the ops
+//! with a GEMM inside — `matmul` and its transposed and bias forms,
+//! `bmm*`, conv2d and its backward. The Blocked kernels accumulate each
+//! output element over the same ascending-k order as the reference
+//! loop, so for the finite inputs generated here agreement is *bitwise*
+//! — `to_bits()` on the raw f32 data, no tolerance — on every path the
+//! `Blocked` GEMM dispatches to: the reference row kernel (`n < 16`),
+//! the direct register-tile kernel, and the packed-panel kernel (`k·n`
+//! above 8 192 with at least 32 rows), with shapes drawn on both sides
+//! of each of those edges. A tolerance would only be needed if a kernel
+//! reordered summation; this suite is what keeps that contract honest.
 //!
 //! What is *not* here: softmax, log-softmax and `sum_axis` had a
 //! `reductions_agree` case while each backend carried its own copy of
@@ -78,11 +75,12 @@ fn assert_conv_parity(input_shape: [usize; 4], cout: usize, spec: Conv2dSpec, se
     assert_bits_equal("conv2d_backward grad_bias", &rb, &bb);
 }
 
-/// `(m, k, n)`: small and ragged (every serial kernel, `k·n` crossing
-/// the packed-panel threshold), or drawn around `2·m·k·n = 2¹⁸` so some
-/// land on each side of the fan-out threshold.
+/// `(m, k, n)`: small and ragged (the row kernel and the direct kernel,
+/// `n` crossing the 16-wide register tile), or `m` around 32 rows and
+/// `k·n` around 8 192, so some land on each side of the direct/packed
+/// edge.
 fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
-    prop_oneof![(1usize..24, 1usize..96, 1usize..96), (30usize..36, 60usize..68, 60usize..68)]
+    prop_oneof![(1usize..24, 1usize..96, 1usize..96), (28usize..36, 90usize..140, 60usize..100)]
 }
 
 proptest! {
@@ -130,8 +128,8 @@ proptest! {
 
     #[test]
     fn bmm_agrees(b in 1usize..5, (m, k, n) in gemm_shapes(), seed in 0u64..1 << 32) {
-        // Each batch entry is one GEMM under the one rule, so the
-        // entries around the threshold fan out by row bands.
+        // Each batch entry is one GEMM, so the larger shapes reach the
+        // packed kernel per entry.
         let mut rng = TensorRng::new(seed);
         let lhs = tensor(&mut rng, &[b, m, k], BackendKind::Reference);
         let rhs = tensor(&mut rng, &[b, k, n], BackendKind::Reference);
@@ -170,16 +168,16 @@ proptest! {
     }
 
     #[test]
-    fn conv2d_agrees_on_each_side_of_the_fan_out_threshold(
-        (n, extent) in (2usize..5, 6usize..13),
+    fn conv2d_agrees_on_each_side_of_the_packed_panel_edge(
+        (n, cout, extent) in (1usize..3, 28usize..36, 6usize..13),
         seed in 0u64..1 << 32,
     ) {
-        // 8 → 16 channels, 3×3 "same": the batch's `2·n·oc·ckk·oh·ow`
-        // multiply-adds run from 0.17 M to 1.3 M around the 2¹⁸
-        // threshold, so on more than one core `Blocked` loops over the
-        // smaller batches and hands the samples of the larger ones to
-        // the pool. (The random geometries above all stay below it.)
-        assert_conv_parity([n, 8, extent, extent], 16, Conv2dSpec::new(3, 1, 1), seed);
+        // 8 channels in, 3×3 "same": each sample's forward GEMM is
+        // `[cout, 72]·[72, extent²]`, so `cout` straddles the 32-row and
+        // `72·extent²` (2 592 to 10 368) the 8 192-element edge of the
+        // packed kernel, and so does the weight-gradient GEMM. (The
+        // random geometries above all take the row or direct kernel.)
+        assert_conv_parity([n, 8, extent, extent], cout, Conv2dSpec::new(3, 1, 1), seed);
     }
 
     #[test]
