@@ -31,7 +31,16 @@
 //!   explicit sort.
 //! - Operations whose parents are all constants skip recording a
 //!   backward closure entirely, so evaluation-only forward passes build
-//!   no tape.
+//!   no tape; a recorded closure computes a gradient only for the
+//!   parents that need one (the image of a first convolution, the zero
+//!   state of a first LSTM step get none).
+//! - Every gradient that ends in a parameter is off a backward pass's
+//!   critical path, so it is computed and summed on a second thread:
+//!   each training thread gets one gradient worker, which folds those
+//!   gradients in the tape's order while the calling thread walks the
+//!   chain of activation gradients. The order of every addition is the
+//!   serial walk's, so no result bit depends on the worker; a backward
+//!   pass that defers no work never touches it.
 //! - Every op here is one implementation for every tensor backend: the
 //!   crate never reads a tensor's backend tag, so no graph node exists
 //!   on one backend only. A layer is the same composition of these ops
@@ -45,6 +54,7 @@ mod check;
 mod nnops;
 mod ops;
 mod var;
+mod worker;
 
 pub use check::{check_gradients, numeric_gradient};
 pub use var::Var;

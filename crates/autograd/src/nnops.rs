@@ -3,13 +3,15 @@
 
 use crate::var::Var;
 use mlperf_tensor::{
-    avg_pool2d, avg_pool2d_backward, conv2d_backward, max_pool2d, max_pool2d_backward, Conv2dSpec,
-    Tensor,
+    avg_pool2d, avg_pool2d_backward, conv2d_backward_input, conv2d_backward_weight, max_pool2d,
+    max_pool2d_backward, Conv2dSpec, Tensor,
 };
 
 impl Var {
     /// 2-D convolution (NCHW). `bias` is optional; see
-    /// [`Tensor::conv2d`] for shape conventions.
+    /// [`Tensor::conv2d`] for shape conventions. The backward pass runs
+    /// in two halves: the input gradient now, and — when the weight and
+    /// bias are parameters — their gradients on the gradient worker.
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, spec: Conv2dSpec) -> Var {
         let x = self.value_clone();
         let w = weight.value_clone();
@@ -19,40 +21,37 @@ impl Var {
         if let Some(b) = bias {
             parents.push(b.clone());
         }
-        Var::from_op(
-            out,
-            parents,
-            Box::new(move |g| {
-                let (gx, gw, gb) = conv2d_backward(&x, &w, g, spec);
+        Var::from_op(out, parents, move |g, grads| {
+            grads.put(0, || conv2d_backward_input(&x, &w, g, spec));
+            let (x, w, g) = (x.clone(), w.clone(), g.clone());
+            let weight_half = if has_bias { &[1, 2][..] } else { &[1] };
+            grads.put_later(weight_half, move || {
+                let (gw, gb) = conv2d_backward_weight(&x, &w, &g, spec);
                 if has_bias {
-                    vec![Some(gx), Some(gw), Some(gb)]
+                    vec![gw, gb]
                 } else {
-                    vec![Some(gx), Some(gw)]
+                    vec![gw]
                 }
-            }),
-        )
+            });
+        })
     }
 
     /// Max pooling over square windows (NCHW).
     pub fn max_pool2d(&self, spec: Conv2dSpec) -> Var {
         let (out, argmax) = max_pool2d(&self.value(), spec);
         let in_shape = self.shape();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![Some(max_pool2d_backward(g, &argmax, &in_shape))]),
-        )
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || max_pool2d_backward(g, &argmax, &in_shape))
+        })
     }
 
     /// Average pooling over square windows (NCHW).
     pub fn avg_pool2d(&self, spec: Conv2dSpec) -> Var {
         let out = avg_pool2d(&self.value(), spec);
         let in_shape = self.shape();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![Some(avg_pool2d_backward(g, &in_shape, spec))]),
-        )
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || avg_pool2d_backward(g, &in_shape, spec))
+        })
     }
 
     /// Global average pooling: `[n, c, h, w] -> [n, c]`.
@@ -67,31 +66,27 @@ impl Var {
     pub fn softmax_last_axis(&self) -> Var {
         let out = self.value().softmax_last_axis();
         let s = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 // dx = s * (g - sum(g*s, last axis, keepdim))
                 let last = s.ndim() - 1;
                 let dot = (g * &s).sum_axis(last, true);
-                vec![Some(&s * (g - dot.broadcast_to(g.shape())))]
-            }),
-        )
+                &s * (g - dot.broadcast_to(g.shape()))
+            })
+        })
     }
 
     /// Log-softmax along the last axis.
     pub fn log_softmax_last_axis(&self) -> Var {
         let out = self.value().log_softmax_last_axis();
         let softmax = self.value().softmax_last_axis();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 let last = softmax.ndim() - 1;
                 let gsum = g.sum_axis(last, true);
-                vec![Some(g - &softmax * gsum.broadcast_to(g.shape()))]
-            }),
-        )
+                g - &softmax * gsum.broadcast_to(g.shape())
+            })
+        })
     }
 
     /// Mean cross-entropy between logits `[batch, classes]` and integer
@@ -117,10 +112,8 @@ impl Var {
         loss /= batch as f32;
         let softmax = self.value().softmax_last_axis();
         let labels = labels.to_vec();
-        Var::from_op(
-            Tensor::scalar(loss),
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(Tensor::scalar(loss), vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 let scale = g.item() / batch as f32;
                 let mut dx = softmax.clone();
                 let rows = dx.data_mut();
@@ -128,9 +121,9 @@ impl Var {
                     rows[b * classes + l] -= 1.0;
                 }
                 dx.scale_inplace(scale);
-                vec![Some(dx)]
-            }),
-        )
+                dx
+            })
+        })
     }
 
     /// Label-smoothed mean cross-entropy (Szegedy et al., as used by
@@ -162,10 +155,8 @@ impl Var {
         loss /= batch as f32;
         let softmax = self.value().softmax_last_axis();
         let labels = labels.to_vec();
-        Var::from_op(
-            Tensor::scalar(loss),
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(Tensor::scalar(loss), vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 let scale = g.item() / batch as f32;
                 let mut dx = softmax.clone();
                 for (row, &l) in dx.data_mut().chunks_mut(classes).zip(&labels) {
@@ -175,9 +166,9 @@ impl Var {
                     row[l] -= 1.0 - smoothing;
                 }
                 dx.scale_inplace(scale);
-                vec![Some(dx)]
-            }),
-        )
+                dx
+            })
+        })
     }
 
     /// Mean binary cross-entropy between logits and {0,1} targets of the
@@ -197,15 +188,9 @@ impl Var {
         }
         loss /= n;
         let t = targets.clone();
-        Var::from_op(
-            Tensor::scalar(loss),
-            vec![self.clone()],
-            Box::new(move |g| {
-                let scale = g.item() / n;
-                let dx = x.sigmoid().zip_broadcast(&t, |s, t| s - t).scale(scale);
-                vec![Some(dx)]
-            }),
-        )
+        Var::from_op(Tensor::scalar(loss), vec![self.clone()], move |g, grads| {
+            grads.put(0, || x.sigmoid().zip_broadcast(&t, |s, t| s - t).scale(g.item() / n))
+        })
     }
 
     /// Mean squared error against a constant target of the same shape.
@@ -236,24 +221,19 @@ impl Var {
         }
         loss /= n;
         let t = target.clone();
-        Var::from_op(
-            Tensor::scalar(loss),
-            vec![self.clone()],
-            Box::new(move |g| {
-                let scale = g.item() / n;
-                let dx = x
-                    .zip_broadcast(&t, |xi, ti| {
-                        let d = xi - ti;
-                        if d.abs() < 1.0 {
-                            d
-                        } else {
-                            d.signum()
-                        }
-                    })
-                    .scale(scale);
-                vec![Some(dx)]
-            }),
-        )
+        Var::from_op(Tensor::scalar(loss), vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
+                x.zip_broadcast(&t, |xi, ti| {
+                    let d = xi - ti;
+                    if d.abs() < 1.0 {
+                        d
+                    } else {
+                        d.signum()
+                    }
+                })
+                .scale(g.item() / n)
+            })
+        })
     }
 
     /// Applies a fixed 0/1 mask scaled by `1/keep_prob` — inverted

@@ -8,22 +8,20 @@ impl Var {
     pub fn add(&self, rhs: &Var) -> Var {
         let out = &*self.value() + &*rhs.value();
         let (sa, sb) = (self.shape(), rhs.shape());
-        Var::from_op(
-            out,
-            vec![self.clone(), rhs.clone()],
-            Box::new(move |g| vec![Some(g.sum_to(&sa)), Some(g.sum_to(&sb))]),
-        )
+        Var::from_op(out, vec![self.clone(), rhs.clone()], move |g, grads| {
+            grads.put(0, || g.sum_to(&sa));
+            grads.put(1, || g.sum_to(&sb));
+        })
     }
 
     /// Elementwise subtraction with broadcasting.
     pub fn sub(&self, rhs: &Var) -> Var {
         let out = &*self.value() - &*rhs.value();
         let (sa, sb) = (self.shape(), rhs.shape());
-        Var::from_op(
-            out,
-            vec![self.clone(), rhs.clone()],
-            Box::new(move |g| vec![Some(g.sum_to(&sa)), Some((-g).sum_to(&sb))]),
-        )
+        Var::from_op(out, vec![self.clone(), rhs.clone()], move |g, grads| {
+            grads.put(0, || g.sum_to(&sa));
+            grads.put(1, || (-g).sum_to(&sb));
+        })
     }
 
     /// Elementwise multiplication with broadcasting.
@@ -32,11 +30,10 @@ impl Var {
         let b = rhs.value_clone();
         let out = &a * &b;
         let (sa, sb) = (self.shape(), rhs.shape());
-        Var::from_op(
-            out,
-            vec![self.clone(), rhs.clone()],
-            Box::new(move |g| vec![Some((g * &b).sum_to(&sa)), Some((g * &a).sum_to(&sb))]),
-        )
+        Var::from_op(out, vec![self.clone(), rhs.clone()], move |g, grads| {
+            grads.put(0, || (g * &b).sum_to(&sa));
+            grads.put(1, || (g * &a).sum_to(&sb));
+        })
     }
 
     /// Elementwise division with broadcasting.
@@ -45,118 +42,94 @@ impl Var {
         let b = rhs.value_clone();
         let out = &a / &b;
         let (sa, sb) = (self.shape(), rhs.shape());
-        Var::from_op(
-            out,
-            vec![self.clone(), rhs.clone()],
-            Box::new(move |g| {
-                let ga = (g / &b).sum_to(&sa);
-                let gb = (-(g * &a) / (&b * &b)).sum_to(&sb);
-                vec![Some(ga), Some(gb)]
-            }),
-        )
+        Var::from_op(out, vec![self.clone(), rhs.clone()], move |g, grads| {
+            grads.put(0, || (g / &b).sum_to(&sa));
+            grads.put(1, || (-(g * &a) / (&b * &b)).sum_to(&sb));
+        })
     }
 
     /// Negation.
     pub fn neg(&self) -> Var {
         let out = -&*self.value();
-        Var::from_op(out, vec![self.clone()], Box::new(|g| vec![Some(-g)]))
+        Var::from_op(out, vec![self.clone()], |g, grads| grads.put(0, || -g))
     }
 
     /// Multiplication by a scalar.
     pub fn scale(&self, s: f32) -> Var {
         let out = self.value().scale(s);
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![Some(g.scale(s))]))
+        Var::from_op(out, vec![self.clone()], move |g, grads| grads.put(0, || g.scale(s)))
     }
 
     /// Addition of a scalar.
     pub fn add_scalar(&self, s: f32) -> Var {
         let out = self.value().add_scalar(s);
-        Var::from_op(out, vec![self.clone()], Box::new(|g| vec![Some(g.clone())]))
+        Var::from_op(out, vec![self.clone()], |g, grads| grads.put(0, || g.clone()))
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
         let a = self.value_clone();
         let out = a.square();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![Some(g * a.scale(2.0))]))
+        Var::from_op(out, vec![self.clone()], move |g, grads| grads.put(0, || g * a.scale(2.0)))
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
         let out = self.value().sqrt();
         let o = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![Some(g * o.scale(2.0).recip())]),
-        )
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || g * o.scale(2.0).recip())
+        })
     }
 
     /// Elementwise natural exponential.
     pub fn exp(&self) -> Var {
         let out = self.value().exp();
         let o = out.clone();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![Some(g * &o)]))
+        Var::from_op(out, vec![self.clone()], move |g, grads| grads.put(0, || g * &o))
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Var {
         let a = self.value_clone();
         let out = a.ln();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![Some(g * a.recip())]))
+        Var::from_op(out, vec![self.clone()], move |g, grads| grads.put(0, || g * a.recip()))
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
         let a = self.value_clone();
         let out = a.relu();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
-                let mask = a.map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                vec![Some(g * mask)]
-            }),
-        )
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || g * a.map(|x| if x > 0.0 { 1.0 } else { 0.0 }))
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
         let out = self.value().sigmoid();
         let o = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
-                let ds = o.zip_broadcast(&o, |s, _| s * (1.0 - s));
-                vec![Some(g * ds)]
-            }),
-        )
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || g * o.zip_broadcast(&o, |s, _| s * (1.0 - s)))
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
         let out = self.value().tanh();
         let o = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
-                let dt = o.map(|t| 1.0 - t * t);
-                vec![Some(g * dt)]
-            }),
-        )
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || g * o.map(|t| 1.0 - t * t))
+        })
     }
 
     /// Sum of all elements, as a scalar node.
     pub fn sum(&self) -> Var {
         let out = Tensor::scalar(self.value().sum());
         let shape = self.shape();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![Some(Tensor::full(&shape, g.item()))]),
-        )
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || Tensor::full(&shape, g.item()))
+        })
     }
 
     /// Mean of all elements, as a scalar node.
@@ -170,19 +143,16 @@ impl Var {
     pub fn sum_axis(&self, axis: usize, keepdim: bool) -> Var {
         let out = self.value().sum_axis(axis, keepdim);
         let in_shape = self.shape();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 // Re-insert the axis if it was squeezed, then broadcast.
                 let mut gshape = g.shape().to_vec();
                 if gshape.len() != in_shape.len() {
                     gshape.insert(axis, 1);
                 }
-                let g = g.reshape(&gshape);
-                vec![Some(g.broadcast_to(&in_shape))]
-            }),
-        )
+                g.reshape(&gshape).broadcast_to(&in_shape)
+            })
+        })
     }
 
     /// Mean along `axis`.
@@ -195,13 +165,13 @@ impl Var {
     pub fn reshape(&self, shape: &[usize]) -> Var {
         let out = self.value().reshape(shape);
         let in_shape = self.shape();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![Some(g.reshape(&in_shape))]))
+        Var::from_op(out, vec![self.clone()], move |g, grads| grads.put(0, || g.reshape(&in_shape)))
     }
 
     /// 2-D transpose.
     pub fn transpose(&self) -> Var {
         let out = self.value().transpose();
-        Var::from_op(out, vec![self.clone()], Box::new(|g| vec![Some(g.transpose())]))
+        Var::from_op(out, vec![self.clone()], |g, grads| grads.put(0, || g.transpose()))
     }
 
     /// Permutes dimensions.
@@ -212,19 +182,20 @@ impl Var {
         for (i, &p) in perm.iter().enumerate() {
             inv[p] = i;
         }
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![Some(g.permute(&inv))]))
+        Var::from_op(out, vec![self.clone()], move |g, grads| grads.put(0, || g.permute(&inv)))
     }
 
-    /// Matrix multiplication of 2-D nodes.
+    /// Matrix multiplication of 2-D nodes. When `rhs` is a parameter,
+    /// its gradient `selfᵀ · g` is computed on the gradient worker.
     pub fn matmul(&self, rhs: &Var) -> Var {
         let a = self.value_clone();
         let b = rhs.value_clone();
         let out = a.matmul(&b);
-        Var::from_op(
-            out,
-            vec![self.clone(), rhs.clone()],
-            Box::new(move |g| vec![Some(g.matmul_abt(&b)), Some(a.matmul_atb(g))]),
-        )
+        Var::from_op(out, vec![self.clone(), rhs.clone()], move |g, grads| {
+            grads.put(0, || g.matmul_abt(&b));
+            let (a, g) = (a.clone(), g.clone());
+            grads.put_later(&[1], move || vec![a.matmul_atb(&g)]);
+        })
     }
 
     /// Fused affine map `self · rhs + bias` (dense-layer forward) —
@@ -235,13 +206,11 @@ impl Var {
         let b = rhs.value_clone();
         let bias_shape = bias.shape();
         let out = a.matmul_bias(&b, &bias.value());
-        Var::from_op(
-            out,
-            vec![self.clone(), rhs.clone(), bias.clone()],
-            Box::new(move |g| {
-                vec![Some(g.matmul_abt(&b)), Some(a.matmul_atb(g)), Some(g.sum_to(&bias_shape))]
-            }),
-        )
+        Var::from_op(out, vec![self.clone(), rhs.clone(), bias.clone()], move |g, grads| {
+            grads.put(0, || g.matmul_abt(&b));
+            let (a, g, bias_shape) = (a.clone(), g.clone(), bias_shape.clone());
+            grads.put_later(&[1, 2], move || vec![a.matmul_atb(&g), g.sum_to(&bias_shape)]);
+        })
     }
 
     /// Batched matrix multiplication of 3-D nodes.
@@ -249,11 +218,10 @@ impl Var {
         let a = self.value_clone();
         let b = rhs.value_clone();
         let out = a.bmm(&b);
-        Var::from_op(
-            out,
-            vec![self.clone(), rhs.clone()],
-            Box::new(move |g| vec![Some(g.bmm_abt(&b)), Some(a.bmm_atb(g))]),
-        )
+        Var::from_op(out, vec![self.clone(), rhs.clone()], move |g, grads| {
+            grads.put(0, || g.bmm_abt(&b));
+            grads.put(1, || a.bmm_atb(g));
+        })
     }
 
     /// Narrow along an axis (the gradient scatters back into a
@@ -261,15 +229,13 @@ impl Var {
     pub fn narrow(&self, axis: usize, start: usize, len: usize) -> Var {
         let out = self.value().narrow(axis, start, len);
         let in_shape = self.shape();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 let mut full = Tensor::zeros(&in_shape);
                 scatter_narrow(&mut full, g, axis, start);
-                vec![Some(full)]
-            }),
-        )
+                full
+            })
+        })
     }
 
     /// Concatenates nodes along `axis`.
@@ -284,19 +250,13 @@ impl Var {
         let out = Tensor::concat(&refs, axis);
         let extents: Vec<usize> = values.iter().map(|t| t.shape()[axis]).collect();
         let parents: Vec<Var> = vars.iter().map(|&v| v.clone()).collect();
-        Var::from_op(
-            out,
-            parents,
-            Box::new(move |g| {
-                let mut grads = Vec::with_capacity(extents.len());
-                let mut start = 0;
-                for &e in &extents {
-                    grads.push(Some(g.narrow(axis, start, e)));
-                    start += e;
-                }
-                grads
-            }),
-        )
+        Var::from_op(out, parents, move |g, grads| {
+            let mut start = 0;
+            for (i, &e) in extents.iter().enumerate() {
+                grads.put(i, || g.narrow(axis, start, e));
+                start += e;
+            }
+        })
     }
 
     /// Gathers rows of a 2-D node (embedding lookup). The gradient
@@ -305,10 +265,8 @@ impl Var {
         let out = self.value().gather_rows(indices);
         let idx = indices.to_vec();
         let in_shape = self.shape();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 let cols = in_shape[1];
                 let mut full = Tensor::zeros(&in_shape);
                 let (dst, src) = (full.data_mut(), g.data());
@@ -317,9 +275,9 @@ impl Var {
                         dst[i * cols + c] += src[r * cols + c];
                     }
                 }
-                vec![Some(full)]
-            }),
-        )
+                full
+            })
+        })
     }
 
     /// Gathers arbitrary flat elements into a 1-D node; the gradient
@@ -328,25 +286,23 @@ impl Var {
         let out = self.value().gather_flat(indices);
         let idx = indices.to_vec();
         let in_shape = self.shape();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
+        Var::from_op(out, vec![self.clone()], move |g, grads| {
+            grads.put(0, || {
                 let mut full = Tensor::zeros(&in_shape);
                 let dst = full.data_mut();
                 for (&i, &gv) in idx.iter().zip(g.data()) {
                     dst[i] += gv;
                 }
-                vec![Some(full)]
-            }),
-        )
+                full
+            })
+        })
     }
 
     /// Broadcasts to a larger shape (gradient sums back).
     pub fn broadcast_to(&self, dims: &[usize]) -> Var {
         let out = self.value().broadcast_to(dims);
         let in_shape = self.shape();
-        Var::from_op(out, vec![self.clone()], Box::new(move |g| vec![Some(g.sum_to(&in_shape))]))
+        Var::from_op(out, vec![self.clone()], move |g, grads| grads.put(0, || g.sum_to(&in_shape)))
     }
 }
 

@@ -1,5 +1,20 @@
 //! The [`Var`] graph node and the backward pass.
+//!
+//! A backward pass walks the tape once, in descending node id — a valid
+//! reverse topological order, because a node's parents exist before it
+//! — on the calling thread. Each node's closure hands its parents their
+//! gradients through [`Grads`]: an activation's gradient is summed into
+//! the walk's map on the spot, and every gradient whose destination is
+//! a trainable leaf goes to the thread's gradient worker
+//! (`worker.rs`) as one ordered stream, either computed or as a job on
+//! owned tensors. The worker folds the stream per leaf in the tape's
+//! order, and the join at the end of the pass moves each sum into its
+//! leaf. Which thread computes a term does not matter: the order of
+//! every addition is the serial walk's, so no result bit depends on
+//! the worker. That serial walk survives as the `#[cfg(test)]` oracle
+//! `backward_serial`, and the tests hold the tape to it to the bit.
 
+use crate::worker::LeafStream;
 use mlperf_tensor::Tensor;
 use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
@@ -9,11 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
-/// The backward closure of an operation: maps the gradient flowing into
-/// the node to one optional gradient per parent (in parent order).
-/// `None` means "no gradient for this parent" (e.g. integer-indexed
-/// inputs).
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>>>;
+/// The backward closure of an operation: given the gradient flowing
+/// into the node, it hands each parent that needs a gradient its
+/// gradient through [`Grads`], in parent order.
+pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &mut Grads<'_>)>;
 
 pub(crate) struct Recorded {
     pub parents: Vec<Var>,
@@ -68,12 +82,30 @@ impl Var {
     ///
     /// If no parent requires gradients the tape entry is elided and the
     /// result is a plain constant.
-    pub(crate) fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
+    pub(crate) fn from_op(
+        value: Tensor,
+        parents: Vec<Var>,
+        backward: impl Fn(&Tensor, &mut Grads<'_>) + 'static,
+    ) -> Var {
         let requires = parents.iter().any(|p| p.inner.requires_grad);
         if requires {
-            Var::make(value, true, Some(Recorded { parents, backward }))
+            Var::make(value, true, Some(Recorded { parents, backward: Box::new(backward) }))
         } else {
             Var::make(value, false, None)
+        }
+    }
+
+    /// A trainable leaf (a [`Var::param`]): gradient sums end here.
+    fn is_leaf(&self) -> bool {
+        self.inner.requires_grad && self.inner.op.is_none()
+    }
+
+    /// Adds one backward pass's gradient sum into the leaf's slot.
+    fn accumulate(&self, sum: Tensor) {
+        let mut slot = self.inner.grad.borrow_mut();
+        match slot.as_mut() {
+            Some(existing) => existing.axpy(1.0, &sum),
+            None => *slot = Some(sum),
         }
     }
 
@@ -155,8 +187,27 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics if `seed`'s shape differs from the node's value shape.
+    /// Panics if `seed`'s shape differs from the node's value shape, and
+    /// with the original payload if a gradient computation panics — on
+    /// this thread or on the gradient worker.
     pub fn backward_with(&self, seed: Tensor) {
+        let mut leaves = Leaves::default();
+        self.walk(seed, Some(&mut leaves));
+        leaves.finish();
+    }
+
+    /// The serial walk the tape is held to: every gradient computed on
+    /// the calling thread, a leaf's contributions summed in the walk's
+    /// map like an activation's and added into its slot when the walk
+    /// reaches it.
+    #[cfg(test)]
+    pub(crate) fn backward_serial(&self, seed: Tensor) {
+        self.walk(seed, None);
+    }
+
+    /// One pass over the tape. With `leaves`, gradients bound for a
+    /// trainable leaf go to its stream; without, they stay in the map.
+    fn walk(&self, seed: Tensor, mut leaves: Option<&mut Leaves>) {
         assert_eq!(seed.shape(), &self.shape()[..], "backward seed shape mismatch");
         if !self.inner.requires_grad {
             return;
@@ -180,43 +231,137 @@ impl Var {
         let mut order: Vec<u64> = reachable.keys().copied().collect();
         order.sort_unstable_by(|a, b| b.cmp(a));
 
-        let mut grads: HashMap<u64, Tensor> = HashMap::new();
-        grads.insert(self.inner.id, seed);
+        let mut acts: HashMap<u64, Tensor> = HashMap::new();
+        acts.insert(self.inner.id, seed);
         for id in order {
             let node = &reachable[&id];
-            let Some(grad) = grads.remove(&id) else {
+            let Some(grad) = acts.remove(&id) else {
                 continue;
             };
             match &node.inner.op {
-                None => {
-                    // Trainable leaf: accumulate.
-                    let mut slot = node.inner.grad.borrow_mut();
-                    match slot.as_mut() {
-                        Some(existing) => existing.axpy(1.0, &grad),
-                        None => *slot = Some(grad),
-                    }
-                }
-                Some(op) => {
-                    let parent_grads = (op.backward)(&grad);
-                    assert_eq!(
-                        parent_grads.len(),
-                        op.parents.len(),
-                        "backward closure returned wrong arity"
-                    );
-                    for (p, g) in op.parents.iter().zip(parent_grads) {
-                        let Some(g) = g else { continue };
-                        if !p.inner.requires_grad {
-                            continue;
-                        }
-                        debug_assert_eq!(
-                            g.shape(),
-                            &p.shape()[..],
-                            "gradient shape mismatch for parent {}",
-                            p.inner.id
-                        );
-                        grads.entry(p.inner.id).and_modify(|acc| acc.axpy(1.0, &g)).or_insert(g);
-                    }
-                }
+                // A leaf is in the map only as the root, or in the
+                // serial walk.
+                None => match leaves.as_deref_mut() {
+                    Some(leaves) => leaves.ready(node, grad),
+                    None => node.accumulate(grad),
+                },
+                Some(op) => (op.backward)(
+                    &grad,
+                    &mut Grads {
+                        parents: &op.parents,
+                        acts: &mut acts,
+                        leaves: leaves.as_deref_mut(),
+                    },
+                ),
+            }
+        }
+    }
+}
+
+/// A backward closure's view of its node's parents: which need a
+/// gradient, and where each gradient goes.
+pub(crate) struct Grads<'a> {
+    parents: &'a [Var],
+    /// The walk's activation gradients, by node id.
+    acts: &'a mut HashMap<u64, Tensor>,
+    leaves: Option<&'a mut Leaves>,
+}
+
+impl Grads<'_> {
+    /// Whether parent `i` needs a gradient (constants do not).
+    fn wants(&self, i: usize) -> bool {
+        self.parents[i].inner.requires_grad
+    }
+
+    /// Gives parent `i` the gradient `grad` computes now, if it needs
+    /// one.
+    pub(crate) fn put(&mut self, i: usize, grad: impl FnOnce() -> Tensor) {
+        if self.wants(i) {
+            let grad = grad();
+            self.route(i, grad);
+        }
+    }
+
+    /// Gives each of `parents` that needs one its gradient, the
+    /// matching tensor of what `job` returns. When every such parent is
+    /// a trainable leaf, `job` runs on the gradient worker while the
+    /// walk goes on; otherwise it runs now.
+    pub(crate) fn put_later(
+        &mut self,
+        parents: &[usize],
+        job: impl FnOnce() -> Vec<Tensor> + Send + 'static,
+    ) {
+        let wanted: Vec<usize> = parents.iter().copied().filter(|&i| self.wants(i)).collect();
+        if wanted.is_empty() {
+            return;
+        }
+        if let Some(leaves) = self.leaves.as_deref_mut() {
+            if wanted.iter().all(|&i| self.parents[i].is_leaf()) {
+                let slots = parents
+                    .iter()
+                    .map(|&i| wanted.contains(&i).then(|| leaves.slot(&self.parents[i])))
+                    .collect();
+                leaves.stream.defer(slots, Box::new(job));
+                return;
+            }
+        }
+        for (&i, grad) in parents.iter().zip(job()) {
+            if self.wants(i) {
+                self.route(i, grad);
+            }
+        }
+    }
+
+    fn route(&mut self, i: usize, grad: Tensor) {
+        let parent = &self.parents[i];
+        debug_assert_eq!(
+            grad.shape(),
+            &parent.shape()[..],
+            "gradient shape mismatch for parent {}",
+            parent.inner.id
+        );
+        match self.leaves.as_deref_mut() {
+            Some(leaves) if parent.is_leaf() => leaves.ready(parent, grad),
+            _ => {
+                self.acts
+                    .entry(parent.inner.id)
+                    .and_modify(|acc| acc.axpy(1.0, &grad))
+                    .or_insert(grad);
+            }
+        }
+    }
+}
+
+/// The trainable leaves one backward pass reaches: one accumulator slot
+/// each, in order of first contribution, and the stream that fills
+/// them.
+#[derive(Default)]
+struct Leaves {
+    slots: HashMap<u64, usize>,
+    vars: Vec<Var>,
+    stream: LeafStream,
+}
+
+impl Leaves {
+    fn slot(&mut self, leaf: &Var) -> usize {
+        let vars = &mut self.vars;
+        *self.slots.entry(leaf.inner.id).or_insert_with(|| {
+            vars.push(leaf.clone());
+            vars.len() - 1
+        })
+    }
+
+    fn ready(&mut self, leaf: &Var, grad: Tensor) {
+        let slot = self.slot(leaf);
+        self.stream.ready(slot, grad);
+    }
+
+    /// Joins the stream and adds each leaf's sum into its slot.
+    fn finish(self) {
+        let sums = self.stream.finish();
+        for (leaf, sum) in self.vars.iter().zip(sums) {
+            if let Some(sum) = sum {
+                leaf.accumulate(sum);
             }
         }
     }

@@ -22,18 +22,22 @@
 //!   (outputs narrower than a register tile), a register-tiled direct
 //!   kernel and a cache-blocked packed-panel kernel.
 //!
-//! Every kernel runs on the calling thread, on both backends. This crate
-//! does not depend on the worker pool: a pool call spawns and joins
-//! threads, which at these shapes costs more than the GEMM it would
-//! split. Parallelism belongs at the grain of a training step (ROADMAP
-//! item 12), not inside a kernel.
+//! Kernels run serially on one thread — whichever thread calls them, on
+//! both backends. This crate spawns no thread and does not depend on
+//! the worker pool: a pool call spawns and joins threads, which at these
+//! shapes costs more than the GEMM it would split. Parallelism enters a
+//! training step above the kernels: `mlperf-autograd`'s gradient worker
+//! runs the parameter-gradient kernels of a backward pass on a second
+//! thread, which is why a [`Tensor`](crate::Tensor) is `Send + Sync`.
 //!
 //! Everything else is written once on top of the GEMM, for every
 //! backend: the transposed forms `gemm_abt` / `gemm_atb` (transpose,
 //! then the serial kernel — a strided no-copy tile kernel was tried and
 //! lost on every training shape, because reading `b` with stride `k`
 //! defeats vectorization while the transpose costs one linear pass) and
-//! the convolution driver here; the batch loop of `bmm*` and the bias
+//! the convolution driver here, whose backward comes in two halves (the
+//! input gradient, and the weight and bias gradients) so the tape can
+//! run them on different threads; the batch loop of `bmm*` and the bias
 //! rows of `matmul_bias` in `matmul.rs`; softmax, log-softmax and the
 //! axis sum in `reduce.rs`, which are plain serial loops that never see
 //! a backend at all.
@@ -161,10 +165,10 @@ pub fn default_backend() -> BackendKind {
     }
 }
 
-/// The kernels, all on the calling thread. All GEMM-family methods
-/// assume `out` is zero-filled (callers allocate with `vec![0.0; ..]`)
-/// and may either accumulate into it or overwrite it — the two are
-/// indistinguishable under that contract.
+/// The kernels, each serial on the thread that calls it. All
+/// GEMM-family methods assume `out` is zero-filled (callers allocate
+/// with `vec![0.0; ..]`) and may either accumulate into it or overwrite
+/// it — the two are indistinguishable under that contract.
 impl BackendKind {
     /// `out += a[m,k] · b[k,n]`, `out` pre-zeroed: the one place the two
     /// backends differ.
@@ -238,49 +242,60 @@ impl BackendKind {
         Tensor::from_vec(out, &[g.n, g.oc, g.oh, g.ow])
     }
 
-    /// Full conv2d backward: `(grad_input, grad_weight, grad_bias)`.
-    pub(crate) fn conv2d_backward(
+    /// The input half of conv2d backward: `grad_input`, per sample
+    /// `gemm_atb(weight, go)` scattered back by `col2im`. It never lowers
+    /// the input, and it transposes the weight once for every sample —
+    /// the same transpose `gemm_atb` would redo per sample, so the same
+    /// arithmetic.
+    pub(crate) fn conv2d_backward_input(
         self,
         input: &Tensor,
         weight: &Tensor,
         grad_out: &Tensor,
         spec: Conv2dSpec,
-    ) -> (Tensor, Tensor, Tensor) {
-        let g = ConvGeometry::new(input, weight, spec);
+    ) -> Tensor {
+        let g = ConvGeometry::backward(input, weight, grad_out, spec);
         let (chw, ckk, ohow) = (g.dims.iter().product::<usize>(), g.ckk, g.ohow);
-        assert_eq!(
-            grad_out.shape(),
-            &[g.n, g.oc, g.oh, g.ow],
-            "grad_out shape mismatch in conv2d_backward"
-        );
         let mut grad_in = vec![0.0f32; g.n * chw];
-        let mut grad_w = vec![0.0f32; g.oc * ckk];
-        let mut grad_b = vec![0.0f32; g.oc];
-        // Serial over samples — the per-sample `grad_w` accumulation
-        // order is part of the numerical contract — with one `cols`,
-        // `gw` and `dcols` scratch reused across all of them.
-        let mut cols = Vec::new();
-        let mut gw = vec![0.0f32; g.oc * ckk];
+        let weight_t = transpose(weight.data(), g.oc, ckk);
         let mut dcols = vec![0.0f32; ckk * ohow];
         for ni in 0..g.n {
-            let go = &grad_out.data()[ni * g.oc * ohow..(ni + 1) * g.oc * ohow];
+            dcols.fill(0.0);
+            self.gemm(&weight_t, g.grad_out(grad_out, ni), &mut dcols, ckk, g.oc, ohow);
+            col2im_one(&dcols, &mut grad_in[ni * chw..(ni + 1) * chw], g.dims, spec);
+        }
+        Tensor::from_vec(grad_in, input.shape())
+    }
+
+    /// The weight half of conv2d backward: `(grad_weight, grad_bias)`.
+    /// Serial over samples — the per-sample `grad_w` accumulation order
+    /// is part of the numerical contract — with one `cols` and `gw`
+    /// scratch reused across all of them.
+    pub(crate) fn conv2d_backward_weight(
+        self,
+        input: &Tensor,
+        weight: &Tensor,
+        grad_out: &Tensor,
+        spec: Conv2dSpec,
+    ) -> (Tensor, Tensor) {
+        let g = ConvGeometry::backward(input, weight, grad_out, spec);
+        let (ckk, ohow) = (g.ckk, g.ohow);
+        let mut grad_w = vec![0.0f32; g.oc * ckk];
+        let mut grad_b = vec![0.0f32; g.oc];
+        let mut cols = Vec::new();
+        let mut gw = vec![0.0f32; g.oc * ckk];
+        for ni in 0..g.n {
+            let go = g.grad_out(grad_out, ni);
             gw.fill(0.0);
             self.gemm_abt(go, g.lower(input, ni, &mut cols), &mut gw, g.oc, ohow, ckk);
             for (acc, &v) in grad_w.iter_mut().zip(gw.iter()) {
                 *acc += v;
             }
-            dcols.fill(0.0);
-            self.gemm_atb(weight.data(), go, &mut dcols, ckk, g.oc, ohow);
-            col2im_one(&dcols, &mut grad_in[ni * chw..(ni + 1) * chw], g.dims, spec);
             for (acc, plane) in grad_b.iter_mut().zip(go.chunks_exact(ohow)) {
                 *acc += plane.iter().sum::<f32>();
             }
         }
-        (
-            Tensor::from_vec(grad_in, input.shape()),
-            Tensor::from_vec(grad_w, weight.shape()),
-            Tensor::from_vec(grad_b, &[g.oc]),
-        )
+        (Tensor::from_vec(grad_w, weight.shape()), Tensor::from_vec(grad_b, &[g.oc]))
     }
 }
 
@@ -323,6 +338,24 @@ impl ConvGeometry {
         assert_eq!(kw, spec.kernel, "weight kernel width disagrees with spec");
         let (oh, ow) = (spec.out_extent(h), spec.out_extent(w));
         ConvGeometry { n, dims: [c, h, w], oc, oh, ow, ckk: c * kh * kw, ohow: oh * ow, spec }
+    }
+
+    /// The geometry of a backward half, with `grad_out` checked against
+    /// the forward output shape.
+    fn backward(input: &Tensor, weight: &Tensor, grad_out: &Tensor, spec: Conv2dSpec) -> Self {
+        let g = ConvGeometry::new(input, weight, spec);
+        assert_eq!(
+            grad_out.shape(),
+            &[g.n, g.oc, g.oh, g.ow],
+            "grad_out shape mismatch in conv2d backward"
+        );
+        g
+    }
+
+    /// Sample `ni` of `grad_out` as a `[oc, ohow]` matrix.
+    fn grad_out<'a>(&self, grad_out: &'a Tensor, ni: usize) -> &'a [f32] {
+        let per_sample = self.oc * self.ohow;
+        &grad_out.data()[ni * per_sample..(ni + 1) * per_sample]
     }
 
     /// Sample `ni` in column form `[ckk, ohow]`. The columns of a 1×1,

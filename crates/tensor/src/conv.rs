@@ -70,24 +70,41 @@ impl Tensor {
     }
 }
 
-/// Gradients of [`Tensor::conv2d`] with respect to input, weight and
-/// bias.
-///
-/// Returns `(grad_input, grad_weight, grad_bias)`.
+/// Gradient of [`Tensor::conv2d`] with respect to its input: the input
+/// half of the backward pass, which never lowers the input. Only
+/// `input`'s shape is read.
 ///
 /// # Panics
 ///
 /// Panics on the rank or channel mismatches [`Tensor::conv2d`] rejects,
 /// or if `grad_out` does not have the forward output shape.
-pub fn conv2d_backward(
+pub fn conv2d_backward_input(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: Conv2dSpec,
-) -> (Tensor, Tensor, Tensor) {
+) -> Tensor {
     let kind = input.backend().join(weight.backend()).join(grad_out.backend());
-    let (gi, gw, gb) = kind.conv2d_backward(input, weight, grad_out, spec);
-    (gi.on(kind), gw.on(kind), gb.on(kind))
+    kind.conv2d_backward_input(input, weight, grad_out, spec).on(kind)
+}
+
+/// Gradients of [`Tensor::conv2d`] with respect to weight and bias: the
+/// weight half of the backward pass. Only `weight`'s shape is read.
+///
+/// Returns `(grad_weight, grad_bias)`.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`conv2d_backward_input`].
+pub fn conv2d_backward_weight(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: Conv2dSpec,
+) -> (Tensor, Tensor) {
+    let kind = input.backend().join(weight.backend()).join(grad_out.backend());
+    let (gw, gb) = kind.conv2d_backward_weight(input, weight, grad_out, spec);
+    (gw.on(kind), gb.on(kind))
 }
 
 /// Max pooling over square windows. Returns the pooled tensor and, for
@@ -595,7 +612,8 @@ mod tests {
                 assert_eq!(got.shape(), want.shape(), "{what}");
                 assert_same_bits(got.data(), want.data(), &what);
                 assert_same_bits(x.conv2d(&weight, None, spec).data(), want_plain.data(), &what);
-                let (gi, gw, gb) = conv2d_backward(&x, &weight, &grad_out, spec);
+                let gi = conv2d_backward_input(&x, &weight, &grad_out, spec);
+                let (gw, gb) = conv2d_backward_weight(&x, &weight, &grad_out, spec);
                 assert_eq!((gi.shape(), gw.shape()), (want_gi.shape(), want_gw.shape()), "{what}");
                 assert_same_bits(gi.data(), want_gi.data(), &format!("grad_input {what}"));
                 assert_same_bits(gw.data(), want_gw.data(), &format!("grad_weight {what}"));
@@ -629,12 +647,14 @@ mod tests {
     }
 
     rejects! {
-        backward_rejects_weight_rank: "conv2d weight must be 4-D", |x| conv2d_backward(
+        backward_rejects_weight_rank: "conv2d weight must be 4-D", |x| conv2d_backward_input(
             &x, &Tensor::ones(&[4, 3, 3]), &Tensor::ones(&[2, 4, 5, 5]), Conv2dSpec::new(3, 1, 1));
-        backward_rejects_channel_mismatch: "conv2d channel mismatch", |x| conv2d_backward(
+        backward_rejects_channel_mismatch: "conv2d channel mismatch", |x| conv2d_backward_weight(
             &x, &Tensor::ones(&[4, 2, 3, 3]), &Tensor::ones(&[2, 4, 5, 5]), Conv2dSpec::new(3, 1, 1));
-        backward_rejects_kernel_disagreeing_with_spec: "disagrees with spec", |x| conv2d_backward(
+        backward_rejects_kernel_disagreeing_with_spec: "disagrees with spec", |x| conv2d_backward_input(
             &x, &Tensor::ones(&[4, 3, 3, 3]), &Tensor::ones(&[2, 4, 5, 5]), Conv2dSpec::new(1, 1, 0));
+        backward_rejects_grad_out_shape: "grad_out shape mismatch", |x| conv2d_backward_weight(
+            &x, &Tensor::ones(&[4, 3, 3, 3]), &Tensor::ones(&[2, 4, 4, 5]), Conv2dSpec::new(3, 1, 1));
         forward_rejects_weight_rank: "conv2d weight must be 4-D",
             |x| x.conv2d(&Tensor::ones(&[4, 3, 3]), None, Conv2dSpec::new(3, 1, 1));
         forward_rejects_bias_shape: "conv2d bias must be [4]", |x| x.conv2d(
@@ -705,7 +725,8 @@ mod tests {
         // Loss = sum(conv(x, w)); analytic gradient with grad_out = ones.
         let y = x.conv2d(&w, None, spec);
         let go = Tensor::ones(y.shape());
-        let (gx, gw, _gb) = conv2d_backward(&x, &w, &go, spec);
+        let gx = conv2d_backward_input(&x, &w, &go, spec);
+        let (gw, _gb) = conv2d_backward_weight(&x, &w, &go, spec);
 
         let eps = 1e-2;
         for probe in [0usize, 5, 17, 31] {
@@ -743,7 +764,7 @@ mod tests {
         let spec = Conv2dSpec::new(3, 1, 1);
         let y = x.conv2d(&w, None, spec);
         let go = Tensor::ones(y.shape());
-        let (_, _, gb) = conv2d_backward(&x, &w, &go, spec);
+        let (_, gb) = conv2d_backward_weight(&x, &w, &go, spec);
         // bias gradient = number of output positions summed over batch.
         assert_eq!(gb.data(), &[(2 * 4 * 4) as f32]);
     }

@@ -40,7 +40,8 @@ pub use backend::{
     BackendKind, KernelStats,
 };
 pub use conv::{
-    avg_pool2d, avg_pool2d_backward, conv2d_backward, max_pool2d, max_pool2d_backward, Conv2dSpec,
+    avg_pool2d, avg_pool2d_backward, conv2d_backward_input, conv2d_backward_weight, max_pool2d,
+    max_pool2d_backward, Conv2dSpec,
 };
 pub use init::TensorRng;
 pub use precision::Precision;

@@ -34,6 +34,13 @@ pub struct Tensor {
     backend: BackendKind,
 }
 
+// A tensor crosses threads: `mlperf-autograd` computes parameter
+// gradients on a second thread from tensors the training thread owns.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Tensor>();
+};
+
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
         self.shape == other.shape && self.data == other.data

@@ -3,15 +3,16 @@
 //!
 //! A backend is one serial GEMM kernel, so the cases here are the ops
 //! with a GEMM inside — `matmul` and its transposed and bias forms,
-//! `bmm*`, conv2d and its backward. The Blocked kernels accumulate each
-//! output element over the same ascending-k order as the reference
-//! loop, so for the finite inputs generated here agreement is *bitwise*
-//! — `to_bits()` on the raw f32 data, no tolerance — on every path the
-//! `Blocked` GEMM dispatches to: the reference row kernel (`n < 16`),
-//! the direct register-tile kernel, and the packed-panel kernel (`k·n`
-//! above 8 192 with at least 32 rows), with shapes drawn on both sides
-//! of each of those edges. A tolerance would only be needed if a kernel
-//! reordered summation; this suite is what keeps that contract honest.
+//! `bmm*`, conv2d and its two backward halves. The Blocked kernels
+//! accumulate each output element over the same ascending-k order as
+//! the reference loop, so for the finite inputs generated here
+//! agreement is *bitwise* — `to_bits()` on the raw f32 data, no
+//! tolerance — on every path the `Blocked` GEMM dispatches to: the
+//! reference row kernel (`n < 16`), the direct register-tile kernel,
+//! and the packed-panel kernel (`k·n` above 8 192 with at least 32
+//! rows), with shapes drawn on both sides of each of those edges. A
+//! tolerance would only be needed if a kernel reordered summation; this
+//! suite is what keeps that contract honest.
 //!
 //! What is *not* here: softmax, log-softmax and `sum_axis` had a
 //! `reductions_agree` case while each backend carried its own copy of
@@ -27,7 +28,9 @@
 //! `tests/kernel_backend_parity.rs`, so the Tier-1 `cargo test -q` runs
 //! it too.
 
-use mlperf_tensor::{conv2d_backward, BackendKind, Conv2dSpec, Tensor, TensorRng};
+use mlperf_tensor::{
+    conv2d_backward_input, conv2d_backward_weight, BackendKind, Conv2dSpec, Tensor, TensorRng,
+};
 use proptest::prelude::*;
 
 /// A deterministic tensor with a sprinkling of exact zeros, so the
@@ -49,8 +52,9 @@ fn assert_bits_equal(label: &str, reference: &Tensor, blocked: &Tensor) {
     }
 }
 
-/// Forward (with and without bias) and all three gradients of one
-/// convolution, `Reference` against `Blocked`, to the bit.
+/// Forward (with and without bias) and both backward halves — the input
+/// gradient, and the weight and bias gradients — of one convolution,
+/// `Reference` against `Blocked`, to the bit.
 fn assert_conv_parity(input_shape: [usize; 4], cout: usize, spec: Conv2dSpec, seed: u64) {
     let mut rng = TensorRng::new(seed);
     let input = tensor(&mut rng, &input_shape, BackendKind::Reference);
@@ -68,11 +72,15 @@ fn assert_conv_parity(input_shape: [usize; 4], cout: usize, spec: Conv2dSpec, se
     );
 
     let grad_out = tensor(&mut rng, reference.shape(), BackendKind::Reference);
-    let (ri, rw, rb) = conv2d_backward(&input, &weight, &grad_out, spec);
-    let (bi, bw, bb) = conv2d_backward(&on_blocked, &weight, &grad_out, spec);
-    assert_bits_equal("conv2d_backward grad_input", &ri, &bi);
-    assert_bits_equal("conv2d_backward grad_weight", &rw, &bw);
-    assert_bits_equal("conv2d_backward grad_bias", &rb, &bb);
+    let (ri, bi) = (
+        conv2d_backward_input(&input, &weight, &grad_out, spec),
+        conv2d_backward_input(&on_blocked, &weight, &grad_out, spec),
+    );
+    assert_bits_equal("conv2d_backward_input", &ri, &bi);
+    let (rw, rb) = conv2d_backward_weight(&input, &weight, &grad_out, spec);
+    let (bw, bb) = conv2d_backward_weight(&on_blocked, &weight, &grad_out, spec);
+    assert_bits_equal("conv2d_backward_weight grad_weight", &rw, &bw);
+    assert_bits_equal("conv2d_backward_weight grad_bias", &rb, &bb);
 }
 
 /// `(m, k, n)`: small and ragged (the row kernel and the direct kernel,
