@@ -2,7 +2,7 @@
 //! over a persistent, disk-backed round archive.
 //!
 //! ```sh
-//! round_pipeline write  --archive DIR [--rounds N] [--seed N] [--bundles N] [--schema N]
+//! round_pipeline write  --archive DIR [--rounds N] [--seed N] [--bundles N]
 //! round_pipeline ingest --archive DIR [--trace FILE] [--sample N]
 //! round_pipeline migrate --archive DIR
 //! round_pipeline report --archive DIR [--chips N]
@@ -12,18 +12,14 @@
 //! round_pipeline storm [--clients N] [--bundles N] [--round vX.Y] [--seed N]
 //! ```
 //!
-//! Every subcommand accepts `--backend reference|blocked` to pin the
-//! tensor backend the run executes on (default: `reference`).
-//!
 //! `write` generates synthetic multi-vendor rounds (each with a
 //! deliberately corrupted bundle, so ingest has something to
 //! quarantine) and persists them as real `:::MLLOG` log files plus
 //! JSON manifests; `--bundles N` writes stress rounds of N small
-//! single-benchmark bundles instead, for scale runs, and `--schema N`
-//! pins an older manifest schema (for migration fixtures and
-//! compatibility tests). `migrate` rewrites every manifest in an
-//! archive to the current `MANIFEST_SCHEMA` in place — atomically, per
-//! manifest, skipping manifests that are already current and
+//! single-benchmark bundles instead, for scale runs. Every manifest is
+//! written at the current `MANIFEST_SCHEMA`. `migrate` rewrites every
+//! manifest of an older archive to that schema in place — atomically,
+//! per manifest, skipping manifests that are already current and
 //! quarantining unreadable ones as storage faults. `ingest` reads
 //! the archive back, replays review over every round, and reports what
 //! was accepted, quarantined, or damaged on disk, a bounded window of
@@ -90,10 +86,10 @@ use mlperf_service::{http_get, http_post, HttpServer, ServiceCore};
 use mlperf_submission::{
     leaderboards, round_references, run_round_with, scenario_leaderboards, synthetic_round,
     synthetic_stress_round, ArchiveReplay, Fault, RoundArchive, RoundSubmissions,
-    SyntheticRoundSpec, MANIFEST_SCHEMA,
+    SyntheticRoundSpec,
 };
 use mlperf_telemetry::{write_prometheus, write_trace, Reporter, SpanSampling, Telemetry};
-use mlperf_tensor::{enable_kernel_stats, kernel_stats, set_default_backend, BackendKind};
+use mlperf_tensor::{enable_kernel_stats, kernel_stats};
 use serde_json::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -113,9 +109,9 @@ const REPORT_INTERVAL: Duration = Duration::from_millis(250);
 fn usage() -> ExitCode {
     eprintln!(
         "usage: round_pipeline [write|ingest|report|migrate|demo|loadgen|serve|storm] \
-         [--archive DIR] [--rounds N] [--seed N] [--bundles N] [--chips N] [--schema N] \
+         [--archive DIR] [--rounds N] [--seed N] [--bundles N] [--chips N] \
          [--trace FILE] [--metrics FILE] [--progress] [--sample N] \
-         [--log-dir DIR] [--backend reference|blocked] [--addr HOST:PORT] [--clients N] \
+         [--log-dir DIR] [--addr HOST:PORT] [--clients N] \
          [--round vX.Y]"
     );
     ExitCode::FAILURE
@@ -133,9 +129,6 @@ struct Args {
     /// Figure 4 anchor; `None` means the history's data-driven
     /// common scale.
     chips: Option<usize>,
-    /// `write`: pin this manifest schema instead of the current one
-    /// (migration fixtures, compatibility tests).
-    schema: Option<u64>,
     trace: Option<PathBuf>,
     /// Write a Prometheus text-exposition snapshot here at exit.
     metrics: Option<PathBuf>,
@@ -145,8 +138,6 @@ struct Args {
     sample: Option<u64>,
     /// `loadgen`: also write each scenario's raw `:::MLLOG` log here.
     log_dir: Option<PathBuf>,
-    /// Tensor backend the run executes on (process default when unset).
-    backend: Option<BackendKind>,
     /// `serve`: listen address (default 127.0.0.1:8090).
     addr: Option<String>,
     /// `storm`: concurrent submitting clients.
@@ -171,13 +162,11 @@ fn parse_args() -> Option<Args> {
         seed: 21,
         bundles: None,
         chips: None,
-        schema: None,
         trace: None,
         metrics: None,
         progress: false,
         sample: None,
         log_dir: None,
-        backend: None,
         addr: None,
         clients: 8,
         round: None,
@@ -195,12 +184,10 @@ fn parse_args() -> Option<Args> {
             "--seed" => parsed.seed = value.parse().ok()?,
             "--bundles" => parsed.bundles = Some(value.parse().ok()?),
             "--chips" => parsed.chips = Some(value.parse().ok()?),
-            "--schema" => parsed.schema = Some(value.parse().ok()?),
             "--trace" => parsed.trace = Some(PathBuf::from(value)),
             "--metrics" => parsed.metrics = Some(PathBuf::from(value)),
             "--sample" => parsed.sample = Some(value.parse().ok()?),
             "--log-dir" => parsed.log_dir = Some(PathBuf::from(value)),
-            "--backend" => parsed.backend = Some(BackendKind::parse(&value)?),
             "--addr" => parsed.addr = Some(value),
             "--clients" => parsed.clients = value.parse().ok()?,
             "--round" => match value.parse::<Round>() {
@@ -219,10 +206,6 @@ fn parse_args() -> Option<Args> {
     }
     if parsed.bundles == Some(0) || parsed.sample == Some(0) || parsed.clients == 0 {
         eprintln!("--bundles, --sample, and --clients must be positive");
-        return None;
-    }
-    if parsed.schema.is_some_and(|s| !(1..=MANIFEST_SCHEMA).contains(&s)) {
-        eprintln!("--schema must be 1..={MANIFEST_SCHEMA}");
         return None;
     }
     Some(parsed)
@@ -246,16 +229,10 @@ fn write_archive(
     rounds: usize,
     seed: u64,
     bundles: Option<usize>,
-    schema: Option<u64>,
     telemetry: &Telemetry,
 ) -> Result<RoundArchive, String> {
-    let schema = schema.unwrap_or(MANIFEST_SCHEMA);
-    let archive = RoundArchive::create_pinned(dir, schema)
-        .map_err(|e| e.to_string())?
-        .with_telemetry(telemetry.clone());
-    if schema != MANIFEST_SCHEMA {
-        println!("pinning manifest schema {schema} (current is {MANIFEST_SCHEMA})");
-    }
+    let archive =
+        RoundArchive::create(dir).map_err(|e| e.to_string())?.with_telemetry(telemetry.clone());
     for (i, round) in Round::ALL.into_iter().take(rounds).enumerate() {
         let subs = match bundles {
             Some(n) => synthetic_stress_round(round, n, seed + i as u64),
@@ -263,7 +240,7 @@ fn write_archive(
         };
         let logs: usize =
             subs.bundles.iter().flat_map(|b| &b.run_sets).map(|rs| rs.logs.len()).sum();
-        archive.write_round_pinned(&subs, schema).map_err(|e| e.to_string())?;
+        archive.write_round(&subs).map_err(|e| e.to_string())?;
         println!(
             "wrote round {round}: {} bundles, {logs} log files -> {}",
             subs.bundles.len(),
@@ -718,11 +695,7 @@ fn main() -> ExitCode {
     if args.metrics.is_some() {
         enable_kernel_stats();
     }
-    if let Some(kind) = args.backend {
-        set_default_backend(kind);
-    }
-    println!("MLPerf submission-round pipeline (Section 4)");
-    println!("tensor backend: {}\n", mlperf_tensor::default_backend());
+    println!("MLPerf submission-round pipeline (Section 4)\n");
 
     let result = match args.command.as_str() {
         "write" => {
@@ -730,8 +703,7 @@ fn main() -> ExitCode {
                 eprintln!("write requires --archive DIR");
                 return ExitCode::FAILURE;
             };
-            write_archive(dir, args.rounds, args.seed, args.bundles, args.schema, &telemetry)
-                .map(|_| ())
+            write_archive(dir, args.rounds, args.seed, args.bundles, &telemetry).map(|_| ())
         }
         "ingest" => RoundArchive::open(args.archive.clone().unwrap_or_else(|| PathBuf::from(".")))
             .map_err(|e| e.to_string())
@@ -761,8 +733,8 @@ fn main() -> ExitCode {
                 .archive
                 .clone()
                 .unwrap_or_else(|| mlperf_bench::experiments_dir().join("round_archive"));
-            write_archive(&dir, args.rounds, args.seed, args.bundles, args.schema, &telemetry)
-                .and_then(|archive| {
+            write_archive(&dir, args.rounds, args.seed, args.bundles, &telemetry).and_then(
+                |archive| {
                     println!();
                     if telemetry.is_enabled() {
                         demo_harness_run(&telemetry);
@@ -794,7 +766,8 @@ fn main() -> ExitCode {
                     let path = write_json("round_pipeline", &summary);
                     println!("wrote {}", path.display());
                     Ok(())
-                })
+                },
+            )
         }
         "loadgen" => run_loadgen(&args, &telemetry),
         "serve" => run_serve(&args, &telemetry),

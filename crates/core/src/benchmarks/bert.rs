@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, MaskedLmConfig, MaskedSentence, SyntheticMasked
 use mlperf_models::{BertConfig, BertMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x7be2_91a4;
 
@@ -34,7 +34,7 @@ impl BertBenchmark {
             batch_size: 16,
             lr: 0.01,
             warmup_steps: 12,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

@@ -7,7 +7,7 @@ use mlperf_data::{auc, epoch_batches, ClickLogConfig, Impression, SyntheticClick
 use mlperf_models::{DlrmConfig, DlrmMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x1c9d_44f7;
 
@@ -33,7 +33,7 @@ impl DlrmBenchmark {
             batch_size: 64,
             lr: 0.01,
             embed_dim: 8,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

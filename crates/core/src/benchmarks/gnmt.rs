@@ -14,7 +14,7 @@ use mlperf_data::{epoch_batches, SyntheticTranslation, TranslationConfig, Transl
 use mlperf_models::{GnmtConfig, GnmtMini};
 use mlperf_nn::Module;
 use mlperf_optim::{clip_grad_norm, Adam, LrSchedule, MultiStepDecay, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x48d1_59e2; // same corpus as the Transformer row (both use WMT EN-DE)
 
@@ -42,7 +42,7 @@ impl GnmtBenchmark {
             // staircase settles it (the reference similarly decays).
             schedule: MultiStepDecay { base: 0.012, gamma: 0.4, milestones: vec![50, 70] },
             grad_clip: 5.0,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

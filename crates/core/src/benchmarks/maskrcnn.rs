@@ -14,7 +14,7 @@ use mlperf_data::{epoch_batches, DetectionSample, ShapesConfig, SyntheticShapes}
 use mlperf_models::{MaskRcnnConfig, MaskRcnnMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x369c_f258;
 /// Table 1 box threshold.
@@ -44,7 +44,7 @@ impl MaskRcnnBenchmark {
             data_config: ShapesConfig::default(),
             batch_size: 8,
             lr: 0.004,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

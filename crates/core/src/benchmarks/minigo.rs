@@ -15,7 +15,7 @@ use mlperf_data::{epoch_batches, reference_games, GoDataset};
 use mlperf_models::{MiniGoConfig, MiniGoNet};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x6b1d_4e87;
 
@@ -45,7 +45,7 @@ impl MiniGoBenchmark {
             batch_size: 32,
             lr: 0.005,
             games_per_epoch: 4,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             eval_data: None,
             model: None,
             optimizer: None,

@@ -36,16 +36,15 @@ pub use transformer::TransformerBenchmark;
 
 use crate::harness::Benchmark;
 use crate::suite::BenchmarkId;
-use mlperf_tensor::{default_backend, BackendKind};
+use mlperf_tensor::BackendKind;
 
 /// Builds the default-scale implementation of any suite benchmark on
-/// the process-default tensor backend.
+/// the default tensor backend ([`BackendKind::default`]).
 pub fn build(id: BenchmarkId) -> Box<dyn Benchmark> {
-    build_on(id, default_backend())
+    build_on(id, BackendKind::default())
 }
 
-/// Builds the default-scale implementation pinned to a tensor backend,
-/// independent of the process default (safe under concurrent tests).
+/// Builds the default-scale implementation pinned to a tensor backend.
 pub fn build_on(id: BenchmarkId, backend: BackendKind) -> Box<dyn Benchmark> {
     match id {
         BenchmarkId::ImageClassification => Box::new(ResNetBenchmark::new().with_backend(backend)),
@@ -109,11 +108,11 @@ mod tests {
             assert_eq!(b.id(), id);
             assert!(b.target() > 0.0);
             assert!(b.max_epochs() > 0);
-            let pinned = build_on(id, default_backend());
+            let pinned = build_on(id, BackendKind::default());
             assert_eq!(
                 (b.id(), b.target(), b.max_epochs()),
                 (pinned.id(), pinned.target(), pinned.max_epochs()),
-                "{id}: build is build_on at the process default"
+                "{id}: build is build_on at the default backend"
             );
         }
     }

@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, CfConfig, SyntheticCf};
 use mlperf_models::{Ncf, NcfConfig};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x5af0_3c6b;
 
@@ -33,7 +33,7 @@ impl NcfBenchmark {
             batch_size: 64,
             lr: 0.01,
             negatives_per_positive: 2,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

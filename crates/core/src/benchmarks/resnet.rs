@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, Compose, ImageNetConfig, PackedImages, Syntheti
 use mlperf_models::{ResNetConfig, ResNetMini};
 use mlperf_nn::Module;
 use mlperf_optim::{linear_scaled_lr, LrSchedule, MultiStepDecay, Optimizer, SgdTorch};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 /// Seed defining the dataset (shared by every run, like ImageNet).
 const DATASET_SEED: u64 = 0x1357_9bdf;
@@ -45,7 +45,7 @@ impl ResNetBenchmark {
         ResNetBenchmark {
             data_config: ImageNetConfig::default(),
             batch_size,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             packed: None,
             model: None,

@@ -7,7 +7,7 @@ use mlperf_data::{epoch_batches, SpeechConfig, SyntheticSpeech, Utterance};
 use mlperf_models::{RnnTConfig, RnnTMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x93aa_07d1;
 
@@ -33,7 +33,7 @@ impl RnnTBenchmark {
             batch_size: 16,
             lr: 0.01,
             hidden: 16,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

@@ -8,7 +8,7 @@ use mlperf_data::{epoch_batches, DetectionSample, ShapesConfig, SyntheticShapes}
 use mlperf_models::{SsdConfig, SsdMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x2468_ace0;
 
@@ -33,7 +33,7 @@ impl SsdBenchmark {
             data_config: ShapesConfig::default(),
             batch_size: 16,
             lr: 0.004,
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

@@ -14,7 +14,7 @@ use mlperf_data::{epoch_batches, SyntheticTranslation, TranslationConfig, Transl
 use mlperf_models::{TransformerConfig, TransformerMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, LrSchedule, MultiStepDecay, Optimizer};
-use mlperf_tensor::{default_backend, BackendKind, TensorRng};
+use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x48d1_59e2;
 
@@ -38,7 +38,7 @@ impl TransformerBenchmark {
             data_config: TranslationConfig::default(),
             batch_size: 32,
             schedule: MultiStepDecay { base: 0.01, gamma: 0.5, milestones: vec![45] },
-            backend: default_backend(),
+            backend: BackendKind::default(),
             data: None,
             model: None,
             optimizer: None,

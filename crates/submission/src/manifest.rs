@@ -94,12 +94,6 @@ pub fn canonical<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("manifests serialize")
 }
 
-/// Renders a manifest in the legacy pretty-printed schema-1 form (the
-/// shape every pre-migration archive on disk holds).
-pub fn pretty<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("manifests serialize")
-}
-
 impl ArchiveManifest {
     /// Parses an `archive.json`: fast path first, serde as fallback
     /// and reference.
@@ -512,7 +506,7 @@ mod tests {
     #[test]
     fn pretty_rendering_falls_back_to_serde() {
         let bundle = sample_bundle_manifest();
-        let text = pretty(&bundle);
+        let text = serde_json::to_string_pretty(&bundle).unwrap();
         assert_eq!(BundleManifest::parse_fast(&text), None, "fast path is canonical-only");
         assert_eq!(BundleManifest::parse(&text).as_ref(), Ok(&bundle));
     }

@@ -42,7 +42,6 @@ use crate::tables::RoundHistory;
 use mlperf_core::mllog::MlLogger;
 use mlperf_distsim::Round;
 use mlperf_telemetry::{arg, Counter, Telemetry};
-use serde::Serialize;
 use serde_json::{json, Map};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -276,31 +275,14 @@ impl RoundArchive {
     /// written; [`StoreError::NotAnArchive`] / schema errors when
     /// `root` already holds a foreign or newer-schema marker.
     pub fn create(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        RoundArchive::create_pinned(root, MANIFEST_SCHEMA)
-    }
-
-    /// [`RoundArchive::create`] with the marker pinned to an older
-    /// `schema` — how tests and the CI migration smoke lay down a
-    /// genuine schema-1 archive for [`RoundArchive::migrate`] to
-    /// upgrade. Production callers use [`RoundArchive::create`].
-    ///
-    /// # Errors
-    ///
-    /// The same cases as [`RoundArchive::create`].
-    ///
-    /// # Panics
-    ///
-    /// When `schema` is zero or newer than [`MANIFEST_SCHEMA`].
-    pub fn create_pinned(root: impl Into<PathBuf>, schema: u64) -> Result<Self, StoreError> {
-        check_pinned(schema);
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_error(&root, &e))?;
         let marker = root.join("archive.json");
         if marker.exists() {
             return RoundArchive::open(root);
         }
-        let manifest = ArchiveManifest { schema, kind: ARCHIVE_KIND.to_string() };
-        write_atomic(&marker, &render_manifest(schema, &manifest))?;
+        let manifest = ArchiveManifest { schema: MANIFEST_SCHEMA, kind: ARCHIVE_KIND.to_string() };
+        write_atomic(&marker, &manifest::canonical(&manifest))?;
         Ok(RoundArchive { root, telemetry: Telemetry::disabled() })
     }
 
@@ -353,26 +335,6 @@ impl RoundArchive {
     ///
     /// [`StoreError::Io`] when any file cannot be written.
     pub fn write_round(&self, submissions: &RoundSubmissions) -> Result<(), StoreError> {
-        self.write_round_pinned(submissions, MANIFEST_SCHEMA)
-    }
-
-    /// [`RoundArchive::write_round`] with the round's manifests pinned
-    /// to an older `schema` — the fixture writer behind the migration
-    /// tests and the CI migration smoke. Production callers use
-    /// [`RoundArchive::write_round`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when any file cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// When `schema` is zero or newer than [`MANIFEST_SCHEMA`].
-    pub fn write_round_pinned(
-        &self,
-        submissions: &RoundSubmissions,
-        schema: u64,
-    ) -> Result<(), StoreError> {
         let mut scope = self.telemetry.timeline_scope();
         let span = scope.start_with("store", "write_round", || {
             Map::from([
@@ -380,18 +342,13 @@ impl RoundArchive {
                 arg("bundles", json!(submissions.bundles.len())),
             ])
         });
-        let result = self.write_round_inner(submissions, schema);
+        let result = self.write_round_inner(submissions);
         scope.end(span);
         result
     }
 
-    fn write_round_inner(
-        &self,
-        submissions: &RoundSubmissions,
-        schema: u64,
-    ) -> Result<(), StoreError> {
-        let writer =
-            self.open_round_pinned(submissions.round, submissions.references.clone(), schema)?;
+    fn write_round_inner(&self, submissions: &RoundSubmissions) -> Result<(), StoreError> {
+        let writer = self.open_round(submissions.round, submissions.references.clone())?;
         // Directory names are assigned serially in submission order so
         // slug-collision disambiguation lands on the same names the
         // serial writer chose; the (independent) per-bundle directory
@@ -429,26 +386,6 @@ impl RoundArchive {
         round: Round,
         references: Vec<BenchmarkReference>,
     ) -> Result<OpenRoundWriter, StoreError> {
-        self.open_round_pinned(round, references, MANIFEST_SCHEMA)
-    }
-
-    /// [`RoundArchive::open_round`] with the writer's manifests pinned
-    /// to an older `schema` (see [`RoundArchive::write_round_pinned`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the round directory cannot be reset.
-    ///
-    /// # Panics
-    ///
-    /// When `schema` is zero or newer than [`MANIFEST_SCHEMA`].
-    pub fn open_round_pinned(
-        &self,
-        round: Round,
-        references: Vec<BenchmarkReference>,
-        schema: u64,
-    ) -> Result<OpenRoundWriter, StoreError> {
-        check_pinned(schema);
         let round_dir = self.round_dir(round);
         if round_dir.exists() {
             fs::remove_dir_all(&round_dir).map_err(|e| io_error(&round_dir, &e))?;
@@ -458,7 +395,6 @@ impl RoundArchive {
             round_dir,
             round,
             references,
-            schema,
             telemetry: self.telemetry.clone(),
             assigned: Mutex::new(BTreeSet::new()),
         })
@@ -888,10 +824,6 @@ pub struct OpenRoundWriter {
     round_dir: PathBuf,
     round: Round,
     references: Vec<BenchmarkReference>,
-    /// The manifest schema this writer emits: [`MANIFEST_SCHEMA`]
-    /// normally, older when pinned via
-    /// [`RoundArchive::open_round_pinned`].
-    schema: u64,
     telemetry: Telemetry,
     /// Bundle directories already claimed, for slug-collision
     /// disambiguation under concurrent writers.
@@ -963,7 +895,7 @@ impl OpenRoundWriter {
             });
         }
         let manifest = BundleManifest {
-            schema: self.schema,
+            schema: MANIFEST_SCHEMA,
             index,
             org: bundle.org.clone(),
             system: bundle.system.clone(),
@@ -972,7 +904,7 @@ impl OpenRoundWriter {
             system_type: bundle.system_type,
             run_sets,
         };
-        self.write_file(&bundle_dir.join("bundle.json"), &render_manifest(self.schema, &manifest))
+        self.write_file(&bundle_dir.join("bundle.json"), &manifest::canonical(&manifest))
     }
 
     /// Seals the round: writes `round.json`, after which readers treat
@@ -983,14 +915,11 @@ impl OpenRoundWriter {
     /// [`StoreError::Io`] when the manifest cannot be written.
     pub fn finalize(&self) -> Result<(), StoreError> {
         let manifest = RoundManifest {
-            schema: self.schema,
+            schema: MANIFEST_SCHEMA,
             round: self.round,
             references: self.references.clone(),
         };
-        self.write_file(
-            &self.round_dir.join("round.json"),
-            &render_manifest(self.schema, &manifest),
-        )
+        self.write_file(&self.round_dir.join("round.json"), &manifest::canonical(&manifest))
     }
 
     /// [`write_atomic`] plus the `store.bytes_written` counter.
@@ -1443,26 +1372,6 @@ fn check_schema(path: &Path, found: u64) -> Result<(), StoreError> {
         return Err(StoreError::UnsupportedSchema { path: path.to_path_buf(), found });
     }
     Ok(())
-}
-
-/// Renders a manifest at `schema`: canonical single-line form from
-/// schema 2 on, the legacy pretty-printed shape for pinned schema-1
-/// writers (so fixtures are byte-faithful to what old builds wrote).
-fn render_manifest<T: Serialize>(schema: u64, manifest: &T) -> String {
-    if schema >= 2 {
-        manifest::canonical(manifest)
-    } else {
-        manifest::pretty(manifest)
-    }
-}
-
-/// Guards the pinned-writer entry points: a pinned schema must be one
-/// this build knows how to write.
-fn check_pinned(schema: u64) {
-    assert!(
-        (1..=MANIFEST_SCHEMA).contains(&schema),
-        "pinned schema {schema} outside supported range 1..={MANIFEST_SCHEMA}"
-    );
 }
 
 /// Filesystem-safe directory name: lowercase alphanumerics with `-`

@@ -78,50 +78,40 @@
 //! # Selection
 //!
 //! Every tensor carries a [`BackendKind`] tag. Freshly constructed
-//! tensors take the process-global default (see
-//! [`set_default_backend`]); binary operations resolve to
-//! [`BackendKind::join`] of their operands, so a model whose weights
-//! were initialized on `Blocked` pulls the whole training step onto
-//! `Blocked` without any per-callsite changes — activations, gradients
-//! and optimizer state inherit the tag through the ops that produce
-//! them.
+//! tensors take [`BackendKind::default`] (`Reference`); there is no
+//! process-global switch. A tensor moves with [`Tensor::on`], and a
+//! [`crate::TensorRng::with_backend`] stream mints its tensors on one
+//! backend. Binary operations resolve to [`BackendKind::join`] of their
+//! operands, so a model whose weights were initialized on `Blocked`
+//! pulls the whole training step onto `Blocked` without any
+//! per-callsite changes — activations, gradients and optimizer state
+//! inherit the tag through the ops that produce them.
 
 use crate::conv::{col2im_one, im2col_into, nchw, Conv2dSpec};
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Which execution backend a tensor's kernels run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The original scalar arithmetic, verbatim — the numerical
-    /// baseline.
-    Reference = 0,
+    /// baseline, and the tag every new tensor starts with.
+    #[default]
+    Reference,
     /// Register-tiled, cache-blocked kernels that are bit-identical to
     /// [`BackendKind::Reference`] on finite inputs.
-    Blocked = 1,
+    Blocked,
 }
 
 impl BackendKind {
     /// Every backend, for parity sweeps.
     pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Blocked];
 
-    /// Stable lower-case label (`"reference"` / `"blocked"`), also
-    /// accepted by [`BackendKind::parse`] — the CLI `--backend` flag
-    /// round-trips through these.
+    /// Stable lower-case label (`"reference"` / `"blocked"`).
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
             BackendKind::Blocked => "blocked",
-        }
-    }
-
-    /// Parses a [`BackendKind::label`]; `None` for anything else.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "reference" => Some(BackendKind::Reference),
-            "blocked" => Some(BackendKind::Blocked),
-            _ => None,
         }
     }
 
@@ -139,29 +129,6 @@ impl BackendKind {
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Process-global default backend for freshly constructed tensors.
-/// Global (not thread-local) because the harness fans seeds out across
-/// OS threads and all of them must honor one selection.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(BackendKind::Reference as u8);
-
-/// Sets the backend newly constructed tensors (and [`crate::TensorRng`]
-/// streams) default to. The CLI `--backend` flag calls this once at
-/// startup; tests that need a specific backend on one tensor should
-/// prefer [`Tensor::on`], which cannot race with other tests in the
-/// same process.
-pub fn set_default_backend(kind: BackendKind) {
-    DEFAULT_BACKEND.store(kind as u8, Ordering::Relaxed);
-}
-
-/// The current process-global default backend.
-pub fn default_backend() -> BackendKind {
-    if DEFAULT_BACKEND.load(Ordering::Relaxed) == BackendKind::Blocked as u8 {
-        BackendKind::Blocked
-    } else {
-        BackendKind::Reference
     }
 }
 
@@ -838,13 +805,5 @@ mod tests {
         assert_eq!(r.join(b), b);
         assert_eq!(b.join(r), b);
         assert_eq!(b.join(b), b);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("gpu"), None);
     }
 }

@@ -4,7 +4,7 @@
 //! seed so that run-to-run variance (paper §2.2.3) is controlled
 //! entirely by seed choice — identical seeds give identical runs.
 
-use crate::backend::{default_backend, BackendKind};
+use crate::backend::BackendKind;
 use crate::tensor::Tensor;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
@@ -27,10 +27,10 @@ pub struct TensorRng {
 }
 
 impl TensorRng {
-    /// Creates a generator from a 64-bit seed, minting tensors on the
-    /// process-default backend.
+    /// Creates a generator from a 64-bit seed, minting tensors on
+    /// [`BackendKind::default`].
     pub fn new(seed: u64) -> Self {
-        TensorRng { rng: StdRng::seed_from_u64(seed), backend: default_backend() }
+        TensorRng { rng: StdRng::seed_from_u64(seed), backend: BackendKind::default() }
     }
 
     /// Retags the stream so minted tensors land on `kind` (builder

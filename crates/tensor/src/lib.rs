@@ -36,8 +36,7 @@ mod shape;
 mod tensor;
 
 pub use backend::{
-    default_backend, enable_kernel_stats, kernel_stats, reset_kernel_stats, set_default_backend,
-    BackendKind, KernelStats,
+    enable_kernel_stats, kernel_stats, reset_kernel_stats, BackendKind, KernelStats,
 };
 pub use conv::{
     avg_pool2d, avg_pool2d_backward, conv2d_backward_input, conv2d_backward_weight, max_pool2d,

@@ -1,7 +1,7 @@
 //! The [`Tensor`] type: a contiguous, row-major, n-dimensional `f32`
 //! array.
 
-use crate::backend::{default_backend, BackendKind};
+use crate::backend::BackendKind;
 use crate::ops::gather_strided;
 use crate::shape::Shape;
 use std::fmt;
@@ -22,10 +22,10 @@ use std::sync::Arc;
 ///
 /// Every tensor carries the [`BackendKind`] its compute-heavy
 /// operations (matmul, convolution, softmax, reductions) dispatch to;
-/// new tensors pick up the process-wide default
-/// ([`crate::set_default_backend`]) and derived tensors inherit from
-/// their operands, so tagging the model weights once is enough to move
-/// a whole training run onto a backend. The tag is execution metadata:
+/// new tensors start on [`BackendKind::default`], [`Tensor::on`] moves
+/// one, and derived tensors inherit from their operands, so tagging the
+/// model weights once is enough to move a whole training run onto a
+/// backend. The tag is execution metadata:
 /// it does not participate in equality.
 #[derive(Clone)]
 pub struct Tensor {
@@ -62,12 +62,12 @@ impl Tensor {
     pub fn full(shape: &[usize], value: f32) -> Self {
         let shape = Shape::new(shape);
         let data = vec![value; shape.len()];
-        Tensor::from_parts(shape, data, default_backend())
+        Tensor::from_parts(shape, data, BackendKind::default())
     }
 
     /// Creates a zero-dimensional (scalar) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor::from_parts(Shape::new(&[]), vec![value], default_backend())
+        Tensor::from_parts(Shape::new(&[]), vec![value], BackendKind::default())
     }
 
     fn from_parts(shape: Shape, data: Vec<f32>, backend: BackendKind) -> Self {
@@ -80,7 +80,9 @@ impl Tensor {
     }
 
     /// Retags the tensor onto `kind` (builder style). Data is untouched;
-    /// only where future operations execute changes.
+    /// only where future operations execute changes. With
+    /// [`crate::TensorRng::with_backend`], this is how a tensor leaves
+    /// [`BackendKind::default`].
     #[must_use]
     pub fn on(mut self, kind: BackendKind) -> Tensor {
         self.backend = kind;
@@ -103,7 +105,7 @@ impl Tensor {
             shape,
             shape.len()
         );
-        Tensor::from_parts(shape, data, default_backend())
+        Tensor::from_parts(shape, data, BackendKind::default())
     }
 
     /// Creates a 1-D tensor from a slice.

@@ -10,8 +10,9 @@ use mlperf_suite::submission::{
     LeaderboardAccumulator, RoundArchive, StoreError, StreamingReview, SubmissionBundle,
     SyntheticRoundSpec, MANIFEST_SCHEMA,
 };
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_archive(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mlperf-archive-it-{tag}-{}", std::process::id()));
@@ -356,9 +357,9 @@ fn manifest_schema(text: &str) -> u64 {
     value.get("schema").and_then(|s| s.as_u64()).expect("manifest has a numeric schema")
 }
 
-/// Rewrites a manifest's `schema` field in place, preserving the
-/// file's rendering style as pretty JSON (which both readers accept).
-fn bump_manifest_schema(path: &PathBuf, schema: u64) {
+/// Rewrites a manifest's `schema` field in place, re-rendering the
+/// file as pretty JSON (which both readers accept).
+fn bump_manifest_schema(path: &Path, schema: u64) {
     let text = fs::read_to_string(path).unwrap();
     let mut value: serde_json::Value = serde_json::from_str(&text).unwrap();
     let serde_json::Value::Object(map) = &mut value else { panic!("manifest is an object") };
@@ -366,19 +367,54 @@ fn bump_manifest_schema(path: &PathBuf, schema: u64) {
     fs::write(path, serde_json::to_string_pretty(&value).unwrap()).unwrap();
 }
 
+/// Turns a freshly written archive into the schema-1 shape older
+/// builds wrote: every manifest (`archive.json`, `round.json`,
+/// `bundle.json`) re-rendered as pretty JSON at `"schema": 1`. Logs
+/// are untouched — the two schemas differ only in their manifests.
+fn downgrade_to_schema_one(dir: &Path) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().and_then(|n| n.to_str());
+        if path.is_dir() {
+            downgrade_to_schema_one(&path);
+        } else if matches!(name, Some("archive.json" | "round.json" | "bundle.json")) {
+            bump_manifest_schema(&path, 1);
+        }
+    }
+}
+
+/// Every file under `dir` except `outcome.json` (derived data), keyed
+/// by its path relative to `dir`.
+fn tree_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in fs::read_dir(&next).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.file_name().is_some_and(|n| n != "outcome.json") {
+                let bytes = fs::read(&path).unwrap();
+                files.insert(path.strip_prefix(dir).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    files
+}
+
 /// The migration acceptance property: a pretty-printed schema-1
 /// archive rewritten by `migrate` re-ingests to a bitwise-identical
-/// `RoundOutcome`, and a second `migrate` run is a no-op.
+/// `RoundOutcome`, lands byte for byte on what a fresh write of the
+/// same round puts on disk, and a second `migrate` run is a no-op.
 #[test]
 fn migrated_schema_one_archive_replays_identically() {
-    let dir = temp_archive("migrate");
-    let archive = RoundArchive::create_pinned(&dir, 1).unwrap();
+    let (dir, archive) = seeded_archive("migrate");
+    downgrade_to_schema_one(&dir);
     let subs = synthetic_round(&SyntheticRoundSpec::new(Round::V05, 7));
-    archive.write_round_pinned(&subs, 1).unwrap();
 
     let bundle_manifest = dir.join("v0.5/aurora/a900x16/bundle.json");
     let legacy = fs::read_to_string(&bundle_manifest).unwrap();
-    assert!(legacy.trim_end().contains('\n'), "pinned writer emits the pretty legacy shape");
+    assert!(legacy.trim_end().contains('\n'), "schema-1 manifests are pretty-printed");
     assert_eq!(manifest_schema(&legacy), 1);
 
     let before = archive.read_round(Round::V05).unwrap();
@@ -404,11 +440,27 @@ fn migrated_schema_one_archive_replays_identically() {
         "outcome bitwise-identical after migration"
     );
 
+    let (fresh, _) = seeded_archive("migrate-fresh");
+    let (migrated, written) = (tree_bytes(&dir), tree_bytes(&fresh));
+    assert_eq!(
+        migrated.keys().collect::<Vec<_>>(),
+        written.keys().collect::<Vec<_>>(),
+        "migration neither adds nor drops a file"
+    );
+    for (path, bytes) in &migrated {
+        assert!(
+            bytes == &written[path],
+            "{}: migrated bytes differ from a fresh write",
+            path.display()
+        );
+    }
+
     let second = archive.migrate().unwrap();
     assert!(second.faults.is_empty(), "{:?}", second.faults);
     assert_eq!(second.migrated, 0, "second migrate run is a no-op");
     assert_eq!(second.skipped, report.migrated, "everything already canonical");
     fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&fresh).unwrap();
 }
 
 /// A newer-schema archive marker is refused by reader and migrator
@@ -439,11 +491,8 @@ fn newer_schema_marker_is_refused_by_reader_and_migrator() {
 /// stay byte-identical — a round is never half-migrated.
 #[test]
 fn newer_schema_round_is_skipped_whole_by_the_migrator() {
-    let dir = temp_archive("newer-round");
-    let archive = RoundArchive::create_pinned(&dir, 1).unwrap();
-    archive
-        .write_round_pinned(&synthetic_round(&SyntheticRoundSpec::new(Round::V05, 7)), 1)
-        .unwrap();
+    let (dir, archive) = seeded_archive("newer-round");
+    downgrade_to_schema_one(&dir);
     let round_manifest = dir.join("v0.5/round.json");
     bump_manifest_schema(&round_manifest, MANIFEST_SCHEMA + 1);
     let bundle_manifest = dir.join("v0.5/aurora/a900x16/bundle.json");
