@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! round_pipeline write  --archive DIR [--rounds N] [--seed N] [--bundles N]
-//! round_pipeline ingest --archive DIR [--trace FILE] [--sample N]
+//! round_pipeline ingest --archive DIR [--trace FILE]
 //! round_pipeline migrate --archive DIR
 //! round_pipeline report --archive DIR [--chips N]
 //! round_pipeline demo [--trace FILE]  # all three against a temp archive
@@ -42,10 +42,9 @@
 //! `--trace FILE` records telemetry for the run — spans and metrics
 //! from the harness, ingest, and store layers — writes them as Chrome
 //! `trace_event` JSON-lines (load in `chrome://tracing` or Perfetto),
-//! and prints a plain-text summary report. `--sample N` arms 1-in-N
-//! per-bundle span sampling once a round passes
-//! [`SPAN_SAMPLING_THRESHOLD`] bundles, keeping traces of huge rounds
-//! small; counters and metrics stay exact.
+//! and prints a plain-text summary report. Every bundle and log is
+//! traced: the sink keeps the newest spans of a ring large enough for a
+//! whole 10 000-bundle round, and counts any it evicts.
 //!
 //! `serve` runs the live submission service (`mlperf-service`): an
 //! HTTP server that keeps rounds open, reviews bundles as submitters
@@ -88,7 +87,7 @@ use mlperf_submission::{
     synthetic_stress_round, ArchiveReplay, Fault, RoundArchive, RoundSubmissions,
     SyntheticRoundSpec,
 };
-use mlperf_telemetry::{write_prometheus, write_trace, Reporter, SpanSampling, Telemetry};
+use mlperf_telemetry::{write_prometheus, write_trace, Reporter, Telemetry};
 use mlperf_tensor::{enable_kernel_stats, kernel_stats};
 use serde_json::json;
 use std::path::PathBuf;
@@ -96,10 +95,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Stage size (items) above which `--sample N` starts thinning
-/// per-item spans to 1-in-N.
-const SPAN_SAMPLING_THRESHOLD: u64 = 512;
 
 /// Reporter sampling interval: short enough that even a fast demo run
 /// closes a couple of windows, long enough that progress lines stay
@@ -110,7 +105,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: round_pipeline [write|ingest|report|migrate|demo|loadgen|serve|storm] \
          [--archive DIR] [--rounds N] [--seed N] [--bundles N] [--chips N] \
-         [--trace FILE] [--metrics FILE] [--progress] [--sample N] \
+         [--trace FILE] [--metrics FILE] [--progress] \
          [--log-dir DIR] [--addr HOST:PORT] [--clients N] \
          [--round vX.Y]"
     );
@@ -134,8 +129,6 @@ struct Args {
     metrics: Option<PathBuf>,
     /// Print live throughput lines to stderr while the run progresses.
     progress: bool,
-    /// 1-in-N span sampling for large rounds.
-    sample: Option<u64>,
     /// `loadgen`: also write each scenario's raw `:::MLLOG` log here.
     log_dir: Option<PathBuf>,
     /// `serve`: listen address (default 127.0.0.1:8090).
@@ -165,7 +158,6 @@ fn parse_args() -> Option<Args> {
         trace: None,
         metrics: None,
         progress: false,
-        sample: None,
         log_dir: None,
         addr: None,
         clients: 8,
@@ -186,7 +178,6 @@ fn parse_args() -> Option<Args> {
             "--chips" => parsed.chips = Some(value.parse().ok()?),
             "--trace" => parsed.trace = Some(PathBuf::from(value)),
             "--metrics" => parsed.metrics = Some(PathBuf::from(value)),
-            "--sample" => parsed.sample = Some(value.parse().ok()?),
             "--log-dir" => parsed.log_dir = Some(PathBuf::from(value)),
             "--addr" => parsed.addr = Some(value),
             "--clients" => parsed.clients = value.parse().ok()?,
@@ -204,8 +195,8 @@ fn parse_args() -> Option<Args> {
         eprintln!("--rounds must be 1..={}", Round::ALL.len());
         return None;
     }
-    if parsed.bundles == Some(0) || parsed.sample == Some(0) || parsed.clients == 0 {
-        eprintln!("--bundles, --sample, and --clients must be positive");
+    if parsed.bundles == Some(0) || parsed.clients == 0 {
+        eprintln!("--bundles and --clients must be positive");
         return None;
     }
     Some(parsed)
@@ -684,11 +675,7 @@ fn main() -> ExitCode {
     // throughput readings.
     let service = matches!(args.command.as_str(), "serve" | "storm");
     let observing = service || args.trace.is_some() || args.metrics.is_some() || args.progress;
-    let mut telemetry = if observing { Telemetry::recording() } else { Telemetry::disabled() };
-    if let Some(every) = args.sample {
-        telemetry = telemetry
-            .with_span_sampling(SpanSampling { threshold: SPAN_SAMPLING_THRESHOLD, every });
-    }
+    let telemetry = if observing { Telemetry::recording() } else { Telemetry::disabled() };
     if service || args.metrics.is_some() || args.progress {
         install_reporter(&args, &telemetry);
     }

@@ -13,10 +13,11 @@ use mlperf_data::{epoch_batches, MaskedLmConfig, MaskedSentence, SyntheticMasked
 use mlperf_models::{BertConfig, BertMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
+use mlperf_telemetry::arg;
 use mlperf_tensor::{
     enable_kernel_stats, kernel_stats, reset_kernel_stats, BackendKind, TensorRng,
 };
-use serde_json::Value;
+use serde_json::{json, Map, Value};
 use std::time::{Duration, Instant};
 
 /// Trains BertMini for five epochs on each backend, timing the phases.
@@ -28,7 +29,7 @@ pub fn run(ctx: &Context) -> Report {
     for kind in BackendKind::ALL {
         reset_kernel_stats();
         let mut scope = ctx.telemetry.timeline_scope();
-        let backend_span = scope.start("profile", &format!("backend {kind}"));
+        let backend_span = scope.start("profile", kind.label());
         let mut rng = TensorRng::new(21).with_backend(kind);
         let model = BertMini::new(
             BertConfig {
@@ -44,7 +45,8 @@ pub fn run(ctx: &Context) -> Report {
             (Duration::ZERO, Duration::ZERO, Duration::ZERO, Duration::ZERO);
         let mut steps = 0u32;
         for epoch in 0..5 {
-            let epoch_span = scope.start("profile", &format!("epoch {epoch}"));
+            let epoch_span =
+                scope.start_with("profile", "epoch", || Map::from([arg("epoch", json!(epoch))]));
             for batch in epoch_batches(data.train.len(), 16, &mut data_rng).iter() {
                 steps += 1;
                 let t0 = Instant::now();

@@ -267,7 +267,7 @@ pub fn render_telemetry_report(snapshot: &TelemetrySnapshot) -> String {
                     *count += 1;
                     *total_us += span.duration_us();
                 }
-                None => groups.push((&span.layer, &span.name, 1, span.duration_us())),
+                None => groups.push((span.layer, span.name, 1, span.duration_us())),
             }
         }
         for (layer, name, count, total_us) in groups {
@@ -279,6 +279,10 @@ pub fn render_telemetry_report(snapshot: &TelemetrySnapshot) -> String {
             )
             .unwrap();
         }
+    }
+    if snapshot.evicted > 0 {
+        writeln!(out, "  ({} older spans and events evicted from the sink)", snapshot.evicted)
+            .unwrap();
     }
     if !snapshot.counters.is_empty() || !snapshot.gauges.is_empty() {
         writeln!(out, "counters").unwrap();
@@ -448,6 +452,11 @@ mod tests {
         let latency_line = report.lines().find(|l| l.contains("latency")).unwrap();
         assert!(latency_line.contains("count      1"), "line: {latency_line}");
         assert!(latency_line.contains("p50     2.00"), "line: {latency_line}");
+        assert!(!report.contains("evicted"), "no eviction line while the sink kept everything");
+        let mut full = telemetry.snapshot();
+        full.evicted = 5;
+        let report = render_telemetry_report(&full);
+        assert!(report.contains("(5 older spans and events evicted from the sink)"), "{report}");
     }
 
     #[test]

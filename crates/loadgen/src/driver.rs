@@ -295,7 +295,6 @@ impl<'a> LoadGenDriver<'a> {
         let min_duration = Duration::from_millis(rules.min_duration_ms);
         let sketch = self.telemetry.sketch("loadgen.latency_ms");
         let query_counter = self.telemetry.counter("loadgen.queries");
-        let stride = self.telemetry.span_stride(rules.min_query_count);
         let started = self.clock.now();
         let mut latency = QuantileSketch::default();
         let mut queries = 0u64;
@@ -304,11 +303,9 @@ impl<'a> LoadGenDriver<'a> {
             model.serve(queries);
             let latency_ms = ms(self.clock.now() - issued);
             sketch.observe(latency_ms);
-            if queries.is_multiple_of(stride) {
-                scope.event_with("loadgen", "query", || {
-                    Map::from([arg("query", json!(queries)), arg("latency_ms", json!(latency_ms))])
-                });
-            }
+            scope.event_with("loadgen", "query", || {
+                Map::from([arg("query", json!(queries)), arg("latency_ms", json!(latency_ms))])
+            });
             latency.observe(latency_ms);
             queries += 1;
             query_counter.incr();

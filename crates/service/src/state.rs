@@ -30,7 +30,7 @@ use mlperf_submission::store::OpenRoundWriter;
 use mlperf_submission::{
     BenchmarkReference, RoundArchive, RoundOutcome, StoreError, StreamingReview, SubmissionBundle,
 };
-use mlperf_telemetry::{render_prometheus, Telemetry};
+use mlperf_telemetry::{render_prometheus, Counter, Telemetry};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,6 +151,15 @@ pub struct ServiceCore {
     archive: RoundArchive,
     telemetry: Telemetry,
     rounds: Mutex<BTreeMap<Round, Slot>>,
+    // The `service.*` counters, resolved once so a request never looks
+    // a metric up by name.
+    rounds_opened: Counter,
+    bundles_submitted: Counter,
+    entries_accepted: Counter,
+    bundles_quarantined: Counter,
+    leaderboard_cache_hits: Counter,
+    leaderboard_cache_misses: Counter,
+    rounds_closed: Counter,
 }
 
 impl ServiceCore {
@@ -158,7 +167,18 @@ impl ServiceCore {
     /// (`service.*` counters, plus everything review and the store
     /// already emit).
     pub fn new(archive: RoundArchive, telemetry: Telemetry) -> Self {
-        ServiceCore { archive, telemetry, rounds: Mutex::new(BTreeMap::new()) }
+        ServiceCore {
+            rounds_opened: telemetry.counter("service.rounds_opened"),
+            bundles_submitted: telemetry.counter("service.bundles_submitted"),
+            entries_accepted: telemetry.counter("service.entries_accepted"),
+            bundles_quarantined: telemetry.counter("service.bundles_quarantined"),
+            leaderboard_cache_hits: telemetry.counter("service.leaderboard_cache_hits"),
+            leaderboard_cache_misses: telemetry.counter("service.leaderboard_cache_misses"),
+            rounds_closed: telemetry.counter("service.rounds_closed"),
+            archive,
+            telemetry,
+            rounds: Mutex::new(BTreeMap::new()),
+        }
     }
 
     /// The archive rounds persist into.
@@ -202,7 +222,7 @@ impl ServiceCore {
             cache: Mutex::new(None),
         };
         rounds.insert(round, Slot::Open(Arc::new(open)));
-        self.telemetry.counter("service.rounds_opened").incr();
+        self.rounds_opened.incr();
         Ok(())
     }
 
@@ -282,10 +302,10 @@ impl ServiceCore {
         if receipt.accepted_entries > 0 || receipt.scenario_entries > 0 {
             open.version.fetch_add(1, Ordering::SeqCst);
         }
-        self.telemetry.counter("service.bundles_submitted").incr();
-        self.telemetry.counter("service.entries_accepted").add(receipt.accepted_entries as u64);
+        self.bundles_submitted.incr();
+        self.entries_accepted.add(receipt.accepted_entries as u64);
         if !receipt.clean {
-            self.telemetry.counter("service.bundles_quarantined").incr();
+            self.bundles_quarantined.incr();
         }
         Ok(receipt)
     }
@@ -307,11 +327,11 @@ impl ServiceCore {
                     open.cache.lock().expect("board cache poisoned").as_ref()
                 {
                     if *cached_version == version {
-                        self.telemetry.counter("service.leaderboard_cache_hits").incr();
+                        self.leaderboard_cache_hits.incr();
                         return Ok(text.clone());
                     }
                 }
-                self.telemetry.counter("service.leaderboard_cache_misses").incr();
+                self.leaderboard_cache_misses.incr();
                 let (accepted, scenarios, bundles, quarantined) = {
                     let state = open.state.read().expect("round state poisoned");
                     (
@@ -414,7 +434,7 @@ impl ServiceCore {
             .lock()
             .expect("round map poisoned")
             .insert(round, Slot::Closed(Arc::new(closed)));
-        self.telemetry.counter("service.rounds_closed").incr();
+        self.rounds_closed.incr();
         Ok(outcome)
     }
 
@@ -422,14 +442,16 @@ impl ServiceCore {
     /// counters, review/store instrumentation, reporter time-series
     /// (live ingest throughput as `*_per_sec` gauges), and worker-pool
     /// gauges. Scrape-safe: only idempotent gauge sets happen here, so
-    /// polling `/metrics` never inflates a counter.
+    /// polling `/metrics` never inflates a counter. Rendered from the
+    /// registry alone, so a scrape costs the same however many spans
+    /// the service has recorded.
     pub fn metrics_text(&self) -> String {
         let stats = mlperf_pool::pool_stats();
         self.telemetry.gauge("pool.workers_busy").set(stats.workers_busy);
         self.telemetry.gauge("pool.workers_busy_hwm").set(stats.workers_busy_peak);
         self.telemetry.gauge("pool.queue_depth").set(stats.queue_depth);
         self.telemetry.gauge("pool.fanout_width_hwm").set(stats.fanout_width_peak);
-        render_prometheus(&self.telemetry.snapshot())
+        render_prometheus(&self.telemetry.metrics_snapshot())
     }
 
     /// The service's telemetry handle.

@@ -370,17 +370,16 @@ pub(crate) fn emit_rejection_events(scope: &mut SpanScope<'_>, report: &ReviewRe
 /// inside the parser or inside review itself is contained (per log and
 /// per bundle respectively) and reported the same way.
 pub fn review_bundle(bundle: &SubmissionBundle, references: &[BenchmarkReference]) -> ReviewReport {
-    review_bundle_traced(bundle, references, &mut Telemetry::disabled().timeline_scope(), false)
+    review_bundle_traced(bundle, references, &mut Telemetry::disabled().timeline_scope())
 }
 
-/// [`review_bundle`] on the caller's span scope: with `log_spans`, each
-/// log's parse records an `ingest`-layer `parse_log` span under the
-/// scope's innermost open span.
+/// [`review_bundle`] on the caller's span scope: each log's parse
+/// records an `ingest`-layer `parse_log` span under the scope's
+/// innermost open span.
 pub(crate) fn review_bundle_traced(
     bundle: &SubmissionBundle,
     references: &[BenchmarkReference],
     scope: &mut SpanScope<'_>,
-    log_spans: bool,
 ) -> ReviewReport {
     catch_unwind(AssertUnwindSafe(|| ReviewReport {
         org: bundle.org.clone(),
@@ -392,14 +391,7 @@ pub(crate) fn review_bundle_traced(
                 let parsed: Vec<ParsedLog> = rs
                     .logs
                     .iter()
-                    .map(|text| {
-                        let span = log_spans.then(|| scope.start("ingest", "parse_log"));
-                        let parsed = parse_log(text);
-                        if let Some(span) = span {
-                            scope.end(span);
-                        }
-                        parsed
-                    })
+                    .map(|text| scope.record("ingest", "parse_log", || parse_log(text)))
                     .collect();
                 review_run_set(rs, bundle.division, references, &parsed)
             })

@@ -17,7 +17,7 @@ use mlperf_core::aggregate::ScenarioSummary;
 use mlperf_core::rules::{Division, Scenario};
 use mlperf_core::suite::BenchmarkId;
 use mlperf_distsim::Round;
-use mlperf_telemetry::{arg, SpanId, SpanScope, Telemetry};
+use mlperf_telemetry::{arg, Counter, SpanId, SpanScope, Telemetry};
 use serde_json::{json, Map};
 use std::path::{Path, PathBuf};
 
@@ -314,6 +314,8 @@ pub struct StreamingReview {
     round: Round,
     references: Vec<BenchmarkReference>,
     telemetry: Telemetry,
+    logs_parsed: Counter,
+    bundles_reviewed: Counter,
     /// Parent span for per-bundle spans and quarantine events.
     parent: Option<SpanId>,
     /// Per-bundle results keyed by the caller's ordering key.
@@ -332,10 +334,8 @@ impl StreamingReview {
     /// [`StreamingReview::new`] with instrumentation: a `review_bundle`
     /// span per bundle on the reviewing thread's track, parented under
     /// `parent`, with the bundle's `parse_log` spans and its quarantine
-    /// and rejection events beneath it, plus the `ingest.*` counters.
-    /// Once the cumulative bundle count passes an armed
-    /// [`Telemetry::with_span_sampling`] threshold only every Nth
-    /// bundle records its spans; counters and events stay exact.
+    /// and rejection events beneath it, plus the `ingest.*` counters,
+    /// whose handles are resolved here once. Every bundle is recorded.
     pub fn traced(
         round: Round,
         references: Vec<BenchmarkReference>,
@@ -346,6 +346,8 @@ impl StreamingReview {
             round,
             references,
             telemetry: telemetry.clone(),
+            logs_parsed: telemetry.counter("ingest.logs_parsed"),
+            bundles_reviewed: telemetry.counter("ingest.bundles_reviewed"),
             parent,
             results: Vec::new(),
             spill: None,
@@ -418,17 +420,13 @@ impl StreamingReview {
         arrival: usize,
         bundle: &SubmissionBundle,
     ) -> ReviewedBundle {
-        let stride = self.telemetry.span_stride(arrival as u64 + 1) as usize;
-        let recorded = arrival.is_multiple_of(stride);
-        let span = recorded.then(|| {
-            scope.start_with("ingest", "review_bundle", || {
-                Map::from([arg("org", json!(bundle.org)), arg("arrival", json!(arrival))])
-            })
+        let span = scope.start_with("ingest", "review_bundle", || {
+            Map::from([arg("org", json!(bundle.org)), arg("arrival", json!(arrival))])
         });
-        let report = review_bundle_traced(bundle, &self.references, scope, recorded);
+        let report = review_bundle_traced(bundle, &self.references, scope);
         let logs: usize = bundle.run_sets.iter().map(|rs| rs.logs.len()).sum();
-        self.telemetry.counter("ingest.logs_parsed").add(logs as u64);
-        self.telemetry.counter("ingest.bundles_reviewed").incr();
+        self.logs_parsed.add(logs as u64);
+        self.bundles_reviewed.incr();
 
         let entries = accepted_entries(bundle, &report);
         let scenarios = scenario_entries(bundle, &report);
@@ -436,9 +434,7 @@ impl StreamingReview {
             emit_quarantine_events(scope, &report);
             emit_rejection_events(scope, &report);
         }
-        if let Some(span) = span {
-            scope.end(span);
-        }
+        scope.end(span);
         ReviewedBundle { entries, scenarios, report }
     }
 
@@ -693,8 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn span_sampling_thins_spans_without_changing_outcomes() {
-        use mlperf_telemetry::SpanSampling;
+    fn every_bundle_is_traced_whether_pooled_or_one_at_a_time() {
         let subs = synthetic_round(
             &SyntheticRoundSpec::new(Round::V05, 6)
                 .with_fault(Fault::MissingRunStop { org: "Borealis".into() }),
@@ -702,22 +697,12 @@ mod tests {
         let outcome = run_round(&subs);
         let diagnostics: usize = outcome.quarantined.iter().map(|r| r.diagnostics().count()).sum();
         assert!(diagnostics > 0);
+        let total_logs: usize =
+            subs.bundles.iter().flat_map(|b| &b.run_sets).map(|rs| rs.logs.len()).sum();
 
-        // Sampling keys off the cumulative bundle count: arrivals below
-        // the threshold record, then one in four — whether the bundles
-        // come as one pooled chunk or one at a time.
-        let recorded: Vec<usize> =
-            (0..subs.bundles.len()).filter(|a| *a + 1 < 2 || a % 4 == 0).collect();
-        assert!(recorded.len() < subs.bundles.len(), "sampling must thin something");
-        let logs_of = |arrival: &usize| -> usize {
-            subs.bundles[*arrival].run_sets.iter().map(|rs| rs.logs.len()).sum()
-        };
-        let total_logs: usize = (0..subs.bundles.len()).map(|a| logs_of(&a)).sum();
-
-        let sampling = SpanSampling { threshold: 2, every: 4 };
-        let chunked = Telemetry::recording().with_span_sampling(sampling);
-        assert_eq!(run_round_with(&subs, &chunked), outcome, "sampling changes no outcome");
-        let one_by_one = Telemetry::recording().with_span_sampling(sampling);
+        let chunked = Telemetry::recording();
+        assert_eq!(run_round_with(&subs, &chunked), outcome, "tracing changes no outcome");
+        let one_by_one = Telemetry::recording();
         let mut review =
             StreamingReview::traced(subs.round, subs.references.clone(), &one_by_one, None);
         for (i, bundle) in subs.bundles.iter().enumerate() {
@@ -734,10 +719,9 @@ mod tests {
                 .map(|s| s.args["arrival"].as_u64().unwrap() as usize)
                 .collect();
             arrivals.sort_unstable();
-            assert_eq!(arrivals, recorded);
+            assert_eq!(arrivals, (0..subs.bundles.len()).collect::<Vec<_>>());
             let parse_spans = snapshot.spans.iter().filter(|s| s.name == "parse_log").count();
-            assert_eq!(parse_spans, recorded.iter().map(logs_of).sum::<usize>());
-            // Counters and quarantine events stay exact.
+            assert_eq!(parse_spans, total_logs, "one parse_log span per log");
             let counter = |name: &str| {
                 snapshot.counters.iter().find(|c| c.name == name).map(|c| c.value).unwrap_or(0)
             };
@@ -745,6 +729,7 @@ mod tests {
             assert_eq!(counter("ingest.bundles_reviewed") as usize, subs.bundles.len());
             assert_eq!(counter("ingest.quarantined"), 1);
             assert_eq!(snapshot.events_in("ingest").count(), diagnostics);
+            assert_eq!(snapshot.evicted, 0);
         }
     }
 

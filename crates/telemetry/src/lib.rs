@@ -64,16 +64,38 @@ pub use span::{arg, EventRecord, SpanHandle, SpanId, SpanRecord, SpanScope};
 pub use trace::{render_trace, trace_events, write_trace, TraceWriteError};
 
 use metrics::Registry;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Spans, and separately events, a recording sink keeps (the newest
+/// win): a 10 000-bundle round (~91 000 spans) fits whole.
+const RECORD_CAPACITY: usize = 1 << 17;
+
+/// The sink's span and event rings, and how many records they evicted.
+#[derive(Debug, Default)]
+struct Records {
+    spans: VecDeque<SpanRecord>,
+    events: VecDeque<EventRecord>,
+    evicted: u64,
+}
+
+/// Appends `batch` to `ring`, evicting the oldest records beyond
+/// [`RECORD_CAPACITY`]; returns how many it evicted.
+fn push_bounded<T>(ring: &mut VecDeque<T>, batch: &mut Vec<T>) -> u64 {
+    let overflow = (ring.len() + batch.len()).saturating_sub(RECORD_CAPACITY);
+    let from_ring = overflow.min(ring.len());
+    ring.drain(..from_ring);
+    ring.extend(batch.drain(..).skip(overflow - from_ring));
+    overflow as u64
+}
 
 /// The shared sink behind a recording handle.
 #[derive(Debug)]
 struct Inner {
     /// The reference timeline every scope is aligned onto.
     clock: MonotonicClock,
-    spans: Mutex<Vec<SpanRecord>>,
-    events: Mutex<Vec<EventRecord>>,
+    records: Mutex<Records>,
     /// Next span id (1-based; 0 is the null id).
     next_span: AtomicU64,
     /// Next scope track (trace viewer lane).
@@ -83,20 +105,6 @@ struct Inner {
     reporter: Mutex<Option<Reporter>>,
 }
 
-/// 1-in-N per-item span sampling for very large workloads. Metrics
-/// (counters, gauges, sketches) are never sampled — only the
-/// per-item span volume is thinned, so tracing a many-thousand-bundle
-/// round stays cheap while the aggregates stay exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanSampling {
-    /// Sampling kicks in only when a stage has at least this many
-    /// items; smaller stages keep full per-item span detail.
-    pub threshold: u64,
-    /// Record every Nth per-item span once over the threshold
-    /// (`1` = record all).
-    pub every: u64,
-}
-
 /// A cloneable instrumentation handle: either a shared recording sink
 /// or a no-op. Clones share the sink, so one handle can be passed down
 /// through the harness, the ingest worker pool, and the archive and
@@ -104,10 +112,6 @@ pub struct SpanSampling {
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
-    /// Per-item span sampling; rides on the handle (not the sink) so a
-    /// caller can thin one pipeline's spans while other holders of the
-    /// same sink keep recording everything.
-    sampling: Option<SpanSampling>,
 }
 
 impl Telemetry {
@@ -117,21 +121,19 @@ impl Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 clock: MonotonicClock::new(),
-                spans: Mutex::new(Vec::new()),
-                events: Mutex::new(Vec::new()),
+                records: Mutex::new(Records::default()),
                 next_span: AtomicU64::new(1),
                 next_track: AtomicU64::new(1),
                 metrics: Registry::default(),
                 reporter: Mutex::new(None),
             })),
-            sampling: None,
         }
     }
 
     /// The no-op handle (also [`Telemetry::default`]). Scopes and
     /// metric handles minted from it record nothing and never allocate.
     pub fn disabled() -> Self {
-        Telemetry { inner: None, sampling: None }
+        Telemetry { inner: None }
     }
 
     /// Whether this handle records anything.
@@ -139,49 +141,15 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Returns this handle with 1-in-N per-item span sampling armed.
-    /// Instrumented loops consult [`Telemetry::span_stride`] with their
-    /// item count; stages below `sampling.threshold` are unaffected.
-    pub fn with_span_sampling(mut self, sampling: SpanSampling) -> Self {
-        self.sampling = Some(sampling);
-        self
-    }
-
-    /// The sampling configuration, if armed.
-    pub fn span_sampling(&self) -> Option<SpanSampling> {
-        self.sampling
-    }
-
-    /// The per-item span stride for a stage of `items` items: `every`
-    /// when sampling is armed and the stage meets the threshold,
-    /// otherwise 1 (record every span).
-    pub fn span_stride(&self, items: u64) -> u64 {
-        match self.sampling {
-            Some(s) if self.is_enabled() && items >= s.threshold => s.every.max(1),
-            _ => 1,
-        }
-    }
-
     /// A root span scope over the caller's clock, on a fresh track.
     /// The clock's origin is aligned onto the sink timeline here, once.
     pub fn scope<'a>(&'a self, clock: &'a dyn Clock) -> SpanScope<'a> {
-        self.scope_under(clock, None)
-    }
-
-    /// Like [`Telemetry::scope`], with every root span in the new scope
-    /// parented under `parent` — how a worker thread nests its spans
-    /// under the coordinating span of another scope.
-    pub fn scope_under<'a>(
-        &'a self,
-        clock: &'a dyn Clock,
-        parent: Option<SpanId>,
-    ) -> SpanScope<'a> {
         let Some(inner) = &self.inner else {
             return SpanScope::disabled();
         };
         let offset_us = inner.clock.now().as_micros() as i64 - clock.now().as_micros() as i64;
         let track = inner.next_track.fetch_add(1, Ordering::Relaxed);
-        SpanScope::new(self, clock, offset_us, track, parent)
+        SpanScope::new(self, clock, offset_us, track, None)
     }
 
     /// A span scope over the sink's own reference clock (no alignment
@@ -190,7 +158,9 @@ impl Telemetry {
         self.timeline_scope_under(None)
     }
 
-    /// [`Telemetry::timeline_scope`] with an explicit parent span.
+    /// [`Telemetry::timeline_scope`] with every root span in the new
+    /// scope parented under `parent` — how a worker thread nests its
+    /// spans under the coordinating span of another scope.
     pub fn timeline_scope_under(&self, parent: Option<SpanId>) -> SpanScope<'_> {
         let Some(inner) = &self.inner else {
             return SpanScope::disabled();
@@ -263,22 +233,34 @@ impl Telemetry {
     }
 
     /// A copy of everything recorded so far. Spans come back sorted by
-    /// `(start_us, id)` regardless of completion order.
+    /// `(start_us, id)` regardless of completion order; a scope's spans
+    /// are included once its stack has emptied or it was dropped.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        let mut snapshot = self.metrics_snapshot();
+        if let Some(inner) = &self.inner {
+            let records = inner.records.lock().expect("span sink poisoned");
+            snapshot.spans = records.spans.iter().cloned().collect();
+            snapshot.events = records.events.iter().cloned().collect();
+            snapshot.evicted = records.evicted;
+            drop(records);
+            snapshot.spans.sort_by_key(|s| (s.start_us, s.id));
+            snapshot.events.sort_by_key(|e| (e.ts_us, e.id));
+        }
+        snapshot
+    }
+
+    /// [`Telemetry::snapshot`] without spans and events (the registry
+    /// alone), at a cost that does not grow with the spans recorded.
+    pub fn metrics_snapshot(&self) -> TelemetrySnapshot {
         let Some(inner) = &self.inner else {
             return TelemetrySnapshot::default();
         };
-        let mut spans = inner.spans.lock().expect("span sink poisoned").clone();
-        spans.sort_by_key(|s| (s.start_us, s.id));
-        let mut events = inner.events.lock().expect("event sink poisoned").clone();
-        events.sort_by_key(|e| (e.ts_us, e.id));
         TelemetrySnapshot {
-            spans,
-            events,
             counters: inner.metrics.counter_snapshots(),
             gauges: inner.metrics.gauge_snapshots(),
             sketches: inner.metrics.sketch_snapshots(),
             series: inner.metrics.series_snapshots(),
+            ..TelemetrySnapshot::default()
         }
     }
 
@@ -288,16 +270,14 @@ impl Telemetry {
         inner.next_span.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Stores one completed span. Only called by enabled scopes.
-    pub(crate) fn record_span(&self, record: SpanRecord) {
-        let inner = self.inner.as_ref().expect("span recorded into disabled telemetry");
-        inner.spans.lock().expect("span sink poisoned").push(record);
-    }
-
-    /// Stores one instant event. Only called by enabled scopes.
-    pub(crate) fn record_event(&self, record: EventRecord) {
-        let inner = self.inner.as_ref().expect("event recorded into disabled telemetry");
-        inner.events.lock().expect("event sink poisoned").push(record);
+    /// Moves one scope's completed spans and events into the sink, in
+    /// one lock. Only called by enabled scopes.
+    pub(crate) fn record(&self, spans: &mut Vec<SpanRecord>, events: &mut Vec<EventRecord>) {
+        let inner = self.inner.as_ref().expect("spans recorded into disabled telemetry");
+        let mut records = inner.records.lock().expect("span sink poisoned");
+        let evicted =
+            push_bounded(&mut records.spans, spans) + push_bounded(&mut records.events, events);
+        records.evicted += evicted;
     }
 }
 
@@ -313,29 +293,37 @@ mod tests {
     }
 
     #[test]
-    fn span_stride_respects_threshold_and_handle_state() {
-        let plain = Telemetry::recording();
-        assert_eq!(plain.span_stride(1_000_000), 1, "no sampling unless armed");
+    fn a_full_sink_keeps_the_newest_spans_and_counts_evictions() {
+        let k = 3;
+        // One span per flush: the ring pushes out its oldest entries.
+        let telemetry = Telemetry::recording();
+        let mut scope = telemetry.timeline_scope();
+        for _ in 0..RECORD_CAPACITY + k {
+            scope.record("test", "span", || ());
+        }
+        scope.event("test", "event");
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.spans.len(), RECORD_CAPACITY);
+        assert_eq!(snapshot.evicted, k as u64);
+        let ids = snapshot.spans.iter().map(|s| s.id);
+        assert_eq!(
+            (ids.clone().min(), ids.max()),
+            (Some(k as u64 + 1), Some((RECORD_CAPACITY + k) as u64))
+        );
+        assert_eq!(snapshot.events.len(), 1, "events have a ring of their own");
 
-        let sampled =
-            Telemetry::recording().with_span_sampling(SpanSampling { threshold: 100, every: 8 });
-        assert_eq!(sampled.span_stride(99), 1, "below threshold records everything");
-        assert_eq!(sampled.span_stride(100), 8);
-        assert_eq!(sampled.span_stride(100_000), 8);
-        assert_eq!(sampled.span_sampling(), Some(SpanSampling { threshold: 100, every: 8 }));
-
-        // Sampling rides on the handle, not the sink: a plain clone of
-        // the same sink still records everything.
-        let clone = Telemetry { inner: sampled.inner.clone(), sampling: None };
-        assert_eq!(clone.span_stride(100_000), 1);
-
-        let disabled =
-            Telemetry::disabled().with_span_sampling(SpanSampling { threshold: 0, every: 4 });
-        assert_eq!(disabled.span_stride(1_000), 1, "disabled handles have no spans to thin");
-
-        let degenerate =
-            Telemetry::recording().with_span_sampling(SpanSampling { threshold: 0, every: 0 });
-        assert_eq!(degenerate.span_stride(10), 1, "every=0 clamps to recording all");
+        // One flush larger than the ring keeps its newest completions.
+        let telemetry = Telemetry::recording();
+        let mut scope = telemetry.timeline_scope();
+        let outer = scope.start("test", "outer");
+        for _ in 0..RECORD_CAPACITY + k {
+            scope.record("test", "inner", || ());
+        }
+        scope.end(outer);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.spans.len(), RECORD_CAPACITY);
+        assert_eq!(snapshot.evicted, k as u64 + 1);
+        assert!(snapshot.spans.iter().any(|s| s.name == "outer"), "the last to end is kept");
     }
 
     #[test]
@@ -368,14 +356,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reports_layers_in_first_seen_order() {
+    fn snapshot_filters_spans_by_layer() {
         let telemetry = Telemetry::recording();
         let mut scope = telemetry.timeline_scope();
         scope.record("harness", "run", || ());
         scope.record("ingest", "parse", || ());
         scope.record("harness", "run", || ());
         let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.layers(), vec!["harness", "ingest"]);
         assert_eq!(snapshot.spans_in("harness").count(), 2);
     }
 

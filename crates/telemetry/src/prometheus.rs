@@ -135,6 +135,21 @@ mod tests {
     use std::time::Duration;
 
     #[test]
+    fn the_registry_alone_renders_the_same_exposition() {
+        let telemetry = Telemetry::recording();
+        telemetry.counter("service.bundles_submitted").add(3);
+        telemetry.gauge("pool.workers_busy").set(2);
+        telemetry.sketch("latency_ms").observe(4.0);
+        let mut scope = telemetry.timeline_scope();
+        scope.record("ingest", "review_bundle", || ());
+        scope.event("ingest", "quarantine");
+        drop(scope);
+        let full = telemetry.snapshot();
+        assert!(!full.spans.is_empty() && !full.events.is_empty());
+        assert_eq!(render_prometheus(&telemetry.metrics_snapshot()), render_prometheus(&full));
+    }
+
+    #[test]
     fn sanitize_restricts_the_charset() {
         assert_eq!(sanitize("ingest.bundles_reviewed"), "ingest_bundles_reviewed");
         assert_eq!(sanitize("loadgen latency-ms"), "loadgen_latency_ms");

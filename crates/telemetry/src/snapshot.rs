@@ -8,14 +8,18 @@ use crate::sketch::SketchSnapshot;
 use crate::span::{EventRecord, SpanRecord};
 
 /// Everything recorded so far: completed spans (sorted by start time,
-/// then id), instant events (sorted by timestamp, then id), and the
-/// metric registry's current readings.
+/// then id), instant events (sorted by timestamp, then id), how many
+/// of either the sink's bounded rings pushed out, and the metric
+/// registry's current readings.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
     /// Completed spans, sorted by `(start_us, id)`.
     pub spans: Vec<SpanRecord>,
     /// Instant events, sorted by `(ts_us, id)`.
     pub events: Vec<EventRecord>,
+    /// Spans and events evicted, oldest first, because the sink's ring
+    /// was full.
+    pub evicted: u64,
     /// Counters in registration order.
     pub counters: Vec<CounterSnapshot>,
     /// Gauges in registration order.
@@ -45,16 +49,5 @@ impl TelemetrySnapshot {
     /// The spans emitted by one instrumented layer (trace category).
     pub fn spans_in<'a>(&'a self, layer: &'a str) -> impl Iterator<Item = &'a SpanRecord> {
         self.spans.iter().filter(move |s| s.layer == layer)
-    }
-
-    /// The distinct layers that emitted spans, in first-seen order.
-    pub fn layers(&self) -> Vec<&str> {
-        let mut layers: Vec<&str> = Vec::new();
-        for span in &self.spans {
-            if !layers.contains(&span.layer.as_str()) {
-                layers.push(&span.layer);
-            }
-        }
-        layers
     }
 }

@@ -2,15 +2,18 @@
 //!
 //! Spans are emitted through a [`SpanScope`] — a per-thread cursor over
 //! an explicit [`Clock`] that maintains the open-span stack (children
-//! nest under the innermost open span) and pushes completed
-//! [`SpanRecord`]s into the shared sink. Scopes on different threads
-//! emit concurrently; each gets its own `track` (the trace viewer's
-//! thread lane), and the sink aligns every scope's clock onto one
-//! timeline so spans from different clocks stay comparable.
+//! nest under the innermost open span) and buffers completed
+//! [`SpanRecord`]s and [`EventRecord`]s locally. The buffer reaches the
+//! shared sink in one lock whenever the stack empties (the outermost
+//! open span ends, or an event is emitted with no span open) and when
+//! the scope is dropped, so a recorded span costs no lock of its own.
+//! Scopes on different threads emit concurrently; each gets its own
+//! `track` (the trace viewer's thread lane), and the sink aligns every
+//! scope's clock onto one timeline so spans from different clocks stay
+//! comparable.
 
 use crate::clock::Clock;
 use crate::Telemetry;
-use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 
 /// Identifies one emitted span, for explicit cross-scope parent links.
@@ -26,7 +29,7 @@ impl SpanId {
 }
 
 /// One completed span, as the sink stores it and the exporters read it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Unique id within the sink (1-based; ids are allocated at start
     /// order, so a parent's id is always smaller than its children's).
@@ -38,9 +41,9 @@ pub struct SpanRecord {
     pub track: u64,
     /// Which instrumented layer emitted this (`harness`, `ingest`,
     /// `store`, …) — the Chrome trace category.
-    pub layer: String,
+    pub layer: &'static str,
     /// Span name (`epoch`, `parse_log`, `write_round`, …).
-    pub name: String,
+    pub name: &'static str,
     /// Start timestamp on the sink timeline, microseconds.
     pub start_us: u64,
     /// End timestamp on the sink timeline, microseconds.
@@ -60,7 +63,7 @@ impl SpanRecord {
 /// Used for decisions and state changes with no meaningful duration —
 /// e.g. review quarantining a bundle — which Chrome traces render as a
 /// vertical tick on the emitting track.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Unique id within the sink (shares the span id space).
     pub id: u64,
@@ -69,9 +72,9 @@ pub struct EventRecord {
     /// The emitting scope's lane.
     pub track: u64,
     /// Which instrumented layer emitted this — the trace category.
-    pub layer: String,
+    pub layer: &'static str,
     /// Event name (`quarantine`, `storage_fault`, …).
-    pub name: String,
+    pub name: &'static str,
     /// Timestamp on the sink timeline, microseconds.
     pub ts_us: u64,
     /// Structured key/value annotations.
@@ -84,7 +87,7 @@ struct OpenSpan {
     id: u64,
     parent: Option<u64>,
     layer: &'static str,
-    name: String,
+    name: &'static str,
     start_us: u64,
     args: Map,
 }
@@ -112,6 +115,20 @@ pub(crate) struct ScopeState<'a> {
     pub(crate) track: u64,
     pub(crate) parent: Option<u64>,
     stack: Vec<OpenSpan>,
+    /// Completed spans not yet handed to the sink.
+    spans: Vec<SpanRecord>,
+    /// Instant events not yet handed to the sink.
+    events: Vec<EventRecord>,
+}
+
+impl ScopeState<'_> {
+    /// Hands the buffered records to the sink once no span is open, so
+    /// a snapshot never sees half of an enclosing span's subtree.
+    fn flush_if_idle(&mut self) {
+        if self.stack.is_empty() {
+            self.telemetry.record(&mut self.spans, &mut self.events);
+        }
+    }
 }
 
 /// A per-thread span emitter over an explicit [`Clock`].
@@ -121,7 +138,9 @@ pub(crate) struct ScopeState<'a> {
 /// monotonic clock). A scope created from a disabled [`Telemetry`] is
 /// a no-op: `start`/`end` never read the clock and never allocate.
 ///
-/// Dropping a scope ends any spans still open in it.
+/// Completed spans and events become visible to
+/// [`Telemetry::snapshot`] when the scope's stack empties. Dropping a
+/// scope ends any spans still open in it and hands them over too.
 pub struct SpanScope<'a> {
     pub(crate) state: Option<ScopeState<'a>>,
 }
@@ -142,6 +161,8 @@ impl<'a> SpanScope<'a> {
                 track,
                 parent: parent.filter(SpanId::is_recorded).map(|p| p.0),
                 stack: Vec::new(),
+                spans: Vec::new(),
+                events: Vec::new(),
             }),
         }
     }
@@ -164,7 +185,7 @@ impl<'a> SpanScope<'a> {
 
     /// Opens a span nested under the innermost open span (or the
     /// scope's parent). Returns a handle for [`SpanScope::end`].
-    pub fn start(&mut self, layer: &'static str, name: &str) -> SpanHandle {
+    pub fn start(&mut self, layer: &'static str, name: &'static str) -> SpanHandle {
         self.start_with(layer, name, Map::new)
     }
 
@@ -173,7 +194,7 @@ impl<'a> SpanScope<'a> {
     pub fn start_with(
         &mut self,
         layer: &'static str,
-        name: &str,
+        name: &'static str,
         args: impl FnOnce() -> Map,
     ) -> SpanHandle {
         let Some(state) = self.state.as_mut() else {
@@ -182,19 +203,13 @@ impl<'a> SpanScope<'a> {
         let now_us = scope_now_us(state.clock, state.offset_us);
         let id = state.telemetry.allocate_span_id();
         let parent = state.stack.last().map(|s| s.id).or(state.parent);
-        state.stack.push(OpenSpan {
-            id,
-            parent,
-            layer,
-            name: name.to_string(),
-            start_us: now_us,
-            args: args(),
-        });
+        state.stack.push(OpenSpan { id, parent, layer, name, start_us: now_us, args: args() });
         SpanHandle { id: SpanId(id), depth: state.stack.len() }
     }
 
     /// Ends the span behind `handle` (and any still-open spans nested
-    /// inside it, innermost first), recording it into the sink.
+    /// inside it, innermost first), recording it into the scope's
+    /// buffer.
     pub fn end(&mut self, handle: SpanHandle) {
         self.end_with(handle, Map::new)
     }
@@ -218,47 +233,59 @@ impl<'a> SpanScope<'a> {
                 // This is the span the handle names; merge its args.
                 record_args.extend(extra.take().expect("extra args taken once"));
             }
-            state.telemetry.record_span(SpanRecord {
+            state.spans.push(SpanRecord {
                 id: open.id,
                 parent: open.parent,
                 track: state.track,
-                layer: open.layer.to_string(),
+                layer: open.layer,
                 name: open.name,
                 start_us: open.start_us,
                 end_us: now_us.max(open.start_us),
                 args: record_args,
             });
         }
+        state.flush_if_idle();
     }
 
     /// Records an instant event under the innermost open span (or the
     /// scope's parent) — a point on the timeline, not an interval.
-    pub fn event(&mut self, layer: &'static str, name: &str) {
+    pub fn event(&mut self, layer: &'static str, name: &'static str) {
         self.event_with(layer, name, Map::new)
     }
 
     /// Like [`SpanScope::event`], with annotations. `args` is a closure
     /// so a disabled scope never evaluates (or allocates) them.
-    pub fn event_with(&mut self, layer: &'static str, name: &str, args: impl FnOnce() -> Map) {
+    pub fn event_with(
+        &mut self,
+        layer: &'static str,
+        name: &'static str,
+        args: impl FnOnce() -> Map,
+    ) {
         let Some(state) = self.state.as_mut() else {
             return;
         };
         let ts_us = scope_now_us(state.clock, state.offset_us);
         let id = state.telemetry.allocate_span_id();
         let parent = state.stack.last().map(|s| s.id).or(state.parent);
-        state.telemetry.record_event(EventRecord {
+        state.events.push(EventRecord {
             id,
             parent,
             track: state.track,
-            layer: layer.to_string(),
-            name: name.to_string(),
+            layer,
+            name,
             ts_us,
             args: args(),
         });
+        state.flush_if_idle();
     }
 
     /// Convenience: times `f` inside a span.
-    pub fn record<R>(&mut self, layer: &'static str, name: &str, f: impl FnOnce() -> R) -> R {
+    pub fn record<R>(
+        &mut self,
+        layer: &'static str,
+        name: &'static str,
+        f: impl FnOnce() -> R,
+    ) -> R {
         let handle = self.start(layer, name);
         let out = f();
         self.end(handle);
@@ -363,6 +390,32 @@ mod tests {
     }
 
     #[test]
+    fn spans_reach_the_sink_when_the_stack_empties_or_the_scope_drops() {
+        let telemetry = Telemetry::recording();
+        let clock = TestClock::new();
+        let mut scope = telemetry.scope(&clock);
+        let outer = scope.start("test", "outer");
+        let inner = scope.start("test", "inner");
+        scope.end(inner);
+        scope.event("test", "inside");
+        let buffered = telemetry.snapshot();
+        assert!(buffered.spans.is_empty() && buffered.events.is_empty(), "outer span still open");
+        scope.end(outer);
+        let flushed = telemetry.snapshot();
+        assert_eq!(flushed.spans.len(), 2, "the outermost end hands the subtree over");
+        assert_eq!(flushed.events.len(), 1);
+
+        let open = scope.start("test", "open_at_drop");
+        let nested = scope.start("test", "nested_at_drop");
+        assert_eq!(telemetry.snapshot().spans.len(), 2);
+        drop(scope);
+        let spans = telemetry.snapshot().spans;
+        assert_eq!(spans.len(), 4, "dropping the scope ends and hands over open spans");
+        assert!(spans.iter().any(|s| s.id == open.id.0 && s.name == "open_at_drop"));
+        assert!(spans.iter().any(|s| s.id == nested.id.0 && s.parent == Some(open.id.0)));
+    }
+
+    #[test]
     fn explicit_parent_links_scopes_across_threads() {
         let telemetry = Telemetry::recording();
         let clock = TestClock::new();
@@ -371,10 +424,8 @@ mod tests {
         let parent = scope.current();
         assert_eq!(parent, Some(root.id));
 
-        let worker_clock = TestClock::new();
-        let mut worker = telemetry.scope_under(&worker_clock, parent);
+        let mut worker = telemetry.timeline_scope_under(parent);
         let item = worker.start("test", "item");
-        worker_clock.advance_us(2);
         worker.end(item);
         drop(worker);
         scope.end(root);

@@ -52,10 +52,10 @@ pub fn trace_events(snapshot: &TelemetrySnapshot) -> Vec<Value> {
         // there (snapshot order = start order, so "first" is stable).
         let mut tracks: std::collections::BTreeMap<u64, &str> = std::collections::BTreeMap::new();
         for span in &snapshot.spans {
-            tracks.entry(span.track).or_insert(&span.layer);
+            tracks.entry(span.track).or_insert(span.layer);
         }
         for event in &snapshot.events {
-            tracks.entry(event.track).or_insert(&event.layer);
+            tracks.entry(event.track).or_insert(event.layer);
         }
         let has_metrics = !snapshot.counters.is_empty() || !snapshot.gauges.is_empty();
         if has_metrics {
