@@ -9,7 +9,6 @@
 use crate::mllog::{keys, LogEntry};
 use crate::rules::Scenario;
 use crate::suite::BenchmarkId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a run set could not be aggregated.
@@ -27,36 +26,6 @@ pub enum AggregateError {
         /// Index of the failed run.
         index: usize,
     },
-}
-
-impl Serialize for AggregateError {
-    fn to_value(&self) -> serde_json::Value {
-        match self {
-            AggregateError::NotEnoughRuns { got, required } => {
-                serde_json::json!({"NotEnoughRuns": {"got": got, "required": required}})
-            }
-            AggregateError::FailedRun { index } => {
-                serde_json::json!({"FailedRun": {"index": index}})
-            }
-        }
-    }
-}
-
-impl Deserialize for AggregateError {
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde::de::Error> {
-        use crate::compliance::{variant_field, variant_parts};
-        let (tag, body) = variant_parts(v)?;
-        match tag {
-            "NotEnoughRuns" => Ok(AggregateError::NotEnoughRuns {
-                got: variant_field(body, "got")?,
-                required: variant_field(body, "required")?,
-            }),
-            "FailedRun" => Ok(AggregateError::FailedRun { index: variant_field(body, "index")? }),
-            other => {
-                Err(serde::de::Error::custom(format!("unknown AggregateError variant `{other}`")))
-            }
-        }
-    }
 }
 
 impl fmt::Display for AggregateError {
@@ -121,7 +90,7 @@ pub fn aggregate_runs(id: BenchmarkId, runs: &[RunSummary]) -> Result<f64, Aggre
 /// its scenario-tagged run log. The inference-side analogue of
 /// [`RunSummary`]: review collects one per scenario log and publishes
 /// them on accepted entries instead of a time-to-train score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioSummary {
     /// Which scenario produced the measurement.
     pub scenario: Scenario,

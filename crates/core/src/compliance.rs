@@ -4,18 +4,13 @@
 
 use crate::mllog::{keys, LogEntry, LogKey};
 use crate::rules::Scenario;
-use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::fmt;
 
 /// A compliance problem found in a submission log. Positional issues
 /// carry the zero-based index of the offending entry, which is also its
 /// line number in the rendered `:::MLLOG` text (entries map to lines
 /// one-to-one), so review diagnostics can point at the exact line.
-/// Issues serialize to JSON (externally tagged, like real serde renders
-/// enums) so quarantined review reports can spill to disk and round-trip
-/// with their diagnostics intact; key payloads are [`LogKey`]s, whose
-/// serde re-interns on the way back in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ComplianceIssue {
     /// A required key never appears.
@@ -127,108 +122,6 @@ impl fmt::Display for ComplianceIssue {
             }
             ComplianceIssue::SloViolated { entry } => {
                 write!(f, "latency SLO not satisfied (line {entry})")
-            }
-        }
-    }
-}
-
-impl Serialize for ComplianceIssue {
-    fn to_value(&self) -> Value {
-        match self {
-            ComplianceIssue::MissingKey(key) => json!({"MissingKey": key}),
-            ComplianceIssue::OutOfOrder { early, early_entry, late, late_entry } => json!({
-                "OutOfOrder": {
-                    "early": early,
-                    "early_entry": early_entry,
-                    "late": late,
-                    "late_entry": late_entry,
-                }
-            }),
-            ComplianceIssue::RunStopWithoutStatus { entry } => {
-                json!({"RunStopWithoutStatus": {"entry": entry}})
-            }
-            ComplianceIssue::NonMonotonicTimestamps { entry } => {
-                json!({"NonMonotonicTimestamps": {"entry": entry}})
-            }
-            ComplianceIssue::NoEvaluations => json!("NoEvaluations"),
-            ComplianceIssue::UnknownScenario { entry } => {
-                json!({"UnknownScenario": {"entry": entry}})
-            }
-            ComplianceIssue::TooFewQueries { entry, issued, required } => {
-                json!({"TooFewQueries": {"entry": entry, "issued": issued, "required": required}})
-            }
-            ComplianceIssue::ScenarioTooShort { entry, duration_ms, required_ms } => json!({
-                "ScenarioTooShort": {
-                    "entry": entry,
-                    "duration_ms": duration_ms,
-                    "required_ms": required_ms,
-                }
-            }),
-            ComplianceIssue::SloViolated { entry } => json!({"SloViolated": {"entry": entry}}),
-        }
-    }
-}
-
-/// Pulls one named field out of an externally tagged variant body.
-/// Shared by the hand-written serde impls the review spill files use
-/// (issue enums with payload variants, which the vendored derive
-/// cannot handle).
-pub fn variant_field<T: Deserialize>(body: &Value, name: &str) -> Result<T, serde::de::Error> {
-    let value = body
-        .get(name)
-        .ok_or_else(|| serde::de::Error::custom(format!("missing field `{name}`")))?;
-    T::from_value(value).map_err(|e| serde::de::Error::in_field(name, e))
-}
-
-/// Splits an externally tagged enum rendering into its tag and body: a
-/// bare string is a unit variant, a single-entry object a payload one.
-pub fn variant_parts(v: &Value) -> Result<(&str, &Value), serde::de::Error> {
-    static NULL: Value = Value::Null;
-    if let Some(tag) = v.as_str() {
-        return Ok((tag, &NULL));
-    }
-    match v.as_object().map(|map| (map.len(), map.iter().next())) {
-        Some((1, Some((tag, body)))) => Ok((tag.as_str(), body)),
-        _ => Err(serde::de::Error::custom("expected a variant tag")),
-    }
-}
-
-impl Deserialize for ComplianceIssue {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let (tag, body) = variant_parts(v)?;
-        match tag {
-            "MissingKey" => Ok(ComplianceIssue::MissingKey(LogKey::from_value(body)?)),
-            "OutOfOrder" => Ok(ComplianceIssue::OutOfOrder {
-                early: variant_field(body, "early")?,
-                early_entry: variant_field(body, "early_entry")?,
-                late: variant_field(body, "late")?,
-                late_entry: variant_field(body, "late_entry")?,
-            }),
-            "RunStopWithoutStatus" => {
-                Ok(ComplianceIssue::RunStopWithoutStatus { entry: variant_field(body, "entry")? })
-            }
-            "NonMonotonicTimestamps" => {
-                Ok(ComplianceIssue::NonMonotonicTimestamps { entry: variant_field(body, "entry")? })
-            }
-            "NoEvaluations" => Ok(ComplianceIssue::NoEvaluations),
-            "UnknownScenario" => {
-                Ok(ComplianceIssue::UnknownScenario { entry: variant_field(body, "entry")? })
-            }
-            "TooFewQueries" => Ok(ComplianceIssue::TooFewQueries {
-                entry: variant_field(body, "entry")?,
-                issued: variant_field(body, "issued")?,
-                required: variant_field(body, "required")?,
-            }),
-            "ScenarioTooShort" => Ok(ComplianceIssue::ScenarioTooShort {
-                entry: variant_field(body, "entry")?,
-                duration_ms: variant_field(body, "duration_ms")?,
-                required_ms: variant_field(body, "required_ms")?,
-            }),
-            "SloViolated" => {
-                Ok(ComplianceIssue::SloViolated { entry: variant_field(body, "entry")? })
-            }
-            other => {
-                Err(serde::de::Error::custom(format!("unknown ComplianceIssue variant `{other}`")))
             }
         }
     }
@@ -529,38 +422,6 @@ mod tests {
             .filter(|e| e.key != keys::LOADGEN_SLO_MS && e.key != keys::LOADGEN_SLO_SATISFIED)
             .collect();
         assert!(check_log(&log).is_empty());
-    }
-
-    /// Every issue shape survives a JSON round-trip — the property the
-    /// review spill files depend on — and interned keys come back as
-    /// the same interned pointer.
-    #[test]
-    fn issues_round_trip_through_json() {
-        let issues = vec![
-            ComplianceIssue::MissingKey(keys::SEED.into()),
-            ComplianceIssue::OutOfOrder {
-                early: keys::RUN_START.into(),
-                early_entry: 3,
-                late: keys::INIT_START.into(),
-                late_entry: 4,
-            },
-            ComplianceIssue::RunStopWithoutStatus { entry: 8 },
-            ComplianceIssue::NonMonotonicTimestamps { entry: 6 },
-            ComplianceIssue::NoEvaluations,
-            ComplianceIssue::UnknownScenario { entry: 5 },
-            ComplianceIssue::TooFewQueries { entry: 6, issued: 17, required: 128 },
-            ComplianceIssue::ScenarioTooShort { entry: 7, duration_ms: 40, required_ms: 1000 },
-            ComplianceIssue::SloViolated { entry: 13 },
-        ];
-        for issue in issues {
-            let text = serde_json::to_string(&issue).unwrap();
-            let back: ComplianceIssue = serde_json::from_str(&text).unwrap();
-            assert_eq!(back, issue, "{text}");
-        }
-        let text = serde_json::to_string(&ComplianceIssue::MissingKey(keys::SEED.into())).unwrap();
-        let back: ComplianceIssue = serde_json::from_str(&text).unwrap();
-        let ComplianceIssue::MissingKey(key) = back else { panic!("wrong variant") };
-        assert!(key.is_standard(), "deserialized well-known key must re-intern");
     }
 
     /// The harness's own logs must pass the compliance checker — the

@@ -74,40 +74,6 @@ pub enum EquivalenceIssue {
     },
 }
 
-impl Serialize for EquivalenceIssue {
-    fn to_value(&self) -> serde_json::Value {
-        match self {
-            EquivalenceIssue::TensorCountMismatch { reference, submitted } => serde_json::json!({
-                "TensorCountMismatch": {"reference": reference, "submitted": submitted}
-            }),
-            EquivalenceIssue::ShapeMismatch { index, reference, submitted } => serde_json::json!({
-                "ShapeMismatch": {"index": index, "reference": reference, "submitted": submitted}
-            }),
-        }
-    }
-}
-
-impl Deserialize for EquivalenceIssue {
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde::de::Error> {
-        use crate::compliance::{variant_field, variant_parts};
-        let (tag, body) = variant_parts(v)?;
-        match tag {
-            "TensorCountMismatch" => Ok(EquivalenceIssue::TensorCountMismatch {
-                reference: variant_field(body, "reference")?,
-                submitted: variant_field(body, "submitted")?,
-            }),
-            "ShapeMismatch" => Ok(EquivalenceIssue::ShapeMismatch {
-                index: variant_field(body, "index")?,
-                reference: variant_field(body, "reference")?,
-                submitted: variant_field(body, "submitted")?,
-            }),
-            other => {
-                Err(serde::de::Error::custom(format!("unknown EquivalenceIssue variant `{other}`")))
-            }
-        }
-    }
-}
-
 impl std::fmt::Display for EquivalenceIssue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -7,9 +7,9 @@
 //! - an [`OpenRoundWriter`] persisting accepted uploads incrementally
 //!   (`round.json` only lands at close, so a crashed service leaves a
 //!   recognizably incomplete round behind);
-//! - a [`StreamingReview`] accumulating per-bundle results, spilling
-//!   clean reports to a side directory so a long-lived round's memory
-//!   stays bounded;
+//! - a [`StreamingReview`] holding every per-bundle result — report,
+//!   accepted and scenario entries — in memory from arrival until close,
+//!   exactly as batch ingest does;
 //! - a rendered-leaderboard cache keyed by a version counter that
 //!   bumps once per accepted bundle, so heavy read traffic between
 //!   acceptances is a clone of a cached `String`, not a re-rank.
@@ -18,9 +18,10 @@
 //! parse-and-review stage (many uploads review in parallel, each on
 //! its caller's thread) and a short write lock to assign the submission
 //! index, persist the bundle, and publish the reviewed result. Closing
-//! flips the slot to a [`RoundOutcome`] that is — by the
-//! `StreamingReview` feed-key contract — identical to batch ingest of
-//! the same bundles in index order.
+//! publishes a [`RoundOutcome`] that is — by the `StreamingReview`
+//! feed-key contract — identical to batch ingest of the same bundles in
+//! index order, hands it to the caller, and flips the slot to the
+//! round's final status and board.
 
 use mlperf_core::report::{render_leaderboard, render_scenario_leaderboard};
 use mlperf_distsim::Round;
@@ -129,12 +130,13 @@ struct OpenRound {
     cache: Mutex<Option<(u64, String)>>,
 }
 
-/// A round that has been closed and published.
+/// A round that has been closed and published: its final status and
+/// board. The outcome itself went to `close_round`'s caller and to
+/// `outcome.json`.
 #[derive(Debug)]
 struct ClosedRound {
-    outcome: RoundOutcome,
+    status: RoundStatus,
     board: String,
-    version: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -204,11 +206,7 @@ impl ServiceCore {
         }
         let writer =
             self.archive.open_round(round, references.clone()).map_err(ServiceError::Store)?;
-        // Clean per-bundle reports spill under `<archive>/.service/`,
-        // which no round label matches, so replay never walks it.
-        let spill = self.archive.root().join(".service").join(round.label());
-        let review =
-            StreamingReview::traced(round, references, &self.telemetry, None).with_spill(spill);
+        let review = StreamingReview::traced(round, references, &self.telemetry, None);
         let open = OpenRound {
             writer,
             state: RwLock::new(OpenState {
@@ -358,15 +356,7 @@ impl ServiceCore {
     /// [`ServiceError::UnknownRound`] when the round was never opened.
     pub fn round_status(&self, round: Round) -> Result<RoundStatus, ServiceError> {
         match self.slot(round)? {
-            Slot::Closed(closed) => Ok(RoundStatus {
-                round,
-                open: false,
-                bundles: closed.outcome.reports.len(),
-                accepted_entries: closed.outcome.accepted.len(),
-                scenario_entries: closed.outcome.scenarios.len(),
-                quarantined: closed.outcome.quarantined.len(),
-                leaderboard_version: closed.version,
-            }),
+            Slot::Closed(closed) => Ok(closed.status.clone()),
             Slot::Open(open) => {
                 let state = open.state.read().expect("round state poisoned");
                 Ok(RoundStatus {
@@ -425,11 +415,16 @@ impl ServiceCore {
             outcome.accepted.clone(),
             outcome.scenarios.clone(),
         );
-        let closed = ClosedRound {
-            outcome: outcome.clone(),
-            board,
-            version: open.version.load(Ordering::SeqCst),
+        let status = RoundStatus {
+            round,
+            open: false,
+            bundles: outcome.reports.len(),
+            accepted_entries: outcome.accepted.len(),
+            scenario_entries: outcome.scenarios.len(),
+            quarantined: outcome.quarantined.len(),
+            leaderboard_version: open.version.load(Ordering::SeqCst),
         };
+        let closed = ClosedRound { status, board };
         self.rounds
             .lock()
             .expect("round map poisoned")

@@ -20,6 +20,17 @@ fn temp_archive_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Asserts that the archive root holds `archive.json` and round
+/// directories, and nothing else.
+fn assert_archive_holds_only_rounds(dir: &std::path::Path) {
+    for entry in std::fs::read_dir(dir).expect("archive root") {
+        let entry = entry.expect("archive entry");
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let is_round = entry.path().is_dir() && Round::ALL.iter().any(|r| r.label() == name);
+        assert!(name == "archive.json" || is_round, "unexpected `{name}` in the archive root");
+    }
+}
+
 fn new_core(tag: &str) -> (Arc<ServiceCore>, std::path::PathBuf) {
     let dir = temp_archive_dir(tag);
     let archive = RoundArchive::create(&dir).expect("create archive");
@@ -95,13 +106,12 @@ fn racing_submitters_match_batch_ingest_exactly() {
         references: round_references(round),
         bundles: ordered.iter().map(|&(_, position)| bundles[position].clone()).collect(),
     };
-    let spill = dir.join(".service").join(round.label());
-    assert_eq!(std::fs::read_dir(&spill).expect("spill directory").count(), bundles.len());
+    // A reviewed report lives in memory until close, never on disk
+    // where losing it would change what close publishes.
+    assert_archive_holds_only_rounds(&dir);
     let outcome = core.close_round(round).expect("close round");
     assert_eq!(outcome, run_round(&batch), "live outcome diverged from batch ingest");
-    // Regression: closing used to leave one dead report file per
-    // bundle behind, beside the `outcome.json` that holds them all.
-    assert!(!spill.exists(), "close removes the spilled reports it published");
+    assert_archive_holds_only_rounds(&dir);
     assert!(!outcome.quarantined.is_empty(), "the damaged bundle must quarantine");
     assert_eq!(outcome.reports.len(), bundles.len());
 

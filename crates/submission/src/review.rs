@@ -6,14 +6,13 @@ use crate::bundle::{BenchmarkReference, RunSet, SubmissionBundle};
 use mlperf_core::aggregate::{
     aggregate_runs, scenario_summary, AggregateError, RunSummary, ScenarioSummary,
 };
-use mlperf_core::compliance::{check_log, variant_field, variant_parts, ComplianceIssue};
+use mlperf_core::compliance::{check_log, ComplianceIssue};
 use mlperf_core::equivalence::{check_equivalence, EquivalenceIssue};
 use mlperf_core::mllog::{keys, LogEntry, MlLogger};
 use mlperf_core::rules::{Division, HyperparameterRules};
 use mlperf_core::suite::BenchmarkId;
 use mlperf_telemetry::{arg, SpanScope, Telemetry};
-use serde::{Deserialize, Serialize};
-use serde_json::{json, Map, Value};
+use serde_json::{json, Map};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -22,9 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 type ParsedLog = Result<Vec<LogEntry>, String>;
 
 /// One structured review finding, tied to the run set (and, where it
-/// applies, the run) that produced it. Diagnostics serialize to JSON
-/// (externally tagged) so quarantined reports can spill to disk during
-/// streaming ingest and round-trip intact.
+/// applies, the run) that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Diagnostic {
     /// A log failed to parse at all.
@@ -102,72 +99,8 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-impl Serialize for Diagnostic {
-    fn to_value(&self) -> Value {
-        match self {
-            Diagnostic::MalformedLog { run, error } => {
-                json!({"MalformedLog": {"run": run, "error": error}})
-            }
-            Diagnostic::Compliance { run, issue } => {
-                json!({"Compliance": {"run": run, "issue": issue}})
-            }
-            Diagnostic::RuleViolation { name } => json!({"RuleViolation": {"name": name}}),
-            Diagnostic::Equivalence(issue) => json!({"Equivalence": issue}),
-            Diagnostic::DatasetMismatch { reference, submitted } => {
-                json!({"DatasetMismatch": {"reference": reference, "submitted": submitted}})
-            }
-            // `actual` is NaN when the log carried no numeric target;
-            // NaN has no JSON form and serializes as null, which the
-            // deserializer maps back to NaN below.
-            Diagnostic::WrongQualityTarget { run, expected, actual } => {
-                json!({"WrongQualityTarget": {"run": run, "expected": expected, "actual": actual}})
-            }
-            Diagnostic::Aggregation(error) => json!({"Aggregation": error}),
-            Diagnostic::NoReference => json!("NoReference"),
-            Diagnostic::Panicked(message) => json!({"Panicked": message}),
-        }
-    }
-}
-
-impl Deserialize for Diagnostic {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let (tag, body) = variant_parts(v)?;
-        match tag {
-            "MalformedLog" => Ok(Diagnostic::MalformedLog {
-                run: variant_field(body, "run")?,
-                error: variant_field(body, "error")?,
-            }),
-            "Compliance" => Ok(Diagnostic::Compliance {
-                run: variant_field(body, "run")?,
-                issue: variant_field(body, "issue")?,
-            }),
-            "RuleViolation" => Ok(Diagnostic::RuleViolation { name: variant_field(body, "name")? }),
-            "Equivalence" => Ok(Diagnostic::Equivalence(EquivalenceIssue::from_value(body)?)),
-            "DatasetMismatch" => Ok(Diagnostic::DatasetMismatch {
-                reference: variant_field(body, "reference")?,
-                submitted: variant_field(body, "submitted")?,
-            }),
-            "WrongQualityTarget" => {
-                let actual = body
-                    .get("actual")
-                    .ok_or_else(|| serde::de::Error::custom("missing field `actual`"))?;
-                Ok(Diagnostic::WrongQualityTarget {
-                    run: variant_field(body, "run")?,
-                    expected: variant_field(body, "expected")?,
-                    // null is how a non-finite target serialized.
-                    actual: if actual.is_null() { f64::NAN } else { f64::from_value(actual)? },
-                })
-            }
-            "Aggregation" => Ok(Diagnostic::Aggregation(AggregateError::from_value(body)?)),
-            "NoReference" => Ok(Diagnostic::NoReference),
-            "Panicked" => Ok(Diagnostic::Panicked(String::from_value(body)?)),
-            other => Err(serde::de::Error::custom(format!("unknown Diagnostic variant `{other}`"))),
-        }
-    }
-}
-
 /// The review outcome for one run set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkReview {
     /// Which benchmark.
     pub benchmark: BenchmarkId,
@@ -192,7 +125,7 @@ impl BenchmarkReview {
 }
 
 /// The full review report for one bundle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReviewReport {
     /// Submitting organization.
     pub org: String,
@@ -696,51 +629,6 @@ mod tests {
             d,
             Diagnostic::Compliance { run: 1, issue: ComplianceIssue::SloViolated { .. } }
         )));
-    }
-
-    /// A quarantined report — diagnostics of every family, including
-    /// interned-key compliance issues and a NaN quality target — must
-    /// survive a JSON round-trip bit-for-bit. This is the contract the
-    /// streaming spill files rely on.
-    #[test]
-    fn quarantined_report_round_trips_through_json() {
-        let mut rs = clean_run_set();
-        rs.logs[2] = ":::MLLOG {not json".into();
-        rs.logs[0] =
-            rs.logs[0].lines().filter(|l| !l.contains("run_stop")).collect::<Vec<_>>().join("\n");
-        rs.hyperparameters.insert("momentum".into(), 0.95);
-        rs.signature = ModelSignature::from_shapes(vec![vec![1, 2, 3]]);
-        rs.dataset = "ImageNet-21k (bigger)".into();
-        let report = review_bundle(&bundle(vec![rs]), &[reference()]);
-        assert!(!report.is_clean());
-        assert!(
-            report.diagnostics().any(|(_, d)| matches!(
-                d,
-                Diagnostic::Compliance { issue: ComplianceIssue::MissingKey(_), .. }
-            )),
-            "need an interned-key diagnostic in the fixture"
-        );
-
-        let text = serde_json::to_string(&report).unwrap();
-        let back: ReviewReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, report, "quarantined report must round-trip identically");
-        let interned_keys_restored = back.diagnostics().all(|(_, d)| match d {
-            Diagnostic::Compliance { issue: ComplianceIssue::MissingKey(k), .. } => k.is_standard(),
-            _ => true,
-        });
-        assert!(interned_keys_restored, "standard keys must come back interned");
-
-        // A NaN quality target (log carried none) has no JSON form;
-        // it round-trips through null back to NaN.
-        let nan = Diagnostic::WrongQualityTarget { run: 1, expected: TARGET, actual: f64::NAN };
-        let text = serde_json::to_string(&nan).unwrap();
-        assert!(text.contains("null"), "{text}");
-        let back: Diagnostic = serde_json::from_str(&text).unwrap();
-        let Diagnostic::WrongQualityTarget { run: 1, expected, actual } = back else {
-            panic!("wrong variant: {back:?}")
-        };
-        assert_eq!(expected, TARGET);
-        assert!(actual.is_nan());
     }
 
     #[test]

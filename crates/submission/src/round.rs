@@ -19,7 +19,7 @@ use mlperf_core::suite::BenchmarkId;
 use mlperf_distsim::Round;
 use mlperf_telemetry::{arg, Counter, SpanId, SpanScope, Telemetry};
 use serde_json::{json, Map};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Everything a round ingests: the round label, the per-benchmark
 /// references review validates against, and the submitted bundles.
@@ -257,58 +257,17 @@ impl ReviewedBundle {
     }
 }
 
-/// How a per-bundle report is held between arrival and
-/// [`StreamingReview::finish`]: resident in memory, or spilled to disk
-/// with just enough metadata kept — including whether the report was
-/// clean, which the mid-round quarantine count needs — to reconstruct
-/// a stand-in if the spill file is lost.
-#[derive(Debug)]
-enum StoredReport {
-    Resident(ReviewReport),
-    Spilled { path: PathBuf, org: String, division: Division, clean: bool },
-}
-
-/// Writes one report to `dir` atomically (tmp + rename), keyed by the
-/// bundle's feed key so concurrent rounds never collide. The whole
-/// [`ReviewReport`] serializes — diagnostics included — so quarantined
-/// reports spill exactly like clean ones and round-trip with their
-/// diagnostics intact ([`mlperf_core::mllog::LogKey`] serde re-interns
-/// the standard keys on the way back in).
-fn spill_report(
-    dir: &Path,
-    index: u64,
-    arrival: usize,
-    report: &ReviewReport,
-) -> Result<PathBuf, String> {
-    let text = serde_json::to_string(report).map_err(|e| e.to_string())?;
-    let path = dir.join(format!("report-{index}-{arrival}.json"));
-    let tmp = dir.join(format!(".report-{index}-{arrival}.json.tmp"));
-    std::fs::write(&tmp, text).map_err(|e| e.to_string())?;
-    std::fs::rename(&tmp, &path).map_err(|e| e.to_string())?;
-    Ok(path)
-}
-
-/// Reads a spilled report back, diagnostics and all.
-fn unspill_report(path: &Path) -> Result<ReviewReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    serde_json::from_str(&text).map_err(|e| e.to_string())
-}
-
-/// One reviewed bundle held by [`StreamingReview`]: the caller's
-/// `(index, arrival)` ordering key, the accepted time-to-train
-/// entries, the published scenario entries, and the review report
-/// (resident or spilled).
-type StreamedResult = ((u64, usize), Vec<AcceptedEntry>, Vec<ScenarioEntry>, StoredReport);
-
 /// Incremental round review: bundles are fed one at a time
 /// ([`StreamingReview::add_bundle`], reviewed on the calling thread) or
 /// a chunk at a time ([`StreamingReview::add_bundles`], reviewed on the
 /// scoped worker pool), their log text droppable as soon as the call
 /// returns, and [`StreamingReview::finish`] publishes the
 /// [`RoundOutcome`] with bundles ordered by their `(index, arrival)`
-/// feed keys. Only the per-bundle reports and accepted entries stay
-/// resident, so a many-thousand-bundle round never holds more than one
-/// chunk's logs in memory. [`run_round`] is one chunk through this type.
+/// feed keys. Only the per-bundle results — report, accepted and
+/// scenario entries — stay resident, from arrival until `finish`, so a
+/// many-thousand-bundle round never holds more than one chunk's logs in
+/// memory. [`run_round`] is one chunk through this type, and the live
+/// service holds one per open round.
 #[derive(Debug)]
 pub struct StreamingReview {
     round: Round,
@@ -318,11 +277,9 @@ pub struct StreamingReview {
     bundles_reviewed: Counter,
     /// Parent span for per-bundle spans and quarantine events.
     parent: Option<SpanId>,
-    /// Per-bundle results keyed by the caller's ordering key.
-    results: Vec<StreamedResult>,
-    /// When set, clean per-bundle reports spill here instead of
-    /// staying resident (see [`StreamingReview::with_spill`]).
-    spill: Option<PathBuf>,
+    /// Per-bundle results keyed by the caller's `(index, arrival)`
+    /// ordering key.
+    results: Vec<((u64, usize), ReviewedBundle)>,
 }
 
 impl StreamingReview {
@@ -350,23 +307,14 @@ impl StreamingReview {
             bundles_reviewed: telemetry.counter("ingest.bundles_reviewed"),
             parent,
             results: Vec::new(),
-            spill: None,
         }
     }
 
-    /// Bounds resident memory for long-lived rounds: per-bundle reports
-    /// — quarantined ones included, diagnostics and all — are written
-    /// to `dir` (atomically, tmp + rename) as they arrive and re-read
-    /// only when [`StreamingReview::finish`] renders the outcome.
-    /// Reports whose spill write failed stay resident, so a broken
-    /// spill directory degrades memory use, never results. A spill file
-    /// lost *after* a successful write is counted on
-    /// `ingest.spill_read_errors` and that bundle's report comes back
-    /// with an empty benchmark list; its accepted entries and
-    /// leaderboard rows are resident and unaffected.
-    pub fn with_spill(mut self, dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        self.spill = std::fs::create_dir_all(&dir).is_ok().then_some(dir);
+    /// Returns `self` unchanged: reports stay resident until
+    /// [`StreamingReview::finish`]. Kept only because the benchmark's
+    /// submit decomposition calls it; it goes with ROADMAP item 1(d).
+    #[doc(hidden)]
+    pub fn with_spill(self, _dir: impl Into<PathBuf>) -> Self {
         self
     }
 
@@ -440,24 +388,9 @@ impl StreamingReview {
 
     /// Publishes one reviewed bundle under its `(index, arrival)` feed
     /// key — the mutating half of [`StreamingReview::add_bundle`].
-    /// Cheap: a push (and, with [`StreamingReview::with_spill`], one
-    /// small report write) rather than a full review.
+    /// Cheap: one push rather than a full review.
     pub fn push_reviewed(&mut self, index: u64, arrival: usize, reviewed: ReviewedBundle) {
-        let ReviewedBundle { entries, scenarios, report } = reviewed;
-        let clean = report.is_clean();
-        let stored = match &self.spill {
-            Some(dir) => match spill_report(dir, index, arrival, &report) {
-                Ok(path) => StoredReport::Spilled {
-                    path,
-                    org: report.org,
-                    division: report.division,
-                    clean,
-                },
-                Err(_) => StoredReport::Resident(report),
-            },
-            None => StoredReport::Resident(report),
-        };
-        self.results.push(((index, arrival), entries, scenarios, stored));
+        self.results.push(((index, arrival), reviewed));
         // Give an installed reporter a chance to close a window: bundle
         // arrival is the streaming path's natural heartbeat.
         self.telemetry.pulse();
@@ -476,67 +409,40 @@ impl StreamingReview {
     /// Accepted entries so far, ordered by feed key — the mid-round
     /// view a live leaderboard renders from.
     pub fn accepted_so_far(&self) -> Vec<AcceptedEntry> {
-        let mut keyed: Vec<(&(u64, usize), &Vec<AcceptedEntry>)> =
-            self.results.iter().map(|(key, entries, _, _)| (key, entries)).collect();
-        keyed.sort_by_key(|(key, _)| **key);
-        keyed.into_iter().flat_map(|(_, entries)| entries.iter().cloned()).collect()
+        self.sorted().flat_map(|reviewed| reviewed.entries.iter().cloned()).collect()
     }
 
     /// Scenario entries so far, ordered by feed key.
     pub fn scenarios_so_far(&self) -> Vec<ScenarioEntry> {
-        let mut keyed: Vec<(&(u64, usize), &Vec<ScenarioEntry>)> =
-            self.results.iter().map(|(key, _, scenarios, _)| (key, scenarios)).collect();
-        keyed.sort_by_key(|(key, _)| **key);
-        keyed.into_iter().flat_map(|(_, scenarios)| scenarios.iter().cloned()).collect()
+        self.sorted().flat_map(|reviewed| reviewed.scenarios.iter().cloned()).collect()
     }
 
-    /// Bundles quarantined so far. Spilled reports recorded their
-    /// verdict when they left memory, so no spill file is re-read.
+    /// The reviewed bundles so far, ordered by feed key.
+    fn sorted(&self) -> impl Iterator<Item = &ReviewedBundle> {
+        let mut keyed: Vec<&((u64, usize), ReviewedBundle)> = self.results.iter().collect();
+        keyed.sort_by_key(|(key, _)| *key);
+        keyed.into_iter().map(|(_, reviewed)| reviewed)
+    }
+
+    /// Bundles quarantined so far.
     pub fn quarantined_so_far(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|(_, _, _, stored)| match stored {
-                StoredReport::Resident(report) => !report.is_clean(),
-                StoredReport::Spilled { clean, .. } => !clean,
-            })
-            .count()
+        self.results.iter().filter(|(_, reviewed)| !reviewed.is_clean()).count()
     }
 
     /// Publishes the outcome: results are ordered by their feed keys.
-    /// Spilled reports are re-read here; each spill file is removed
-    /// once read back, and the spill directory once empty (both
-    /// best-effort — a file that will not go away is litter, not a
-    /// fault).
     pub fn finish(mut self) -> RoundOutcome {
-        self.results.sort_by_key(|(order, _, _, _)| *order);
+        self.results.sort_by_key(|(order, _)| *order);
         let mut accepted = Vec::new();
         let mut scenarios = Vec::new();
         let mut quarantined = Vec::new();
         let mut reports = Vec::with_capacity(self.results.len());
-        for (_, entries, scenario_entries, stored) in self.results {
+        for (_, ReviewedBundle { entries, scenarios: scenario_entries, report }) in self.results {
             accepted.extend(entries);
             scenarios.extend(scenario_entries);
-            let report = match stored {
-                StoredReport::Resident(report) => report,
-                StoredReport::Spilled { path, org, division, .. } => match unspill_report(&path) {
-                    Ok(report) => {
-                        let _ = std::fs::remove_file(&path);
-                        report
-                    }
-                    Err(_) => {
-                        self.telemetry.counter("ingest.spill_read_errors").incr();
-                        ReviewReport { org, division, benchmarks: Vec::new() }
-                    }
-                },
-            };
             if !report.is_clean() {
                 quarantined.push(report.clone());
             }
             reports.push(report);
-        }
-        if let Some(dir) = &self.spill {
-            // Fails, harmlessly, while anything is left inside.
-            let _ = std::fs::remove_dir(dir);
         }
         self.telemetry.counter("ingest.quarantined").add(quarantined.len() as u64);
         RoundOutcome { round: self.round, accepted, scenarios, quarantined, reports }
@@ -546,7 +452,7 @@ impl StreamingReview {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::review::{review_bundle, Diagnostic};
+    use crate::review::review_bundle;
     use crate::synthetic::{synthetic_round, Fault, SyntheticRoundSpec};
     use mlperf_core::mllog::MlLogger;
 
@@ -733,88 +639,6 @@ mod tests {
         }
     }
 
-    fn temp_spill_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("mlperf-spill-test-{tag}-{}-{n}", std::process::id()))
-    }
-
-    #[test]
-    fn spilled_reports_round_trip_identically() {
-        let subs = synthetic_round(
-            &SyntheticRoundSpec::new(Round::V06, 12)
-                .with_fault(Fault::GarbageLine { org: "Aurora".into() }),
-        );
-        let batch = run_round(&subs);
-        let dir = temp_spill_dir("roundtrip");
-        let mut review = StreamingReview::new(subs.round, subs.references.clone()).with_spill(&dir);
-        for (i, bundle) in subs.bundles.iter().enumerate() {
-            review.add_bundle(i as u64, i, bundle);
-        }
-        // Every report actually left memory: one spill file each,
-        // quarantined bundle included.
-        let spilled = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(spilled, subs.bundles.len(), "every report spills, quarantined or not");
-        assert_eq!(review.quarantined_so_far(), 1);
-        assert_eq!(review.finish(), batch, "spilling must not change the outcome");
-        // Regression: spill files used to outlive the round they
-        // belonged to, one dead file per bundle.
-        assert!(!dir.exists(), "finish removes what it read back, and the emptied directory");
-    }
-
-    /// Regression test for the old spill gap: quarantined reports used
-    /// to stay resident because their diagnostics carried interned
-    /// `&'static str` keys with no JSON round-trip. Now they spill like
-    /// any other report and come back bit-identical — diagnostics
-    /// intact, standard keys re-interned.
-    #[test]
-    fn spilled_quarantined_report_round_trips_with_diagnostics() {
-        let subs = synthetic_round(
-            &SyntheticRoundSpec::new(Round::V05, 31)
-                .with_fault(Fault::MissingRunStop { org: "Borealis".into() }),
-        );
-        let batch = run_round(&subs);
-        let quarantined: Vec<&ReviewReport> =
-            batch.reports.iter().filter(|r| !r.is_clean()).collect();
-        assert_eq!(quarantined.len(), 1, "fixture must quarantine exactly one bundle");
-        assert!(
-            quarantined[0].diagnostics().any(|(_, d)| matches!(
-                d,
-                Diagnostic::Compliance {
-                    issue: mlperf_core::compliance::ComplianceIssue::MissingKey(_),
-                    ..
-                }
-            )),
-            "fixture diagnostics must carry an interned key"
-        );
-
-        let dir = temp_spill_dir("quarantined");
-        let mut review = StreamingReview::new(subs.round, subs.references.clone()).with_spill(&dir);
-        for (i, bundle) in subs.bundles.iter().enumerate() {
-            review.add_bundle(i as u64, i, bundle);
-        }
-        assert_eq!(
-            std::fs::read_dir(&dir).unwrap().count(),
-            subs.bundles.len(),
-            "the quarantined report must spill too"
-        );
-        assert_eq!(review.quarantined_so_far(), 1, "verdict survives without re-reading spills");
-        let outcome = review.finish();
-        assert_eq!(outcome, batch, "spilled quarantined report must round-trip identically");
-        let report = &outcome.quarantined[0];
-        assert_eq!(report, quarantined[0], "diagnostics intact after the disk round-trip");
-        let keys_interned = report.diagnostics().all(|(_, d)| match d {
-            Diagnostic::Compliance {
-                issue: mlperf_core::compliance::ComplianceIssue::MissingKey(k),
-                ..
-            } => k.is_standard(),
-            _ => true,
-        });
-        assert!(keys_interned, "standard keys must come back interned");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn split_review_and_push_match_add_bundle() {
         let subs = synthetic_round(
@@ -831,10 +655,12 @@ mod tests {
         // The mid-round views agree with the final published outcome.
         let accepted = review.accepted_so_far();
         let scenarios = review.scenarios_so_far();
+        assert_eq!(review.quarantined_so_far(), 1, "the mid-round quarantine count");
         let outcome = review.finish();
         assert_eq!(outcome, batch);
         assert_eq!(accepted, outcome.accepted);
         assert_eq!(scenarios, outcome.scenarios);
+        assert_eq!(outcome.quarantined.len(), 1);
     }
 
     #[test]
