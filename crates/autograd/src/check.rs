@@ -7,7 +7,7 @@ use mlperf_tensor::Tensor;
 /// Central-difference numerical gradient of `f` at `x`.
 ///
 /// `f` must be a pure function of its input tensor.
-pub fn numeric_gradient(f: impl Fn(&Tensor) -> f32, x: &Tensor, eps: f32) -> Tensor {
+pub(crate) fn numeric_gradient(f: impl Fn(&Tensor) -> f32, x: &Tensor, eps: f32) -> Tensor {
     let mut grad = Tensor::zeros(x.shape());
     for i in 0..x.len() {
         let mut xp = x.clone();

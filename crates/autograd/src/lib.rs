@@ -56,5 +56,5 @@ mod ops;
 mod var;
 mod worker;
 
-pub use check::{check_gradients, numeric_gradient};
+pub use check::check_gradients;
 pub use var::Var;

@@ -126,51 +126,6 @@ impl Var {
         })
     }
 
-    /// Label-smoothed mean cross-entropy (Szegedy et al., as used by
-    /// the Transformer reference): the target distribution is
-    /// `(1-ε)·onehot + ε/classes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`Var::cross_entropy_logits`], or if `smoothing` is outside
-    /// `[0, 1)`.
-    pub fn cross_entropy_logits_smoothed(&self, labels: &[usize], smoothing: f32) -> Var {
-        assert!((0.0..1.0).contains(&smoothing), "smoothing must be in [0, 1), got {smoothing}");
-        let s = self.shape();
-        assert_eq!(s.len(), 2, "cross entropy expects [batch, classes]");
-        let (batch, classes) = (s[0], s[1]);
-        assert_eq!(labels.len(), batch, "label count must equal batch size");
-        for &l in labels {
-            assert!(l < classes, "label {l} out of range for {classes} classes");
-        }
-        let logp = self.value().log_softmax_last_axis();
-        let uniform_share = smoothing / classes as f32;
-        let mut loss = 0.0;
-        for (b, &l) in labels.iter().enumerate() {
-            let row = &logp.data()[b * classes..(b + 1) * classes];
-            loss -= (1.0 - smoothing) * row[l];
-            loss -= uniform_share * row.iter().sum::<f32>();
-        }
-        loss /= batch as f32;
-        let softmax = self.value().softmax_last_axis();
-        let labels = labels.to_vec();
-        Var::from_op(Tensor::scalar(loss), vec![self.clone()], move |g, grads| {
-            grads.put(0, || {
-                let scale = g.item() / batch as f32;
-                let mut dx = softmax.clone();
-                for (row, &l) in dx.data_mut().chunks_mut(classes).zip(&labels) {
-                    for p in row.iter_mut() {
-                        *p -= uniform_share;
-                    }
-                    row[l] -= 1.0 - smoothing;
-                }
-                dx.scale_inplace(scale);
-                dx
-            })
-        })
-    }
-
     /// Mean binary cross-entropy between logits and {0,1} targets of the
     /// same shape, fused with the sigmoid (stable for large |logits|).
     ///
@@ -234,23 +189,6 @@ impl Var {
                 .scale(g.item() / n)
             })
         })
-    }
-
-    /// Applies a fixed 0/1 mask scaled by `1/keep_prob` — inverted
-    /// dropout with an externally generated mask so that randomness
-    /// stays under the caller's seed control.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ or `keep_prob` is not in (0, 1].
-    pub fn dropout_mask(&self, mask: &Tensor, keep_prob: f32) -> Var {
-        assert!(
-            keep_prob > 0.0 && keep_prob <= 1.0,
-            "keep_prob must be in (0, 1], got {keep_prob}"
-        );
-        assert_eq!(&self.shape()[..], mask.shape(), "dropout mask shape mismatch");
-        let m = Var::constant(mask.scale(1.0 / keep_prob));
-        self.mul(&m)
     }
 }
 
@@ -330,37 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn smoothed_ce_reduces_to_plain_at_zero() {
-        let x = Var::param(Tensor::from_vec(vec![0.3, -0.5, 1.2, 0.0, 0.7, -2.0], &[2, 3]));
-        let plain = x.cross_entropy_logits(&[0, 2]);
-        let smoothed0 = x.cross_entropy_logits_smoothed(&[0, 2], 0.0);
-        mlperf_tensor::assert_close(&[plain.value().item()], &[smoothed0.value().item()], 1e-6);
-    }
-
-    #[test]
-    fn smoothed_ce_penalizes_overconfidence() {
-        // A saturated correct prediction has near-zero plain CE but
-        // positive smoothed CE (the point of label smoothing).
-        let mut logits = Tensor::zeros(&[1, 4]);
-        logits.data_mut()[1] = 30.0;
-        let x = Var::param(logits);
-        assert!(x.cross_entropy_logits(&[1]).value().item() < 1e-6);
-        assert!(x.cross_entropy_logits_smoothed(&[1], 0.1).value().item() > 0.5);
-    }
-
-    #[test]
-    fn smoothed_ce_gradient_checks() {
-        let mut rng = mlperf_tensor::TensorRng::new(17);
-        let x0 = rng.normal(&[3, 5], 0.0, 1.0);
-        crate::check_gradients(
-            |w| w.cross_entropy_logits_smoothed(&[0, 2, 4], 0.1),
-            &x0,
-            1e-3,
-            1e-2,
-        );
-    }
-
-    #[test]
     fn bce_with_logits_stable_and_correct() {
         let x = Var::param(Tensor::from_slice(&[0.0, 100.0, -100.0]));
         let t = Tensor::from_slice(&[0.5, 1.0, 0.0]);
@@ -388,15 +295,5 @@ mod tests {
         assert_close(&[loss.value().item()], &[expected], 1e-6);
         loss.backward();
         assert_close(x.grad().unwrap().data(), &[0.25, 0.5], 1e-6);
-    }
-
-    #[test]
-    fn dropout_mask_scales() {
-        let x = Var::param(Tensor::ones(&[4]));
-        let mask = Tensor::from_slice(&[1.0, 0.0, 1.0, 0.0]);
-        let y = x.dropout_mask(&mask, 0.5);
-        assert_eq!(y.value().data(), &[2.0, 0.0, 2.0, 0.0]);
-        y.sum().backward();
-        assert_eq!(x.grad().unwrap().data(), &[2.0, 0.0, 2.0, 0.0]);
     }
 }

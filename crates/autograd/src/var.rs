@@ -114,11 +114,6 @@ impl Var {
         self.inner.id
     }
 
-    /// Whether gradients flow into this node.
-    pub fn requires_grad(&self) -> bool {
-        self.inner.requires_grad
-    }
-
     /// Borrows the node's value.
     ///
     /// # Panics
@@ -174,8 +169,7 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics if the node is not scalar (one element). Use
-    /// [`Var::backward_with`] to seed a non-scalar output.
+    /// Panics if the node is not scalar (one element).
     pub fn backward(&self) {
         let n = self.value().len();
         assert_eq!(n, 1, "backward() requires a scalar loss, got {n} elements");
@@ -190,7 +184,7 @@ impl Var {
     /// Panics if `seed`'s shape differs from the node's value shape, and
     /// with the original payload if a gradient computation panics — on
     /// this thread or on the gradient worker.
-    pub fn backward_with(&self, seed: Tensor) {
+    pub(crate) fn backward_with(&self, seed: Tensor) {
         let mut leaves = Leaves::default();
         self.walk(seed, Some(&mut leaves));
         leaves.finish();
@@ -397,7 +391,7 @@ mod tests {
         let a = Var::constant(Tensor::from_slice(&[1.0]));
         let b = Var::constant(Tensor::from_slice(&[2.0]));
         let c = a.add(&b);
-        assert!(!c.requires_grad());
+        assert!(!c.inner.requires_grad);
         assert!(c.inner.op.is_none());
     }
 

@@ -13,7 +13,7 @@ const DATASET_SEED: u64 = 0x1c9d_44f7;
 
 /// The click-through-rate recommendation benchmark.
 #[derive(Debug)]
-pub struct DlrmBenchmark {
+pub(crate) struct DlrmBenchmark {
     data_config: ClickLogConfig,
     batch_size: usize,
     lr: f32,

@@ -20,7 +20,7 @@ const DATASET_SEED: u64 = 0x48d1_59e2; // same corpus as the Transformer row (bo
 
 /// The recurrent translation benchmark.
 #[derive(Debug)]
-pub struct GnmtBenchmark {
+pub(crate) struct GnmtBenchmark {
     data_config: TranslationConfig,
     batch_size: usize,
     schedule: MultiStepDecay,

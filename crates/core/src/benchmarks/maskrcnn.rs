@@ -18,9 +18,9 @@ use mlperf_tensor::{BackendKind, TensorRng};
 
 const DATASET_SEED: u64 = 0x369c_f258;
 /// Table 1 box threshold.
-pub const BOX_TARGET: f64 = 0.377;
+pub(crate) const BOX_TARGET: f64 = 0.377;
 /// Table 1 mask threshold.
-pub const MASK_TARGET: f64 = 0.339;
+pub(crate) const MASK_TARGET: f64 = 0.339;
 
 /// The instance-segmentation benchmark.
 #[derive(Debug)]
@@ -33,8 +33,6 @@ pub struct MaskRcnnBenchmark {
     model: Option<MaskRcnnMini>,
     optimizer: Option<Adam>,
     data_rng: Option<TensorRng>,
-    /// Most recent `(box_ap, mask_ap)` pair, for reporting.
-    last_aps: (f64, f64),
 }
 
 impl MaskRcnnBenchmark {
@@ -49,13 +47,7 @@ impl MaskRcnnBenchmark {
             model: None,
             optimizer: None,
             data_rng: None,
-            last_aps: (0.0, 0.0),
         }
-    }
-
-    /// The most recent `(box AP, mask AP)` pair from `evaluate`.
-    pub fn last_aps(&self) -> (f64, f64) {
-        self.last_aps
     }
 
     /// Pins the run to a tensor backend: the model's weights are minted
@@ -150,7 +142,6 @@ impl Benchmark for MaskRcnnBenchmark {
             }
         }
         let mask_ap = if mask_total == 0 { 0.0 } else { mask_hits as f64 / mask_total as f64 };
-        self.last_aps = (box_ap, mask_ap);
         (box_ap / BOX_TARGET).min(mask_ap / MASK_TARGET) * BOX_TARGET
     }
 
@@ -176,13 +167,12 @@ mod tests {
         // Convergence at 30 epochs is seed-sensitive; this seed reaches
         // both thresholds under the workspace StdRng stream.
         let result = run_benchmark(&mut bench, 7, &clock);
-        let (box_ap, mask_ap) = bench.last_aps();
+        // Quality is the box target scaled by the weaker of the two
+        // ratios, so reaching it means both thresholds are met.
         assert!(
             result.reached_target,
-            "maskrcnn failed: box {box_ap:.3} mask {mask_ap:.3} after {} epochs",
-            result.epochs
+            "maskrcnn failed: quality {:.3} after {} epochs",
+            result.quality, result.epochs
         );
-        assert!(box_ap >= BOX_TARGET);
-        assert!(mask_ap >= MASK_TARGET);
     }
 }

@@ -24,19 +24,19 @@ mod ssd;
 mod transformer;
 
 pub use bert::BertBenchmark;
-pub use dlrm::DlrmBenchmark;
-pub use gnmt::GnmtBenchmark;
 pub use maskrcnn::MaskRcnnBenchmark;
 pub use minigo::MiniGoBenchmark;
 pub use ncf::NcfBenchmark;
 pub use resnet::ResNetBenchmark;
-pub use rnnt::RnnTBenchmark;
 pub use ssd::SsdBenchmark;
-pub use transformer::TransformerBenchmark;
 
 use crate::harness::Benchmark;
 use crate::suite::BenchmarkId;
+use dlrm::DlrmBenchmark;
+use gnmt::GnmtBenchmark;
 use mlperf_tensor::BackendKind;
+use rnnt::RnnTBenchmark;
+use transformer::TransformerBenchmark;
 
 /// Builds the default-scale implementation of any suite benchmark on
 /// the default tensor backend ([`BackendKind::default`]).
@@ -123,14 +123,15 @@ mod tests {
         // run still converges — the motivation for requiring multiple
         // runs and dropping the fastest and slowest before averaging.
         use crate::aggregate::olympic_mean;
-        use crate::harness::run_benchmark_set;
+        use crate::harness::run_benchmark_set_with;
+        use mlperf_telemetry::Telemetry;
         let seeds = [1u64, 2, 3, 4];
         for id in [
             BenchmarkId::LanguageModeling,
             BenchmarkId::RecommendationDlrm,
             BenchmarkId::SpeechRecognition,
         ] {
-            let results = run_benchmark_set(|| build(id), &seeds);
+            let results = run_benchmark_set_with(|| build(id), &seeds, &Telemetry::disabled());
             assert!(results.iter().all(|r| r.reached_target), "{id}: a run missed its target");
             let epochs: Vec<usize> = results.iter().map(|r| r.epochs).collect();
             assert!(

@@ -73,11 +73,6 @@ impl ResNetBenchmark {
         self
     }
 
-    /// The per-epoch learning-rate schedule in effect.
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        self.schedule.lr(epoch)
-    }
-
     /// The configured batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size
@@ -188,6 +183,6 @@ mod tests {
     fn linear_scaling_rule_applied() {
         let b32 = ResNetBenchmark::with_batch_size(32);
         let b128 = ResNetBenchmark::with_batch_size(128);
-        assert!((b128.lr_at(0) / b32.lr_at(0) - 4.0).abs() < 1e-5);
+        assert!((b128.schedule.lr(0) / b32.schedule.lr(0) - 4.0).abs() < 1e-5);
     }
 }

@@ -13,7 +13,7 @@ const DATASET_SEED: u64 = 0x93aa_07d1;
 
 /// The speech-recognition benchmark.
 #[derive(Debug)]
-pub struct RnnTBenchmark {
+pub(crate) struct RnnTBenchmark {
     data_config: SpeechConfig,
     batch_size: usize,
     lr: f32,

@@ -20,7 +20,7 @@ const DATASET_SEED: u64 = 0x48d1_59e2;
 
 /// The Transformer translation benchmark.
 #[derive(Debug)]
-pub struct TransformerBenchmark {
+pub(crate) struct TransformerBenchmark {
     data_config: TranslationConfig,
     batch_size: usize,
     schedule: MultiStepDecay,

@@ -72,7 +72,8 @@ pub enum ComplianceIssue {
 impl ComplianceIssue {
     /// The index of the offending entry (= line number in the rendered
     /// log), when the issue points at one.
-    pub fn entry_index(&self) -> Option<usize> {
+    #[cfg(test)]
+    fn entry_index(&self) -> Option<usize> {
         match self {
             ComplianceIssue::MissingKey(_) | ComplianceIssue::NoEvaluations => None,
             ComplianceIssue::OutOfOrder { early_entry, .. } => Some(*early_entry),

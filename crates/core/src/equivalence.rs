@@ -38,7 +38,7 @@ impl ModelSignature {
     }
 
     /// Number of parameter tensors.
-    pub fn num_tensors(&self) -> usize {
+    pub(crate) fn num_tensors(&self) -> usize {
         self.shapes.len()
     }
 

@@ -182,17 +182,9 @@ pub fn run_benchmark_with(
 /// independent submission runs would on separate machines). Results are
 /// returned in seed order.
 ///
-/// `make` is called once per run on the run's own thread.
-pub fn run_benchmark_set<F>(make: F, seeds: &[u64]) -> Vec<RunResult>
-where
-    F: Fn() -> Box<dyn Benchmark> + Sync,
-{
-    run_benchmark_set_with(make, seeds, &Telemetry::disabled())
-}
-
-/// [`run_benchmark_set`] with instrumentation: every run's spans land
-/// in the shared `telemetry` sink, each on its own track, with each
-/// run's per-thread clock aligned onto the sink timeline.
+/// `make` is called once per run on the run's own thread. Every run's
+/// spans land in the shared `telemetry` sink, each on its own track,
+/// with each run's per-thread clock aligned onto the sink timeline.
 pub fn run_benchmark_set_with<F>(make: F, seeds: &[u64], telemetry: &Telemetry) -> Vec<RunResult>
 where
     F: Fn() -> Box<dyn Benchmark> + Sync,
@@ -323,8 +315,11 @@ mod tests {
         // trajectories as sequential runs with the same seeds (timing
         // differs; determinism of training must not).
         let seeds = [1u64, 2, 3, 4];
-        let parallel =
-            run_benchmark_set(|| Box::new(crate::benchmarks::NcfBenchmark::new()), &seeds);
+        let parallel = run_benchmark_set_with(
+            || Box::new(crate::benchmarks::NcfBenchmark::new()),
+            &seeds,
+            &Telemetry::disabled(),
+        );
         assert_eq!(parallel.len(), seeds.len());
         for (result, &seed) in parallel.iter().zip(seeds.iter()) {
             assert_eq!(result.seed, seed, "results out of order");

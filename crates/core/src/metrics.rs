@@ -72,7 +72,7 @@ fn ngram_counts(tokens: &[usize], n: usize) -> HashMap<&[usize], usize> {
 
 /// One image's detections paired with its ground truth, for mAP.
 #[derive(Debug, Clone)]
-pub struct DetectionEval<'a> {
+pub(crate) struct DetectionEval<'a> {
     /// Model detections (any order; scores used for ranking).
     pub detections: &'a [Detection],
     /// Ground-truth objects.
@@ -82,7 +82,11 @@ pub struct DetectionEval<'a> {
 /// Mean average precision over classes at a single IoU threshold
 /// (the paper's COCO metrics are IoU-averaged; a single threshold keeps
 /// the toy evaluation tractable while preserving the metric's shape).
-pub fn mean_average_precision(images: &[DetectionEval<'_>], classes: usize, iou: f32) -> f64 {
+pub(crate) fn mean_average_precision(
+    images: &[DetectionEval<'_>],
+    classes: usize,
+    iou: f32,
+) -> f64 {
     let mut aps = Vec::with_capacity(classes);
     for class in 0..classes {
         if let Some(ap) = average_precision_for_class(images, class, iou) {
@@ -167,7 +171,12 @@ fn iou_det_gt(d: &Detection, g: &BoxLabel) -> f32 {
 /// Pixel IoU between a predicted ROI mask (defined within `det`'s box,
 /// any square resolution, values in [0,1] thresholded at 0.5) and a
 /// full-image ground-truth mask.
-pub fn mask_iou(det: &Detection, roi_mask: &Tensor, gt_mask: &Tensor, image_size: usize) -> f32 {
+pub(crate) fn mask_iou(
+    det: &Detection,
+    roi_mask: &Tensor,
+    gt_mask: &Tensor,
+    image_size: usize,
+) -> f32 {
     let res = roi_mask.shape()[0];
     let (x0, y0, x1, y1) = det.corners();
     // Paste the ROI mask into image space.
@@ -208,18 +217,6 @@ pub fn mask_iou(det: &Detection, roi_mask: &Tensor, gt_mask: &Tensor, image_size
     } else {
         inter as f32 / union as f32
     }
-}
-
-/// Top-1 accuracy from predictions and labels.
-///
-/// # Panics
-///
-/// Panics if lengths differ or `labels` is empty.
-pub fn top1_accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
-    assert_eq!(predictions.len(), labels.len(), "length mismatch");
-    assert!(!labels.is_empty(), "empty label set");
-    predictions.iter().zip(labels.iter()).filter(|(p, l)| p == l).count() as f64
-        / labels.len() as f64
 }
 
 #[cfg(test)]
@@ -339,10 +336,5 @@ mod tests {
         let d = det(0.75, 0.75, 0.2, 0, 1.0);
         let roi = Tensor::ones(&[8, 8]);
         assert_eq!(mask_iou(&d, &roi, &gt_mask, 16), 0.0);
-    }
-
-    #[test]
-    fn accuracy_basics() {
-        assert_eq!(top1_accuracy(&[1, 2, 3], &[1, 2, 0]), 2.0 / 3.0);
     }
 }

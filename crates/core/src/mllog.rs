@@ -131,11 +131,6 @@ impl LogKey {
             KeyRepr::Owned(s) => s,
         }
     }
-
-    /// True when this key is one of the interned standard [`keys`].
-    pub fn is_standard(&self) -> bool {
-        matches!(self.0, KeyRepr::Interned(_))
-    }
 }
 
 impl Deref for LogKey {
@@ -693,9 +688,9 @@ mod tests {
     #[test]
     fn standard_keys_are_interned_and_compare_by_content() {
         let interned = LogKey::new(keys::RUN_STOP);
-        assert!(interned.is_standard());
+        assert!(matches!(interned.0, KeyRepr::Interned(_)));
         let custom = LogKey::new("my_custom_key");
-        assert!(!custom.is_standard());
+        assert!(matches!(custom.0, KeyRepr::Owned(_)));
         assert_eq!(interned, keys::RUN_STOP);
         assert_eq!(interned.as_str(), "run_stop");
         assert_eq!(LogKey::from("run_stop".to_string()), interned);

@@ -9,10 +9,10 @@
 
 use crate::suite::BenchmarkId;
 use mlperf_optim::linear_scaled_lr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The optimizer family a scale calls for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RecommendedOptimizer {
     /// Plain SGD with momentum.
     SgdMomentum,
@@ -33,7 +33,7 @@ impl std::fmt::Display for RecommendedOptimizer {
 }
 
 /// A row of the scale → hyperparameters table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Recommendation {
     /// The benchmark.
     pub benchmark: BenchmarkId,

@@ -27,7 +27,7 @@ pub struct SystemDescription {
 }
 
 /// One benchmark's reported score within a submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkScore {
     /// Which benchmark.
     pub benchmark: BenchmarkId,
@@ -39,7 +39,7 @@ pub struct BenchmarkScore {
 }
 
 /// A complete submission entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Submission {
     /// System details.
     pub system: SystemDescription,
@@ -56,7 +56,7 @@ pub struct Submission {
 
 impl Submission {
     /// The score for one benchmark, if submitted.
-    pub fn score_for(&self, id: BenchmarkId) -> Option<&BenchmarkScore> {
+    pub(crate) fn score_for(&self, id: BenchmarkId) -> Option<&BenchmarkScore> {
         self.scores.iter().find(|s| s.benchmark == id)
     }
 }
@@ -91,7 +91,7 @@ pub fn render_results_table(submissions: &[Submission]) -> String {
 
 /// One ranked row of a per-benchmark leaderboard, as the round
 /// pipeline publishes it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeaderboardRow {
     /// 1-based rank by score.
     pub rank: usize,
@@ -130,7 +130,7 @@ pub fn render_leaderboard(title: &str, rows: &[LeaderboardRow]) -> String {
 }
 
 /// One entry's row in a scenario (loadgen) leaderboard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRow {
     /// 1-based rank by throughput.
     pub rank: usize,
@@ -185,7 +185,7 @@ pub fn render_scenario_leaderboard(title: &str, rows: &[ScenarioRow]) -> String 
 /// One benchmark's cross-round comparison (a Figure 4/5-style row):
 /// one value per round in the history, oldest round first, plus the
 /// endpoint ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundComparisonRow {
     /// Benchmark display name.
     pub benchmark: String,
@@ -383,14 +383,6 @@ mod tests {
         );
         assert!(s.score_for(BenchmarkId::Recommendation).is_some());
         assert!(s.score_for(BenchmarkId::ObjectDetection).is_none());
-    }
-
-    #[test]
-    fn submissions_serialize() {
-        let s = submission("node-c", vec![]);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Submission = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]

@@ -41,15 +41,6 @@ pub enum Category {
     Research,
 }
 
-impl Category {
-    /// Whether a Preview submission's commitment is still satisfiable:
-    /// the components must become Available within the later of 60 days
-    /// or the next cycle.
-    pub fn preview_deadline_days(days_to_next_cycle: u32) -> u32 {
-        days_to_next_cycle.max(60)
-    }
-}
-
 impl fmt::Display for Category {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -70,7 +61,7 @@ pub enum SystemType {
 }
 
 /// A named hyperparameter value in a submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hyperparameter {
     /// Parameter name (e.g. `"learning_rate"`).
     pub name: String,
@@ -81,7 +72,7 @@ pub struct Hyperparameter {
 /// The Closed-division hyperparameter policy for one benchmark: the
 /// set of names submissions may modify. Everything else must match the
 /// reference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperparameterRules {
     benchmark: BenchmarkId,
     modifiable: Vec<String>,
@@ -122,7 +113,7 @@ impl HyperparameterRules {
     }
 
     /// Whether a parameter may be modified in the Closed division.
-    pub fn is_modifiable(&self, name: &str) -> bool {
+    pub(crate) fn is_modifiable(&self, name: &str) -> bool {
         self.modifiable.iter().any(|m| m == name)
     }
 
@@ -150,7 +141,7 @@ impl HyperparameterRules {
 
 /// An inference-style load scenario (MLPerf Inference, Reddi et al.):
 /// the traffic pattern the loadgen drives a trained model under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// One query at a time, back to back; judged on p90 latency.
     SingleStream,
@@ -214,7 +205,7 @@ impl fmt::Display for Scenario {
 /// The scenario compliance bounds (the loadgen analogue of §3.2.2's
 /// run-count rules): a scenario run shorter than these is not a valid
 /// measurement and is quarantined during review.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioRules {
     /// The scenario these bounds govern.
     pub scenario: Scenario,
@@ -306,12 +297,6 @@ mod tests {
         assert_eq!(adopted, vec!["learning_rate"]);
         assert_eq!(recipient["learning_rate"], 1.6);
         assert_eq!(recipient["momentum"], 0.9, "restricted param must not be borrowed");
-    }
-
-    #[test]
-    fn preview_deadline_is_later_of_60_days_or_next_cycle() {
-        assert_eq!(Category::preview_deadline_days(30), 60);
-        assert_eq!(Category::preview_deadline_days(90), 90);
     }
 
     #[test]

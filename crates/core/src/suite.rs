@@ -49,7 +49,7 @@ impl BenchmarkId {
 
     /// Whether this is one of the vision benchmarks (5 timed runs
     /// required) as opposed to the others (10 runs) — §3.2.2.
-    pub fn is_vision(self) -> bool {
+    pub(crate) fn is_vision(self) -> bool {
         matches!(
             self,
             BenchmarkId::ImageClassification
@@ -183,7 +183,7 @@ impl fmt::Display for BenchmarkId {
 /// quality targets (ResNet to 75.9% after allowing LARS, GNMT to 24.0
 /// BLEU after model improvements), switched the MiniGo reference to C++,
 /// and dropped the NCF benchmark pending the synthetic dataset rework.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuiteVersion {
     /// December 2018 round.
     V05,
@@ -255,7 +255,7 @@ impl BenchmarkId {
 }
 
 /// A quality threshold: the metric name and value training must reach.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityTarget {
     /// Human name of the metric.
     pub metric: &'static str,
@@ -264,7 +264,7 @@ pub struct QualityTarget {
 }
 
 /// One Table 1 row: task, dataset, model and quality threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkSpec {
     /// Which benchmark this is.
     pub id: BenchmarkId,

@@ -4,7 +4,8 @@
 //! stops when the quality target is achieved. Excluded from the timed
 //! region:
 //!
-//! - **system initialization** (cluster diagnostics, scheduling);
+//! - **system initialization** (cluster diagnostics, scheduling):
+//!   whatever precedes a [`RunTimer`]'s first stage is never counted;
 //! - **model creation and initialization**, up to a cap of 20 minutes —
 //!   beyond the cap, the excess counts toward the result (discouraging
 //!   impractically expensive compilation);
@@ -79,7 +80,6 @@ impl Clock for SimClock {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     Created,
-    SystemInit,
     Reformatting,
     ModelCreation,
     Timed,
@@ -89,13 +89,12 @@ enum Stage {
 /// Accumulates a run's stage durations and computes the official
 /// time-to-train under the exclusion rules.
 ///
-/// Stages must be entered in lifecycle order (system init →
-/// reformatting → model creation → timed region); each is optional.
+/// Stages must be entered in lifecycle order (reformatting → model
+/// creation → timed region); each is optional.
 pub struct RunTimer<'c> {
     clock: &'c dyn Clock,
     stage: Stage,
     stage_started: Duration,
-    system_init: Duration,
     reformatting: Duration,
     model_creation: Duration,
     timed: Duration,
@@ -108,7 +107,6 @@ impl<'c> RunTimer<'c> {
             clock,
             stage: Stage::Created,
             stage_started: clock.now(),
-            system_init: Duration::ZERO,
             reformatting: Duration::ZERO,
             model_creation: Duration::ZERO,
             timed: Duration::ZERO,
@@ -118,7 +116,6 @@ impl<'c> RunTimer<'c> {
     fn close_stage(&mut self) {
         let elapsed = self.clock.now() - self.stage_started;
         match self.stage {
-            Stage::SystemInit => self.system_init += elapsed,
             Stage::Reformatting => self.reformatting += elapsed,
             Stage::ModelCreation => self.model_creation += elapsed,
             Stage::Timed => self.timed += elapsed,
@@ -136,15 +133,6 @@ impl<'c> RunTimer<'c> {
         );
         self.close_stage();
         self.stage = next;
-    }
-
-    /// Enters the (excluded) system-initialization stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a later stage has already begun.
-    pub fn begin_system_init(&mut self) {
-        self.enter(Stage::SystemInit, 1);
     }
 
     /// Enters the (excluded) one-time data-reformatting stage.
@@ -199,15 +187,9 @@ impl<'c> RunTimer<'c> {
         self.timed + excess
     }
 
-    /// Total excluded time (init + reformatting + capped model
-    /// creation).
+    /// Total excluded time (reformatting + capped model creation).
     pub fn excluded(&self) -> Duration {
-        self.system_init + self.reformatting + self.model_creation.min(MODEL_CREATION_CAP)
-    }
-
-    /// Time spent in the model-creation stage.
-    pub fn model_creation(&self) -> Duration {
-        self.model_creation
+        self.reformatting + self.model_creation.min(MODEL_CREATION_CAP)
     }
 
     /// Time spent in the timed region only.
@@ -219,7 +201,6 @@ impl<'c> RunTimer<'c> {
 fn stage_order(s: Stage) -> u8 {
     match s {
         Stage::Created => 0,
-        Stage::SystemInit => 1,
         Stage::Reformatting => 2,
         Stage::ModelCreation => 3,
         Stage::Timed => 4,
@@ -238,9 +219,8 @@ mod tests {
     #[test]
     fn init_and_reformatting_are_excluded() {
         let clock = SimClock::new();
+        clock.advance(secs(300)); // 5 min of cluster init before the timer
         let mut t = RunTimer::new(&clock);
-        t.begin_system_init();
-        clock.advance(secs(300)); // 5 min of cluster init
         t.begin_reformatting();
         clock.advance(secs(600)); // 10 min of data packing
         t.begin_model_creation();
@@ -249,7 +229,7 @@ mod tests {
         clock.advance(secs(120)); // 2 min of training
         t.stop();
         assert_eq!(t.time_to_train(), secs(120));
-        assert_eq!(t.excluded(), secs(960));
+        assert_eq!(t.excluded(), secs(660));
     }
 
     #[test]

@@ -10,14 +10,14 @@
 use mlperf_tensor::{Tensor, TensorRng};
 
 /// A stochastic image-to-image transform over a `[c, h, w]` tensor.
-pub trait Augmentation {
+pub(crate) trait Augmentation {
     /// Applies the transform using randomness from `rng`.
     fn apply(&self, image: &Tensor, rng: &mut TensorRng) -> Tensor;
 }
 
 /// Mirrors the image horizontally with probability 1/2.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RandomFlip;
+pub(crate) struct RandomFlip;
 
 impl Augmentation for RandomFlip {
     fn apply(&self, image: &Tensor, rng: &mut TensorRng) -> Tensor {
@@ -42,7 +42,7 @@ impl Augmentation for RandomFlip {
 /// Zero-pads by `pad` on each side, then crops back to the original
 /// extent at a random offset (the standard small-image crop recipe).
 #[derive(Debug, Clone, Copy)]
-pub struct RandomCrop {
+pub(crate) struct RandomCrop {
     /// Padding (and maximum shift) in pixels.
     pub pad: usize,
 }
@@ -75,7 +75,7 @@ impl Augmentation for RandomCrop {
 
 /// Adds a uniform brightness offset in `[-delta, delta]`.
 #[derive(Debug, Clone, Copy)]
-pub struct BrightnessJitter {
+pub(crate) struct BrightnessJitter {
     /// Maximum absolute offset.
     pub delta: f32,
 }
@@ -94,7 +94,7 @@ pub struct Compose {
 
 impl Compose {
     /// Builds a pipeline from boxed stages.
-    pub fn new(stages: Vec<Box<dyn Augmentation>>) -> Self {
+    pub(crate) fn new(stages: Vec<Box<dyn Augmentation>>) -> Self {
         Compose { stages }
     }
 

@@ -23,7 +23,6 @@
 mod augment;
 mod cf;
 mod click_log;
-mod fractal;
 mod loader;
 mod masked_lm;
 mod minigo_data;
@@ -33,13 +32,13 @@ mod speech;
 mod synth_imagenet;
 mod translation;
 
-pub use augment::{Augmentation, BrightnessJitter, Compose, RandomCrop, RandomFlip};
+pub use augment::Compose;
 pub use cf::{CfConfig, InteractionSet, SyntheticCf};
 pub use click_log::{auc, ClickLogConfig, Impression, SyntheticClickLog};
-pub use fractal::AffinityMatrix;
+
 pub use loader::{epoch_batches, shard, BatchPlan};
-pub use masked_lm::{MaskedLmConfig, MaskedSentence, SyntheticMaskedLm, MASK_TOKEN};
-pub use minigo_data::{reference_games, self_play_games, GoDataset, GoSample};
+pub use masked_lm::{MaskedLmConfig, MaskedSentence, SyntheticMaskedLm};
+pub use minigo_data::{reference_games, GoDataset, GoSample};
 pub use reformat::{PackedImages, ReformatStats};
 pub use shapes::{BoxLabel, DetectionSample, ShapeClass, ShapesConfig, SyntheticShapes};
 pub use speech::{SpeechConfig, SyntheticSpeech, Utterance, BLANK};

@@ -13,7 +13,7 @@
 use mlperf_tensor::TensorRng;
 
 /// The reserved `[MASK]` token id. Content tokens are `1..vocab`.
-pub const MASK_TOKEN: usize = 0;
+pub(crate) const MASK_TOKEN: usize = 0;
 
 /// Shape of the synthetic masked-LM corpus.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,7 +3,7 @@
 //! benchmark generates its own data through exploration (§3.1.4).
 
 use mlperf_gomini::{
-    encode_features, play_game, GameRecord, HeuristicPlayer, Move, RandomPlayer, FEATURE_PLANES,
+    encode_features, play_game, GameRecord, HeuristicPlayer, Move, FEATURE_PLANES,
 };
 use mlperf_tensor::Tensor;
 
@@ -91,25 +91,6 @@ pub fn reference_games(count: usize, size: usize, seed: u64) -> Vec<GameRecord> 
         .collect()
 }
 
-/// Plays `count` exploratory self-play games (heuristic vs. random
-/// mixtures) that provide broader state coverage for training.
-pub fn self_play_games(count: usize, size: usize, seed: u64) -> Vec<GameRecord> {
-    (0..count)
-        .map(|i| {
-            let s = seed.wrapping_mul(2_654_435_761).wrapping_add(i as u64);
-            if i % 2 == 0 {
-                let mut black = HeuristicPlayer::new(s);
-                let mut white = RandomPlayer::new(s ^ 0x9e37_79b9);
-                play_game(&mut black, &mut white, size, 7.5, size * size * 3)
-            } else {
-                let mut black = RandomPlayer::new(s ^ 0x85eb_ca6b);
-                let mut white = HeuristicPlayer::new(s);
-                play_game(&mut black, &mut white, size, 7.5, size * size * 3)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +118,7 @@ mod tests {
 
     #[test]
     fn batch_stacks_features() {
-        let games = self_play_games(2, 9, 1);
+        let games = reference_games(2, 9, 1);
         let ds = GoDataset::from_games(&games);
         let (f, m, o) = ds.batch(&[0, 1, 2]);
         assert_eq!(f.shape(), &[3, FEATURE_PLANES, 9, 9]);

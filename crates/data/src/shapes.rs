@@ -35,7 +35,7 @@ impl ShapeClass {
     /// # Panics
     ///
     /// Panics if `i >= 3`.
-    pub fn from_index(i: usize) -> ShapeClass {
+    pub(crate) fn from_index(i: usize) -> ShapeClass {
         ShapeClass::ALL[i]
     }
 }

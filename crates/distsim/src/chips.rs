@@ -1,10 +1,8 @@
 //! Chip and interconnect models, the ring all-reduce cost, and the
 //! data-parallel step-time model.
 
-use serde::{Deserialize, Serialize};
-
 /// An accelerator chip model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipSpec {
     /// Marketing name.
     pub name: String,
@@ -18,19 +16,19 @@ pub struct ChipSpec {
 
 impl ChipSpec {
     /// Sustained throughput in FLOP/s.
-    pub fn sustained_flops(&self) -> f64 {
+    pub(crate) fn sustained_flops(&self) -> f64 {
         self.tflops * 1e12 * self.utilization
     }
 
     /// Maximum per-chip batch for a model with `bytes_per_sample`
     /// activation footprint.
-    pub fn max_batch(&self, bytes_per_sample: f64) -> usize {
+    pub(crate) fn max_batch(&self, bytes_per_sample: f64) -> usize {
         ((self.memory_gib * 0.6 * (1 << 30) as f64) / bytes_per_sample).floor() as usize
     }
 }
 
 /// A cluster interconnect model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Per-link bandwidth in GB/s.
     pub bandwidth_gbs: f64,
@@ -39,8 +37,8 @@ pub struct Interconnect {
 }
 
 /// A complete system: chips plus fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SystemConfig {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SystemConfig {
     /// The accelerator model used.
     pub chip: ChipSpec,
     /// Number of accelerator chips.
@@ -53,7 +51,7 @@ pub struct SystemConfig {
 /// `2·(n−1)/n · bytes / bandwidth + 2·(n−1) · latency`.
 ///
 /// With one chip the cost is zero.
-pub fn allreduce_time(bytes: f64, n: usize, fabric: Interconnect) -> f64 {
+pub(crate) fn allreduce_time(bytes: f64, n: usize, fabric: Interconnect) -> f64 {
     if n <= 1 {
         return 0.0;
     }
@@ -71,7 +69,7 @@ pub fn allreduce_time(bytes: f64, n: usize, fabric: Interconnect) -> f64 {
 ///
 /// Panics if `system.chips` is zero or the batch does not fill every
 /// chip with at least one sample.
-pub fn step_time(
+pub(crate) fn step_time(
     system: &SystemConfig,
     global_batch: usize,
     flops_per_sample: f64,

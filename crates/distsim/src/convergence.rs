@@ -11,10 +11,8 @@
 //! default ResNet calibration solves the paper's two data points
 //! exactly: `B_crit ≈ 36 864`, `e_min = 57.6`.
 
-use serde::{Deserialize, Serialize};
-
 /// Critical-batch-size convergence model with optional seed noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceModel {
     /// Asymptotic epoch count at small batch.
     pub min_epochs: f64,
@@ -46,14 +44,14 @@ impl ConvergenceModel {
 
     /// Epochs for one simulated run: the expectation times a
     /// deterministic pseudo-random multiplier derived from `seed`.
-    pub fn epochs_with_seed(&self, batch: usize, seed: u64) -> f64 {
+    pub(crate) fn epochs_with_seed(&self, batch: usize, seed: u64) -> f64 {
         self.epochs(batch) * (1.0 + self.noise * standard_normal(seed))
     }
 
     /// Returns a copy with the critical batch scaled by `factor` —
     /// models optimizer changes such as LARS, which extend the batch
     /// regime where convergence holds (the v0.6 ResNet rule change).
-    pub fn with_critical_batch_scaled(mut self, factor: f64) -> Self {
+    pub(crate) fn with_critical_batch_scaled(mut self, factor: f64) -> Self {
         self.critical_batch *= factor;
         self
     }

@@ -9,8 +9,8 @@
 //!
 //! - a catalog of accelerator chips and interconnects ([`ChipSpec`],
 //!   [`Interconnect`]);
-//! - a ring all-reduce communication model ([`allreduce_time`]);
-//! - a data-parallel step-time model ([`step_time`]);
+//! - a ring all-reduce communication model and a data-parallel
+//!   step-time model;
 //! - an epochs-to-target convergence model with a critical batch size
 //!   ([`ConvergenceModel`]), calibrated to the paper's own numbers
 //!   (ResNet-50: ~64 epochs at batch 4K, 80+ at 16K — §2.2.2);
@@ -26,14 +26,12 @@
 
 mod chips;
 mod convergence;
-mod power;
 mod scale;
 mod submission;
 
-pub use chips::{allreduce_time, step_time, ChipSpec, Interconnect, SystemConfig};
+pub use chips::{ChipSpec, Interconnect};
 pub use convergence::ConvergenceModel;
-pub use power::{energy_to_train_kwh, system_power_w, PowerSpec};
-pub use scale::{cloud_scale, hourly_price, pearson, CloudSystemDescription, Provider};
+pub use scale::{cloud_scale, CloudSystemDescription};
 pub use submission::{
     best_overall, best_time_at_scale, simulate_run_set, simulate_submission, Round, SimBenchmark,
     SimResult, Vendor,

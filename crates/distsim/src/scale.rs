@@ -6,10 +6,8 @@
 //! cloud scale correlates closely with cost across three major cloud
 //! providers."
 
-use serde::{Deserialize, Serialize};
-
 /// A cloud system description, as submitted alongside results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudSystemDescription {
     /// Host vCPU count.
     pub host_processors: usize,
@@ -32,61 +30,6 @@ pub fn cloud_scale(desc: &CloudSystemDescription) -> f64 {
     ACCEL_SHARE * desc.accelerators as f64 * desc.accelerator_weight
         + PROC_WEIGHT * desc.host_processors as f64
         + MEM_WEIGHT * desc.host_memory_gib
-}
-
-/// A simulated cloud provider's pricing model. The three providers
-/// weigh the same resources differently (and add distinct base fees),
-/// the way real clouds do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Provider {
-    /// Accelerator-premium pricing.
-    North,
-    /// Balanced pricing.
-    Meridian,
-    /// Host-heavy pricing with cheaper accelerators.
-    South,
-}
-
-impl Provider {
-    /// All simulated providers.
-    pub const ALL: [Provider; 3] = [Provider::North, Provider::Meridian, Provider::South];
-}
-
-/// The hourly price (arbitrary currency units) a provider charges for a
-/// system. Used to check the paper's claim that the cloud scale metric
-/// "correlates closely with cost across three major cloud providers"
-/// (§4.2.3).
-pub fn hourly_price(desc: &CloudSystemDescription, provider: Provider) -> f64 {
-    let (accel, proc, mem, base) = match provider {
-        Provider::North => (3.10, 0.028, 0.0022, 0.05),
-        Provider::Meridian => (2.60, 0.042, 0.0035, 0.10),
-        Provider::South => (2.25, 0.055, 0.0041, 0.02),
-    };
-    base + accel * desc.accelerators as f64 * desc.accelerator_weight
-        + proc * desc.host_processors as f64
-        + mem * desc.host_memory_gib
-}
-
-/// Pearson correlation between two equally long samples.
-///
-/// # Panics
-///
-/// Panics if lengths differ or fewer than 2 points are given.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "length mismatch");
-    assert!(xs.len() >= 2, "need at least 2 points");
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    cov / (vx.sqrt() * vy.sqrt())
 }
 
 #[cfg(test)]
@@ -135,43 +78,6 @@ mod tests {
         };
         let ratio = cloud_scale(&node) / cloud_scale(&one_accel_slice());
         assert!((ratio - 8.0).abs() < 0.1, "ratio {ratio}");
-    }
-
-    /// The §4.2.3 verification: over a realistic grid of cloud system
-    /// shapes, cloud scale correlates closely with every provider's
-    /// price.
-    #[test]
-    fn cloud_scale_correlates_with_cost_across_providers() {
-        let mut systems = Vec::new();
-        for accel in [1usize, 2, 4, 8, 16, 32] {
-            for weight in [1.0, 1.8, 2.5] {
-                systems.push(CloudSystemDescription {
-                    host_processors: 8 * accel,
-                    host_memory_gib: 61.0 * accel as f64,
-                    accelerators: accel,
-                    accelerator_weight: weight,
-                });
-            }
-        }
-        let scales: Vec<f64> = systems.iter().map(cloud_scale).collect();
-        for provider in Provider::ALL {
-            let prices: Vec<f64> = systems.iter().map(|s| hourly_price(s, provider)).collect();
-            let r = pearson(&scales, &prices);
-            assert!(r > 0.97, "{provider:?}: correlation {r} too weak");
-        }
-    }
-
-    #[test]
-    fn providers_disagree_on_absolute_price() {
-        let node = one_accel_slice();
-        let prices: Vec<f64> = Provider::ALL.iter().map(|&p| hourly_price(&node, p)).collect();
-        assert!(prices[0] != prices[1] && prices[1] != prices[2]);
-    }
-
-    #[test]
-    fn pearson_basics() {
-        assert!((pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]) - 1.0).abs() < 1e-12);
-        assert!((pearson(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]) + 1.0).abs() < 1e-12);
     }
 
     #[test]

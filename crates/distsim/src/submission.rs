@@ -58,7 +58,7 @@ impl std::str::FromStr for Round {
 }
 
 /// Workload parameters of one benchmark for the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimBenchmark {
     /// Display name.
     pub name: String,
@@ -173,7 +173,7 @@ impl SimBenchmark {
     /// The three workloads the v0.7 round added: BERT, DLRM and RNN-T.
     /// They have no earlier-round history, so their round factors are
     /// all 1 — the convergence model *is* the v0.7 baseline.
-    pub fn v07_additions() -> Vec<SimBenchmark> {
+    pub(crate) fn v07_additions() -> Vec<SimBenchmark> {
         vec![
             SimBenchmark {
                 name: "BERT".into(),
@@ -240,7 +240,7 @@ impl SimBenchmark {
     }
 
     /// The convergence model in effect for a round.
-    pub fn convergence_for(&self, round: Round) -> ConvergenceModel {
+    pub(crate) fn convergence_for(&self, round: Round) -> ConvergenceModel {
         match round {
             Round::V05 => self.convergence,
             Round::V06 => self
@@ -256,7 +256,7 @@ impl SimBenchmark {
 }
 
 /// A simulated submitter: hardware plus a per-round software profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vendor {
     /// Submitter name.
     pub name: String,
@@ -377,7 +377,7 @@ impl Vendor {
 }
 
 /// A simulated submission result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Vendor name.
     pub vendor: String,

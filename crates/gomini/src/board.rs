@@ -14,7 +14,7 @@ pub enum Color {
 
 impl Color {
     /// The opposing color.
-    pub fn opponent(self) -> Color {
+    pub(crate) fn opponent(self) -> Color {
         match self {
             Color::Black => Color::White,
             Color::White => Color::Black,
@@ -176,7 +176,7 @@ impl Board {
     }
 
     /// Orthogonal neighbors of a point.
-    pub fn neighbors(&self, point: usize) -> Vec<usize> {
+    pub(crate) fn neighbors(&self, point: usize) -> Vec<usize> {
         let (r, c) = (point / self.size, point % self.size);
         let mut out = Vec::with_capacity(4);
         if r > 0 {
@@ -199,7 +199,7 @@ impl Board {
     /// # Panics
     ///
     /// Panics if the point is empty or out of bounds.
-    pub fn group_and_liberties(&self, point: usize) -> (Vec<usize>, Vec<usize>) {
+    pub(crate) fn group_and_liberties(&self, point: usize) -> (Vec<usize>, Vec<usize>) {
         let color = self.stones[point].expect("group_and_liberties of empty point");
         let mut group = Vec::new();
         let mut liberties = Vec::new();
@@ -258,7 +258,7 @@ impl Board {
     }
 
     /// Whether a move is legal for the side to move.
-    pub fn is_legal(&self, mv: Move) -> bool {
+    pub(crate) fn is_legal(&self, mv: Move) -> bool {
         self.check(mv).is_ok()
     }
 

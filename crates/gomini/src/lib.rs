@@ -24,7 +24,7 @@
 //! assert_eq!(board.stone(40), Some(Color::Black));
 //! let mut player = RandomPlayer::new(7);
 //! let mv = player.select_move(&board);
-//! assert!(board.is_legal(mv));
+//! assert!(board.check(mv).is_ok());
 //! ```
 
 #![warn(missing_docs)]

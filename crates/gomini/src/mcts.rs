@@ -79,13 +79,6 @@ impl MctsPlayer {
         }
     }
 
-    /// Sets the komi used to score rollouts (default 7.5; smaller
-    /// boards usually play with less).
-    pub fn with_komi(mut self, komi: f32) -> Self {
-        self.komi = komi;
-        self
-    }
-
     /// Installs a move-prior function (e.g. the MiniGo policy head);
     /// priors bias both expansion and the UCT exploration term,
     /// AlphaGo-style.
@@ -219,7 +212,8 @@ mod tests {
         // best; rollouts are short enough for the value signal to
         // dominate the exploration bonus.
         let b = Board::new(3);
-        let mut mcts = MctsPlayer::new(3, 600).with_komi(1.5);
+        let mut mcts = MctsPlayer::new(3, 600);
+        mcts.komi = 1.5;
         let dist = mcts.analyze(&b);
         let center = Move::Play(b.point(1, 1));
         assert_eq!(dist[0].0, center, "distribution: {dist:?}");
@@ -241,7 +235,8 @@ mod tests {
         let mut wins = 0;
         let games = 4;
         for seed in 0..games {
-            let mut mcts = MctsPlayer::new(seed, 40).with_komi(2.5);
+            let mut mcts = MctsPlayer::new(seed, 40);
+            mcts.komi = 2.5;
             let mut random = RandomPlayer::new(seed + 50);
             let record = play_game(&mut mcts, &mut random, 5, 2.5, 80);
             if record.winner == Color::Black {

@@ -65,7 +65,7 @@ impl Pacer for SleepPacer {
 /// Virtual waiting: advances a [`SimClock`] (a clone of the one the
 /// driver measures with) straight to the deadline.
 #[derive(Debug, Clone)]
-pub struct SimPacer(pub SimClock);
+pub(crate) struct SimPacer(pub SimClock);
 
 impl Pacer for SimPacer {
     fn wait_until(&self, clock: &dyn Clock, deadline: Duration) {
@@ -190,8 +190,7 @@ pub struct LoadGenDriver<'a> {
 
 impl<'a> LoadGenDriver<'a> {
     /// A driver measuring on `clock`, waiting via `pacer` (which must
-    /// wait on the *same* timeline — pair [`SimPacer`] with its
-    /// [`SimClock`]), recording spans and latency sketches into
+    /// wait on the *same* timeline as `clock`), recording spans and latency sketches into
     /// `telemetry`.
     pub fn new(clock: &'a dyn Clock, pacer: &'a dyn Pacer, telemetry: &'a Telemetry) -> Self {
         LoadGenDriver { clock, pacer, telemetry }

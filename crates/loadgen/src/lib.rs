@@ -13,9 +13,9 @@
 //! | `offline`      | whole pool at once, batched     | throughput (QPS)         |
 //!
 //! All timing flows through the [`Clock`] trait, so a sweep over a
-//! [`SimulatedModel`] on a [`SimClock`] is bit-identical for a given
-//! seed, while a [`TrainedModel`] on a real clock measures genuine
-//! inference compute. Results render as scenario-tagged `:::MLLOG`
+//! simulated model on a [`SimClock`] ([`simulated_scenario_sweep`]) is
+//! bit-identical for a given seed, while a [`TrainedModel`] on a real
+//! clock measures genuine inference compute. Results render as scenario-tagged `:::MLLOG`
 //! run logs (see `mlperf_core::mllog::keys::LOADGEN_SCENARIO` and
 //! friends) and pack into ordinary submission bundles, so loadgen
 //! measurements ride the existing bundle → review → report pipeline,
@@ -35,8 +35,7 @@ pub mod percentile;
 
 pub use bundle::{loadgen_bundle, loadgen_reference, loadgen_run_set};
 pub use driver::{
-    simulated_scenario_sweep, LoadGenDriver, Pacer, ScenarioConfig, ScenarioResult, SimPacer,
-    SleepPacer,
+    simulated_scenario_sweep, LoadGenDriver, Pacer, ScenarioConfig, ScenarioResult, SleepPacer,
 };
-pub use model::{ServeModel, SimulatedModel, TrainedModel};
-pub use percentile::{latency_percentiles, percentile, LatencyPercentiles};
+pub use model::{ServeModel, TrainedModel};
+pub use percentile::percentile;

@@ -3,7 +3,7 @@
 //! Two implementations cover the two clock regimes. [`TrainedModel`]
 //! wraps a converged [`Benchmark`] from the time-to-train harness and
 //! answers each query with real inference compute, so it is measured
-//! under a real clock. [`SimulatedModel`] replaces the compute with a
+//! under a real clock. `SimulatedModel` replaces the compute with a
 //! seeded per-query service-time draw that it *advances a
 //! [`SimClock`] by*, so whole scenario sweeps — including the Server
 //! QPS search — run deterministically in microseconds of wall time.
@@ -71,7 +71,7 @@ fn base_service_us(benchmark: BenchmarkId) -> u64 {
 /// by advancing a shared [`SimClock`]. Batched serving amortizes all
 /// but the first query to an eighth of its solo cost.
 #[derive(Debug, Clone)]
-pub struct SimulatedModel {
+pub(crate) struct SimulatedModel {
     benchmark: BenchmarkId,
     seed: u64,
     clock: SimClock,
@@ -88,7 +88,7 @@ impl SimulatedModel {
 
     /// The benchmark's mean per-query service time in milliseconds —
     /// what SLO defaults are scaled from.
-    pub fn base_service_ms(benchmark: BenchmarkId) -> f64 {
+    pub(crate) fn base_service_ms(benchmark: BenchmarkId) -> f64 {
         base_service_us(benchmark) as f64 / 1000.0
     }
 

@@ -27,26 +27,13 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 /// The three latency percentiles every scenario reports, in the same
 /// unit as the samples (the drivers use milliseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyPercentiles {
+pub(crate) struct LatencyPercentiles {
     /// Median latency.
     pub p50: f64,
     /// 90th-percentile latency (the SingleStream SLO percentile).
     pub p90: f64,
     /// 99th-percentile latency (the Server SLO percentile).
     pub p99: f64,
-}
-
-/// Computes the p50/p90/p99 summary of a latency sample set.
-///
-/// # Panics
-///
-/// Panics when `samples` is empty.
-pub fn latency_percentiles(samples: &[f64]) -> LatencyPercentiles {
-    LatencyPercentiles {
-        p50: percentile(samples, 50.0),
-        p90: percentile(samples, 90.0),
-        p99: percentile(samples, 99.0),
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +61,9 @@ mod tests {
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let p = latency_percentiles(&[7.25]);
-        assert_eq!(p, LatencyPercentiles { p50: 7.25, p90: 7.25, p99: 7.25 });
+        for p in [0.0, 50.0, 90.0, 99.0, 100.0] {
+            assert_eq!(percentile(&[7.25], p), 7.25);
+        }
     }
 
     #[test]
@@ -93,12 +81,5 @@ mod tests {
             prop_assert_eq!(percentile(&samples, p), naive_percentile(&samples, p));
         }
 
-        #[test]
-        fn summary_percentiles_match_reference(samples in vec(0.0f64..500.0, 1..96)) {
-            let got = latency_percentiles(&samples);
-            prop_assert_eq!(got.p50, naive_percentile(&samples, 50.0));
-            prop_assert_eq!(got.p90, naive_percentile(&samples, 90.0));
-            prop_assert_eq!(got.p99, naive_percentile(&samples, 99.0));
-        }
     }
 }

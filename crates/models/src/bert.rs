@@ -127,7 +127,7 @@ impl BertMini {
     /// # Panics
     ///
     /// Panics when a sequence exceeds `max_len` or the batch is ragged.
-    pub fn encode(&self, token_batch: &[Vec<usize>]) -> Var {
+    pub(crate) fn encode(&self, token_batch: &[Vec<usize>]) -> Var {
         assert!(!token_batch.is_empty(), "empty batch");
         let seq = token_batch[0].len();
         assert!(seq <= self.config.max_len, "sequence longer than max_len");

@@ -69,7 +69,7 @@ impl Detection {
 /// Greedy per-class non-maximum suppression: keeps the highest-scoring
 /// detection and drops same-class overlaps above `iou_threshold`.
 /// Returns survivors sorted by descending score.
-pub fn nms(mut detections: Vec<Detection>, iou_threshold: f32) -> Vec<Detection> {
+pub(crate) fn nms(mut detections: Vec<Detection>, iou_threshold: f32) -> Vec<Detection> {
     detections.sort_by(|a, b| b.score.total_cmp(&a.score));
     let mut kept: Vec<Detection> = Vec::new();
     for d in detections {
@@ -82,7 +82,7 @@ pub fn nms(mut detections: Vec<Detection>, iou_threshold: f32) -> Vec<Detection>
 }
 
 /// The Transformer's sinusoidal position encoding: `[time, dim]`.
-pub fn sinusoidal_positions(time: usize, dim: usize) -> Tensor {
+pub(crate) fn sinusoidal_positions(time: usize, dim: usize) -> Tensor {
     let mut data = Vec::with_capacity(time * dim);
     for t in 0..time {
         for d in 0..dim {

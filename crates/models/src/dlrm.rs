@@ -46,7 +46,7 @@ impl Default for DlrmConfig {
 impl DlrmConfig {
     /// Feature vectors entering pairwise interaction: the dense
     /// embedding, each categorical embedding, and the bag embedding.
-    pub fn feature_count(&self) -> usize {
+    pub(crate) fn feature_count(&self) -> usize {
         1 + self.categorical_vocabs.len() + 1
     }
 }

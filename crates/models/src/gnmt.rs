@@ -208,12 +208,14 @@ impl GnmtMini {
     }
 
     /// Teacher-forced log-probability of a candidate translation
-    /// (including its end-of-sequence token).
+    /// (including its end-of-sequence token); the tests rescore beam
+    /// hypotheses with it.
     ///
     /// # Panics
     ///
     /// Panics if `source` is empty.
-    pub fn sequence_logprob(&self, source: &[usize], target: &[usize]) -> f32 {
+    #[cfg(test)]
+    fn sequence_logprob(&self, source: &[usize], target: &[usize]) -> f32 {
         let enc = self.encode(&[source.to_vec()]);
         let mut state = mlperf_nn::LstmState { h: enc.last.h.detach(), c: enc.last.c.detach() };
         let mut prev = BOS;
@@ -243,7 +245,11 @@ impl GnmtMini {
     /// # Panics
     ///
     /// Panics if `width` is zero or `source` is empty.
-    pub fn beam_translate_scored(&self, source: &[usize], width: usize) -> (Vec<usize>, f32, bool) {
+    pub(crate) fn beam_translate_scored(
+        &self,
+        source: &[usize],
+        width: usize,
+    ) -> (Vec<usize>, f32, bool) {
         assert!(width > 0, "beam width must be positive");
         let enc = self.encode(&[source.to_vec()]);
         let init = mlperf_nn::LstmState { h: enc.last.h.detach(), c: enc.last.c.detach() };

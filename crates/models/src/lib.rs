@@ -38,7 +38,7 @@ mod transformer;
 
 pub use alexnet::AlexNetMini;
 pub use bert::{BertConfig, BertMini};
-pub use common::{nms, sinusoidal_positions, Detection};
+pub use common::Detection;
 pub use dlrm::{DlrmConfig, DlrmMini};
 pub use gnmt::{GnmtConfig, GnmtMini};
 pub use maskrcnn::{MaskRcnnConfig, MaskRcnnMini, MaskRcnnOutput};

@@ -27,7 +27,7 @@ impl Default for MiniGoConfig {
 
 /// The number of feature planes the Go engine produces (re-exported to
 /// avoid a direct gomini dependency in every caller).
-pub fn mlperf_gomini_planes() -> usize {
+pub(crate) fn mlperf_gomini_planes() -> usize {
     // mlperf-data re-encodes via mlperf-gomini; the constant is fixed.
     4
 }

@@ -90,7 +90,7 @@ impl RnnTMini {
     }
 
     /// Greedy transcriptions (collapse repeats, drop blanks).
-    pub fn transcribe(&self, batch: &[&Utterance]) -> Vec<Vec<usize>> {
+    pub(crate) fn transcribe(&self, batch: &[&Utterance]) -> Vec<Vec<usize>> {
         greedy_ctc_decode(&self.forward(batch).value(), BLANK)
     }
 

@@ -198,7 +198,7 @@ impl TransformerMini {
     ///
     /// Panics if a source sentence is empty (attention over zero
     /// positions is undefined), or if the batch is empty or ragged.
-    pub fn encode(&self, sources: &[Vec<usize>]) -> Var {
+    pub(crate) fn encode(&self, sources: &[Vec<usize>]) -> Var {
         assert_no_empty_source(sources);
         let mut h = self.embed(&self.src_embed, sources);
         for block in &self.encoder {
@@ -244,12 +244,13 @@ impl TransformerMini {
 
     /// Teacher-forced log-probability of a full candidate translation
     /// (including its end-of-sequence token) — the quantity beam search
-    /// maximizes; exposed for evaluation and tests.
+    /// maximizes; the tests rescore beam hypotheses with it.
     ///
     /// # Panics
     ///
     /// Panics if `source` is empty.
-    pub fn sequence_logprob(&self, source: &[usize], target: &[usize]) -> f32 {
+    #[cfg(test)]
+    fn sequence_logprob(&self, source: &[usize], target: &[usize]) -> f32 {
         let memory = self.encode(&[source.to_vec()]);
         let mut inputs = vec![BOS];
         inputs.extend_from_slice(target);
@@ -282,7 +283,11 @@ impl TransformerMini {
     /// # Panics
     ///
     /// Panics if `width` is zero or `source` is empty.
-    pub fn beam_translate_scored(&self, source: &[usize], width: usize) -> (Vec<usize>, f32, bool) {
+    pub(crate) fn beam_translate_scored(
+        &self,
+        source: &[usize],
+        width: usize,
+    ) -> (Vec<usize>, f32, bool) {
         assert!(width > 0, "beam width must be positive");
         let memory = self.encode(&[source.to_vec()]);
         let vocab = self.config.vocab;

@@ -11,7 +11,6 @@ pub struct Conv2d {
     bias: Option<Var>,
     spec: Conv2dSpec,
     in_channels: usize,
-    out_channels: usize,
 }
 
 impl Conv2d {
@@ -30,7 +29,6 @@ impl Conv2d {
             bias: bias.then(|| Var::param(Tensor::zeros(&[out_channels]))),
             spec,
             in_channels,
-            out_channels,
         }
     }
 
@@ -53,11 +51,6 @@ impl Conv2d {
     /// The convolution geometry.
     pub fn spec(&self) -> Conv2dSpec {
         self.spec
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
     }
 
     /// The weight parameter.

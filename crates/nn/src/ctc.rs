@@ -57,7 +57,7 @@ pub fn greedy_ctc_decode(logits: &Tensor, blank: usize) -> Vec<Vec<usize>> {
 }
 
 /// Levenshtein edit distance between two label sequences.
-pub fn edit_distance(a: &[usize], b: &[usize]) -> usize {
+pub(crate) fn edit_distance(a: &[usize], b: &[usize]) -> usize {
     let mut prev: Vec<usize> = (0..=b.len()).collect();
     for (i, &x) in a.iter().enumerate() {
         let mut row = vec![i + 1];

@@ -35,7 +35,7 @@ mod rnn;
 
 pub use attention::{causal_mask, MultiHeadAttention};
 pub use conv::Conv2d;
-pub use ctc::{ctc_alignment_loss, edit_distance, greedy_ctc_decode, label_error_rate};
+pub use ctc::{ctc_alignment_loss, greedy_ctc_decode, label_error_rate};
 pub use embedding::Embedding;
 pub use embedding_bag::{BagMode, EmbeddingBag};
 pub use linear::Linear;
@@ -74,7 +74,7 @@ impl<M: Module + ?Sized> Module for &M {
 
 /// Concatenates the parameter lists of several modules (helper for
 /// composite models).
-pub fn collect_params(modules: &[&dyn Module]) -> Vec<Var> {
+pub(crate) fn collect_params(modules: &[&dyn Module]) -> Vec<Var> {
     modules.iter().flat_map(|m| m.params()).collect()
 }
 

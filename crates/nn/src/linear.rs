@@ -57,16 +57,6 @@ impl Linear {
         y.reshape(&out_shape)
     }
 
-    /// The input width.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// The output width.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The weight parameter (`[in, out]`).
     pub fn weight(&self) -> &Var {
         &self.weight

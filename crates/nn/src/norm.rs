@@ -80,16 +80,6 @@ impl BatchNorm2d {
         let y = norm.mul(&self.gamma.reshape(&[c, 1])).add(&self.beta.reshape(&[c, 1]));
         y.reshape(&[c, n, h, w]).permute(&[1, 0, 2, 3])
     }
-
-    /// The running mean estimate.
-    pub fn running_mean(&self) -> Tensor {
-        self.running_mean.borrow().clone()
-    }
-
-    /// The running variance estimate.
-    pub fn running_var(&self) -> Tensor {
-        self.running_var.borrow().clone()
-    }
 }
 
 impl Module for BatchNorm2d {
@@ -179,7 +169,7 @@ mod tests {
         for _ in 0..30 {
             bn.forward(&x, true);
         }
-        let rm = bn.running_mean().data()[0];
+        let rm = bn.running_mean.borrow().data()[0];
         assert!((rm - 3.0).abs() < 0.3, "running mean {rm} should approach 3");
     }
 

@@ -51,7 +51,7 @@ impl ReductionOrder {
 ///
 /// Panics if `shards` is empty, shapes differ, or the order is not a
 /// permutation of the shard indices.
-pub fn reduce_shards(shards: &[Tensor], order: &ReductionOrder) -> Tensor {
+pub(crate) fn reduce_shards(shards: &[Tensor], order: &ReductionOrder) -> Tensor {
     assert!(!shards.is_empty(), "reduce of zero shards");
     let idx = order.indices(shards.len());
     let mut acc = Tensor::zeros(shards[0].shape());
@@ -63,7 +63,7 @@ pub fn reduce_shards(shards: &[Tensor], order: &ReductionOrder) -> Tensor {
 
 /// Installs `grad` as `param`'s accumulated gradient, replacing any
 /// existing one (used after an explicit aggregation step).
-pub fn install_gradient(param: &Var, grad: Tensor) {
+pub(crate) fn install_gradient(param: &Var, grad: Tensor) {
     param.zero_grad();
     let g = Var::constant(grad);
     param.mul(&g).sum().backward();

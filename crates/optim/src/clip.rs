@@ -5,7 +5,7 @@ use mlperf_autograd::Var;
 
 /// The L2 norm of all gradients across `params` taken as one vector.
 /// Parameters without gradients contribute zero.
-pub fn global_grad_norm(params: &[Var]) -> f32 {
+pub(crate) fn global_grad_norm(params: &[Var]) -> f32 {
     params
         .iter()
         .filter_map(|p| p.grad())

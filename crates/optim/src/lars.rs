@@ -32,7 +32,7 @@ impl Lars {
     /// The local (per-layer) learning-rate multiplier LARS would apply
     /// for a given weight/gradient pair — exposed for tests and for the
     /// scale-sweep experiment harness.
-    pub fn trust_ratio(&self, w: &Tensor, g: &Tensor) -> f32 {
+    pub(crate) fn trust_ratio(&self, w: &Tensor, g: &Tensor) -> f32 {
         let wn = w.norm();
         let gn = g.norm();
         if wn == 0.0 || gn == 0.0 {

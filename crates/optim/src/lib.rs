@@ -40,12 +40,10 @@ mod schedule;
 mod sgd;
 
 pub use adam::Adam;
-pub use allreduce::{data_parallel_step, install_gradient, reduce_shards, ReductionOrder};
-pub use clip::{clip_grad_norm, global_grad_norm};
+pub use allreduce::{data_parallel_step, ReductionOrder};
+pub use clip::clip_grad_norm;
 pub use lars::Lars;
-pub use schedule::{
-    linear_scaled_lr, ConstantLr, CosineDecay, LinearWarmup, LrSchedule, MultiStepDecay, StepDecay,
-};
+pub use schedule::{linear_scaled_lr, LrSchedule, MultiStepDecay};
 pub use sgd::{SgdCaffe, SgdTorch};
 
 use mlperf_autograd::Var;

@@ -7,33 +7,6 @@ pub trait LrSchedule {
     fn lr(&self, step: usize) -> f32;
 }
 
-/// A constant rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantLr(pub f32);
-
-impl LrSchedule for ConstantLr {
-    fn lr(&self, _step: usize) -> f32 {
-        self.0
-    }
-}
-
-/// Multiplies the base rate by `gamma` every `step_size` steps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepDecay {
-    /// Initial rate.
-    pub base: f32,
-    /// Multiplicative factor applied at each boundary.
-    pub gamma: f32,
-    /// Steps between boundaries.
-    pub step_size: usize,
-}
-
-impl LrSchedule for StepDecay {
-    fn lr(&self, step: usize) -> f32 {
-        self.base * self.gamma.powi((step / self.step_size) as i32)
-    }
-}
-
 /// Multiplies the base rate by `gamma` at each listed milestone (the
 /// ResNet 30/60/80-epoch staircase).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,50 +26,6 @@ impl LrSchedule for MultiStepDecay {
     }
 }
 
-/// Linear warmup from `base/warmup_steps` up to `base`, then delegates
-/// to an inner schedule offset by the warmup — the large-batch recipe of
-/// Goyal et al. that the paper's hyperparameter rules permit.
-#[derive(Debug, Clone)]
-pub struct LinearWarmup<S> {
-    /// Peak rate reached at the end of warmup.
-    pub base: f32,
-    /// Warmup length in steps.
-    pub warmup_steps: usize,
-    /// Schedule that takes over after warmup (stepped from 0).
-    pub after: S,
-}
-
-impl<S: LrSchedule> LrSchedule for LinearWarmup<S> {
-    fn lr(&self, step: usize) -> f32 {
-        if self.warmup_steps > 0 && step < self.warmup_steps {
-            self.base * (step + 1) as f32 / self.warmup_steps as f32
-        } else {
-            self.after.lr(step - self.warmup_steps)
-        }
-    }
-}
-
-/// Cosine decay from `base` to `min` over `total_steps`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CosineDecay {
-    /// Initial rate.
-    pub base: f32,
-    /// Floor rate.
-    pub min: f32,
-    /// Steps over which to decay; later steps stay at `min`.
-    pub total_steps: usize,
-}
-
-impl LrSchedule for CosineDecay {
-    fn lr(&self, step: usize) -> f32 {
-        if step >= self.total_steps {
-            return self.min;
-        }
-        let t = step as f32 / self.total_steps as f32;
-        self.min + 0.5 * (self.base - self.min) * (1.0 + (std::f32::consts::PI * t).cos())
-    }
-}
-
 /// The linear-scaling rule: when the minibatch grows from
 /// `base_batch` to `batch`, scale the reference learning rate
 /// proportionally (Goyal et al., 2017; cited in §3.4 of the paper as the
@@ -110,62 +39,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_is_constant() {
-        let s = ConstantLr(0.1);
-        assert_eq!(s.lr(0), 0.1);
-        assert_eq!(s.lr(10_000), 0.1);
-    }
-
-    #[test]
-    fn step_decay_staircase() {
-        let s = StepDecay { base: 1.0, gamma: 0.1, step_size: 10 };
-        assert_eq!(s.lr(0), 1.0);
-        assert_eq!(s.lr(9), 1.0);
-        assert!((s.lr(10) - 0.1).abs() < 1e-7);
-        assert!((s.lr(25) - 0.01).abs() < 1e-8);
-    }
-
-    #[test]
     fn multistep_matches_resnet_staircase() {
         let s = MultiStepDecay { base: 0.4, gamma: 0.1, milestones: vec![30, 60, 80] };
         assert_eq!(s.lr(29), 0.4);
         assert!((s.lr(30) - 0.04).abs() < 1e-7);
         assert!((s.lr(79) - 0.004).abs() < 1e-7);
         assert!((s.lr(80) - 0.0004).abs() < 1e-8);
-    }
-
-    #[test]
-    fn warmup_ramps_then_delegates() {
-        let s = LinearWarmup { base: 1.0, warmup_steps: 4, after: ConstantLr(1.0) };
-        assert!((s.lr(0) - 0.25).abs() < 1e-7);
-        assert!((s.lr(3) - 1.0).abs() < 1e-7);
-        assert_eq!(s.lr(100), 1.0);
-    }
-
-    #[test]
-    fn warmup_zero_steps_is_noop() {
-        let s = LinearWarmup { base: 1.0, warmup_steps: 0, after: ConstantLr(0.5) };
-        assert_eq!(s.lr(0), 0.5);
-    }
-
-    #[test]
-    fn cosine_endpoints() {
-        let s = CosineDecay { base: 1.0, min: 0.1, total_steps: 100 };
-        assert!((s.lr(0) - 1.0).abs() < 1e-6);
-        assert!((s.lr(50) - 0.55).abs() < 1e-6);
-        assert_eq!(s.lr(100), 0.1);
-        assert_eq!(s.lr(1000), 0.1);
-    }
-
-    #[test]
-    fn cosine_monotone_nonincreasing() {
-        let s = CosineDecay { base: 0.4, min: 0.0, total_steps: 64 };
-        let mut prev = f32::INFINITY;
-        for step in 0..=64 {
-            let lr = s.lr(step);
-            assert!(lr <= prev + 1e-7, "cosine increased at {step}");
-            prev = lr;
-        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub enum ServiceError {
     /// The round exists but is closed; submissions and close are
     /// rejected.
     RoundClosed(Round),
-    /// An open or closed round already occupies this label.
+    /// An open or closed round already occupies this label, in this
+    /// process or published in the archive.
     RoundAlreadyOpen(Round),
     /// The archive could not persist a bundle or the round manifest.
     Store(StoreError),
@@ -192,16 +193,20 @@ impl ServiceCore {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::RoundAlreadyOpen`] when the label is taken
-    /// (open or closed); [`ServiceError::Store`] when the round
-    /// directory cannot be reset.
+    /// [`ServiceError::RoundAlreadyOpen`] when the label is taken: open
+    /// or closed in this process, or published in the archive (its
+    /// `round.json` is on disk, say from before a restart), which
+    /// opening would delete. [`ServiceError::Store`] when the archive
+    /// cannot be listed or the round directory cannot be reset.
     pub fn open_round(
         &self,
         round: Round,
         references: Vec<BenchmarkReference>,
     ) -> Result<(), ServiceError> {
         let mut rounds = self.rounds.lock().expect("round map poisoned");
-        if rounds.contains_key(&round) {
+        if rounds.contains_key(&round)
+            || self.archive.rounds().map_err(ServiceError::Store)?.contains(&round)
+        {
             return Err(ServiceError::RoundAlreadyOpen(round));
         }
         let writer =
@@ -440,7 +445,7 @@ impl ServiceCore {
     /// polling `/metrics` never inflates a counter. Rendered from the
     /// registry alone, so a scrape costs the same however many spans
     /// the service has recorded.
-    pub fn metrics_text(&self) -> String {
+    pub(crate) fn metrics_text(&self) -> String {
         let stats = mlperf_pool::pool_stats();
         self.telemetry.gauge("pool.workers_busy").set(stats.workers_busy);
         self.telemetry.gauge("pool.workers_busy_hwm").set(stats.workers_busy_peak);

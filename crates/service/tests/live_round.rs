@@ -133,6 +133,34 @@ fn racing_submitters_match_batch_ingest_exactly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A restarted service knows no rounds in memory, but a label the
+/// archive holds as published stays taken: opening it is refused and
+/// leaves the published copy as it was.
+#[test]
+fn reopening_a_published_round_after_restart_is_refused() {
+    let round = Round::V06;
+    let (core, dir) = new_core("restart");
+    core.open_round(round, round_references(round)).expect("open round");
+    for bundle in &synthetic_stress_round(round, 12, 3).bundles {
+        core.submit_bundle(round, bundle).expect("submit");
+    }
+    let published = core.close_round(round).expect("close round");
+    drop(core);
+
+    let restarted =
+        ServiceCore::new(RoundArchive::open(&dir).expect("reopen archive"), Telemetry::disabled());
+    assert_eq!(
+        restarted.open_round(round, round_references(round)),
+        Err(ServiceError::RoundAlreadyOpen(round))
+    );
+    let archive = RoundArchive::open(&dir).expect("reopen archive");
+    assert_eq!(archive.rounds().expect("rounds"), vec![round]);
+    let ingest = archive.read_round(round).expect("read round");
+    assert_eq!(ingest.faults, Vec::new());
+    assert_eq!(run_round(&ingest.submissions), published);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The full HTTP surface over real TCP: open, submit, query, metrics,
 /// close — with conflict errors where the state machine demands them.
 #[test]

@@ -100,7 +100,7 @@ pub struct RoundOutcome {
 
 impl RoundOutcome {
     /// Accepted entries for one benchmark and division.
-    pub fn entries_for(
+    pub(crate) fn entries_for(
         &self,
         benchmark: BenchmarkId,
         division: Division,

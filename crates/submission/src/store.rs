@@ -381,6 +381,9 @@ impl RoundArchive {
     /// # Errors
     ///
     /// [`StoreError::Io`] when the round directory cannot be reset.
+    /// A published copy is not an error: it is deleted, `round.json`
+    /// included, so a caller that must keep published rounds checks
+    /// [`RoundArchive::rounds`] first, as the live service does.
     pub fn open_round(
         &self,
         round: Round,

@@ -82,7 +82,7 @@ impl SyntheticRoundSpec {
 }
 
 /// The suite version whose quality targets a round enforces.
-pub fn suite_version(round: Round) -> SuiteVersion {
+pub(crate) fn suite_version(round: Round) -> SuiteVersion {
     match round {
         Round::V05 => SuiteVersion::V05,
         Round::V06 => SuiteVersion::V06,
@@ -106,7 +106,7 @@ fn sim_identity(b: &SimBenchmark) -> BenchmarkId {
 
 /// Every benchmark contested in a round, paired with its suite
 /// identity: the comparison set plus, from v0.7, the added workloads.
-pub fn round_benchmarks(round: Round) -> Vec<(BenchmarkId, SimBenchmark)> {
+pub(crate) fn round_benchmarks(round: Round) -> Vec<(BenchmarkId, SimBenchmark)> {
     SimBenchmark::benchmarks_for_round(round).into_iter().map(|b| (sim_identity(&b), b)).collect()
 }
 

@@ -64,11 +64,6 @@ impl RoundHistory {
         self.outcomes.first()
     }
 
-    /// The newest round's outcome.
-    pub fn latest(&self) -> Option<&RoundOutcome> {
-        self.outcomes.last()
-    }
-
     /// Number of rounds in the history.
     pub fn len(&self) -> usize {
         self.outcomes.len()
@@ -467,7 +462,7 @@ mod tests {
         rebuilt.push(h.get(Round::V06).unwrap().clone());
         assert_eq!(rebuilt.rounds(), vec![Round::V05, Round::V06, Round::V07]);
         assert_eq!(rebuilt.first().unwrap().round, Round::V05);
-        assert_eq!(rebuilt.latest().unwrap().round, Round::V07);
+        assert_eq!(rebuilt.outcomes.last().unwrap().round, Round::V07);
 
         // Pushing an existing round replaces, never duplicates.
         let replacement = RoundOutcome {

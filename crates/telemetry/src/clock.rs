@@ -23,7 +23,7 @@ pub trait Clock {
 /// instance can be shared across a scoped worker pool to give every
 /// worker the same timeline.
 #[derive(Debug)]
-pub struct MonotonicClock {
+pub(crate) struct MonotonicClock {
     origin: Instant,
 }
 

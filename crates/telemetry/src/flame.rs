@@ -1,6 +1,6 @@
 //! Collapsed-stack flamegraph export folded from completed span trees.
 //!
-//! [`render_collapsed`] walks every recorded span, reconstructs its
+//! [`write_collapsed`] walks every recorded span, reconstructs its
 //! ancestry through the `parent` links, and emits one line per unique
 //! stack in the "folded"/"collapsed" format `flamegraph.pl` and
 //! `inferno-flamegraph` consume:
@@ -35,7 +35,7 @@ fn frame(span: &SpanRecord) -> String {
 /// docs). Spans with zero self time contribute no line of their own —
 /// their time is entirely attributed to their children — so the output
 /// always parses as `stack;frames count` with positive counts.
-pub fn render_collapsed(snapshot: &TelemetrySnapshot) -> String {
+pub(crate) fn render_collapsed(snapshot: &TelemetrySnapshot) -> String {
     let by_id: HashMap<u64, &SpanRecord> = snapshot.spans.iter().map(|s| (s.id, s)).collect();
     let mut child_time: HashMap<u64, u64> = HashMap::new();
     for span in &snapshot.spans {

@@ -30,7 +30,7 @@
 //!
 //! Beyond point-in-time snapshots, the sink can carry an installed
 //! [`Reporter`] that samples counters and gauges into windowed
-//! [`TimeSeries`] rings — instrumented loops call
+//! time-series rings ([`TimeSeriesSnapshot`]) — instrumented loops call
 //! [`Telemetry::pulse`] per item and the reporter turns that into
 //! interval-spaced rate windows and optional live progress lines (see
 //! the `series` module docs). Tail latencies aggregate into mergeable
@@ -40,30 +40,26 @@
 mod clock;
 pub mod flame;
 mod metrics;
-pub mod prometheus;
+pub(crate) mod prometheus;
 mod series;
 mod sketch;
 mod snapshot;
 mod span;
 pub mod trace;
 
-pub use clock::{Clock, MonotonicClock};
-pub use flame::{render_collapsed, write_collapsed};
+pub use clock::Clock;
+pub use flame::write_collapsed;
 pub use metrics::{Counter, CounterSnapshot, Gauge, GaugeSnapshot};
 pub use prometheus::{render_prometheus, write_prometheus};
-pub use series::{
-    Reporter, SeriesKind, SeriesSample, TimeSeries, TimeSeriesSnapshot, Window,
-    DEFAULT_SERIES_CAPACITY,
-};
-pub use sketch::{
-    QuantileSketch, Sketch, SketchShard, SketchSnapshot, DEFAULT_SKETCH_ALPHA,
-    DEFAULT_SKETCH_MAX_BUCKETS,
-};
+pub use series::{Reporter, SeriesKind, SeriesSample, TimeSeriesSnapshot, Window};
+pub use sketch::{QuantileSketch, Sketch, SketchSnapshot, DEFAULT_SKETCH_ALPHA};
 pub use snapshot::TelemetrySnapshot;
 pub use span::{arg, EventRecord, SpanHandle, SpanId, SpanRecord, SpanScope};
-pub use trace::{render_trace, trace_events, write_trace, TraceWriteError};
+pub use trace::{write_trace, TraceWriteError};
 
+use clock::MonotonicClock;
 use metrics::Registry;
+use series::TimeSeries;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -189,7 +185,7 @@ impl Telemetry {
 
     /// The named time-series, a ring of [`DEFAULT_SERIES_CAPACITY`]
     /// samples. The first registration fixes the kind.
-    pub fn time_series(&self, name: &str, kind: SeriesKind) -> TimeSeries {
+    pub(crate) fn time_series(&self, name: &str, kind: SeriesKind) -> TimeSeries {
         self.inner
             .as_ref()
             .map_or_else(TimeSeries::disabled, |inner| inner.metrics.time_series(name, kind))

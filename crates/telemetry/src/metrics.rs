@@ -62,14 +62,6 @@ impl Gauge {
         }
     }
 
-    /// Raises the gauge to `value` if it is higher than the current
-    /// reading (a high-water mark).
-    pub fn set_max(&self, value: u64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_max(value, Ordering::Relaxed);
-        }
-    }
-
     /// The current value (0 when disabled).
     pub fn value(&self) -> u64 {
         self.0.as_ref().map_or(0, |cell| cell.load(Ordering::Relaxed))
@@ -203,10 +195,6 @@ mod tests {
         g.set(8);
         g.set(4);
         assert_eq!(g.value(), 4);
-        g.set_max(2);
-        assert_eq!(g.value(), 4);
-        g.set_max(16);
-        assert_eq!(g.value(), 16);
     }
 
     #[test]

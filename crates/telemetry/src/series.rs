@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Ring capacity of every registered series.
-pub const DEFAULT_SERIES_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_SERIES_CAPACITY: usize = 512;
 
 /// What a series' samples mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +89,7 @@ impl TimeSeriesCore {
 
 /// A registry-backed time-series handle (clones share the ring).
 #[derive(Debug, Clone)]
-pub struct TimeSeries(pub(crate) Option<Arc<TimeSeriesCore>>);
+pub(crate) struct TimeSeries(pub(crate) Option<Arc<TimeSeriesCore>>);
 
 impl TimeSeries {
     /// A no-op series (what a disabled registry hands out).
@@ -248,7 +248,8 @@ impl Reporter {
     }
 
     /// Replaces the progress emitter (tests capture lines with this).
-    pub fn with_progress_emitter(mut self, emit: impl Fn(&str) + Send + 'static) -> Self {
+    #[cfg(test)]
+    fn with_progress_emitter(mut self, emit: impl Fn(&str) + Send + 'static) -> Self {
         if let Some(progress) = &mut self.progress {
             progress.emit = Box::new(emit);
         }

@@ -19,13 +19,10 @@
 //! to one, far wider than any latency distribution the suite records).
 //! If a stream is wider still, the *lowest* buckets are collapsed
 //! together — the tail quantiles the suite cares about stay within the
-//! bound, and [`QuantileSketch::is_collapsed`] reports that the bottom
-//! of the distribution is now approximate.
+//! bound, and only the bottom of the distribution becomes approximate.
 //!
 //! The registry-facing [`Sketch`] handle wraps one shared sketch behind
-//! a mutex; per-worker [`SketchShard`]s accumulate locally without any
-//! synchronization and fold into the shared sketch when dropped (or
-//! flushed), so the worker-pool hot path never contends on the lock.
+//! a mutex.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -35,7 +32,7 @@ pub const DEFAULT_SKETCH_ALPHA: f64 = 0.01;
 
 /// Default cap on live buckets (see module docs for the range this
 /// buys at the default `α`).
-pub const DEFAULT_SKETCH_MAX_BUCKETS: usize = 1024;
+pub(crate) const DEFAULT_SKETCH_MAX_BUCKETS: usize = 1024;
 
 /// Values at or below this magnitude are tracked in a dedicated zero
 /// bucket instead of a log bucket.
@@ -79,7 +76,7 @@ impl QuantileSketch {
     }
 
     /// [`QuantileSketch::new`] with an explicit bucket cap (at least 2).
-    pub fn with_max_buckets(alpha: f64, max_buckets: usize) -> Self {
+    pub(crate) fn with_max_buckets(alpha: f64, max_buckets: usize) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "sketch alpha must be in (0, 1)");
         assert!(max_buckets >= 2, "sketch needs at least two buckets");
         QuantileSketch {
@@ -219,13 +216,15 @@ impl QuantileSketch {
     }
 
     /// Number of live log buckets (bounded by the construction cap).
-    pub fn bucket_len(&self) -> usize {
+    #[cfg(test)]
+    fn bucket_len(&self) -> usize {
         self.buckets.len()
     }
 
     /// Whether the bucket cap ever forced low buckets to collapse
     /// (tail quantiles keep the `α` bound; bottom quantiles may not).
-    pub fn is_collapsed(&self) -> bool {
+    #[cfg(test)]
+    fn is_collapsed(&self) -> bool {
         self.collapsed
     }
 }
@@ -238,8 +237,7 @@ pub(crate) struct SketchCore {
 }
 
 /// A registry-backed quantile sketch handle (clones share storage).
-/// `observe` takes a short uncontended mutex; hot loops on worker
-/// threads should use a [`SketchShard`] instead.
+/// `observe` takes a short uncontended mutex.
 #[derive(Debug, Clone)]
 pub struct Sketch(pub(crate) Option<Arc<SketchCore>>);
 
@@ -261,66 +259,6 @@ impl Sketch {
         if let Some(core) = &self.0 {
             core.sketch.lock().expect("sketch poisoned").observe_n(value, n);
         }
-    }
-
-    /// A private shard for one worker: observations accumulate locally
-    /// (no lock) and merge into the shared sketch when the shard drops
-    /// or [`SketchShard::flush`] is called.
-    pub fn shard(&self) -> SketchShard {
-        let local = match &self.0 {
-            Some(core) => core.sketch.lock().expect("sketch poisoned").clone_empty(),
-            None => QuantileSketch::default(),
-        };
-        SketchShard { local, target: self.0.clone() }
-    }
-}
-
-impl QuantileSketch {
-    /// An empty sketch with the same `alpha` and bucket cap.
-    fn clone_empty(&self) -> QuantileSketch {
-        QuantileSketch::with_max_buckets(self.alpha, self.max_buckets)
-    }
-}
-
-/// One worker's lock-free view of a shared [`Sketch`] (see
-/// [`Sketch::shard`]).
-#[derive(Debug)]
-pub struct SketchShard {
-    local: QuantileSketch,
-    target: Option<Arc<SketchCore>>,
-}
-
-impl SketchShard {
-    /// Records one observation into the local shard.
-    pub fn observe(&mut self, value: f64) {
-        if self.target.is_some() {
-            self.local.observe(value);
-        }
-    }
-
-    /// Records `n` identical observations into the local shard.
-    pub fn observe_n(&mut self, value: f64, n: u64) {
-        if self.target.is_some() {
-            self.local.observe_n(value, n);
-        }
-    }
-
-    /// Merges the shard into the shared sketch now (also happens on
-    /// drop).
-    pub fn flush(&mut self) {
-        if self.local.count() == 0 {
-            return;
-        }
-        if let Some(target) = &self.target {
-            target.sketch.lock().expect("sketch poisoned").merge(&self.local);
-        }
-        self.local = self.local.clone_empty();
-    }
-}
-
-impl Drop for SketchShard {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -433,33 +371,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_fold_into_the_shared_sketch() {
-        let core = Arc::new(SketchCore::default());
-        let handle = Sketch(Some(Arc::clone(&core)));
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let mut shard = handle.shard();
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        shard.observe((t * 1000 + i) as f64 + 1.0);
-                    }
-                });
-            }
-        });
-        let merged = core.sketch.lock().unwrap().clone();
-        assert_eq!(merged.count(), 4000);
-        let est = merged.quantile(0.5).unwrap();
-        let exact = 2000.0; // rank 2000 of 1.0..=4000.0
-        assert!((est - exact).abs() <= 0.01 * exact);
-    }
-
-    #[test]
     fn disabled_sketch_is_inert() {
         let sketch = Sketch::disabled();
         sketch.observe(1.0);
-        let mut shard = sketch.shard();
-        shard.observe(2.0);
-        shard.flush();
         assert!(sketch.0.is_none());
     }
 

@@ -23,7 +23,7 @@ pub struct SpanId(pub u64);
 
 impl SpanId {
     /// Whether this id names a real recorded span.
-    pub fn is_recorded(&self) -> bool {
+    pub(crate) fn is_recorded(&self) -> bool {
         self.0 != 0
     }
 }

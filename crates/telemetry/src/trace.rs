@@ -37,7 +37,7 @@ impl std::error::Error for TraceWriteError {}
 /// counter event per counter and gauge. The metadata makes `chrome://tracing` /
 /// Perfetto label lanes with the emitting layer instead of bare track
 /// ids.
-pub fn trace_events(snapshot: &TelemetrySnapshot) -> Vec<Value> {
+pub(crate) fn trace_events(snapshot: &TelemetrySnapshot) -> Vec<Value> {
     let mut events = Vec::new();
     if !snapshot.is_empty() {
         events.push(json!({
@@ -143,7 +143,7 @@ pub fn trace_events(snapshot: &TelemetrySnapshot) -> Vec<Value> {
 
 /// Renders a snapshot as JSON-lines trace text (one event per line,
 /// trailing newline when non-empty).
-pub fn render_trace(snapshot: &TelemetrySnapshot) -> String {
+pub(crate) fn render_trace(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     for event in trace_events(snapshot) {
         out.push_str(&serde_json::to_string(&event).expect("trace events serialize"));

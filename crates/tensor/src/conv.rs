@@ -40,7 +40,7 @@ impl Conv2dSpec {
     /// # Panics
     ///
     /// Panics if the padded input is smaller than the kernel.
-    pub fn out_extent(&self, input: usize) -> usize {
+    pub(crate) fn out_extent(&self, input: usize) -> usize {
         let padded = input + 2 * self.padding;
         assert!(
             padded >= self.kernel,

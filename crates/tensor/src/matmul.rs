@@ -186,7 +186,8 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 3-D.
-    pub fn transpose_last2(&self) -> Tensor {
+    #[cfg(test)]
+    pub(crate) fn transpose_last2(&self) -> Tensor {
         assert_eq!(self.ndim(), 3, "transpose_last2 requires a 3-D tensor");
         self.permute(&[0, 2, 1])
     }

@@ -52,7 +52,7 @@ impl Precision {
     /// [`Precision::Ternary`] is a per-tensor scheme; at the scalar
     /// level it degrades to the sign function with unit scale. Use
     /// [`Tensor::quantize`] for the faithful tensor-level behaviour.
-    pub fn quantize_scalar(self, x: f32) -> f32 {
+    pub(crate) fn quantize_scalar(self, x: f32) -> f32 {
         match self {
             Precision::Fp32 => x,
             Precision::Bf16 => quantize_float(x, 7, -126, 3.389_531_4e38),

@@ -73,35 +73,6 @@ impl Tensor {
         self.sum_axis(axis, keepdim).scale(1.0 / extent)
     }
 
-    /// Maximum along `axis`.
-    pub fn max_axis(&self, axis: usize, keepdim: bool) -> Tensor {
-        let dims = self.shape();
-        assert!(axis < dims.len(), "axis {axis} out of range for {:?}", dims);
-        let outer: usize = dims[..axis].iter().product();
-        let extent = dims[axis];
-        let inner: usize = dims[axis + 1..].iter().product();
-        let mut out = vec![f32::NEG_INFINITY; outer * inner];
-        for o in 0..outer {
-            for e in 0..extent {
-                let base = (o * extent + e) * inner;
-                for i in 0..inner {
-                    let v = self.data()[base + i];
-                    let slot = &mut out[o * inner + i];
-                    if v > *slot {
-                        *slot = v;
-                    }
-                }
-            }
-        }
-        let mut new_dims: Vec<usize> = dims.to_vec();
-        if keepdim {
-            new_dims[axis] = 1;
-        } else {
-            new_dims.remove(axis);
-        }
-        Tensor::from_vec(out, &new_dims).on(self.backend())
-    }
-
     /// Index of the maximum along the last axis, one per leading slice.
     ///
     /// For a `[batch, classes]` tensor this is the predicted class per
@@ -365,10 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_max_axis() {
+    fn mean_axis_rows() {
         let t = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0, 4.0, 6.0], &[2, 3]);
         assert_eq!(t.mean_axis(1, false).data(), &[3.0, 4.0]);
-        assert_eq!(t.max_axis(0, false).data(), &[2.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl Shape {
     }
 
     /// Row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];
@@ -71,16 +71,6 @@ impl Shape {
             off += i * s;
         }
         off
-    }
-
-    /// Converts a linear offset back into a multi-dimensional index.
-    pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
-        let mut idx = vec![0; self.0.len()];
-        for (i, &s) in self.strides().iter().enumerate() {
-            idx[i] = offset / s;
-            offset %= s;
-        }
-        idx
     }
 }
 
@@ -232,15 +222,6 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.strides(), Vec::<usize>::new());
         assert_eq!(s.offset(&[]), 0);
-    }
-
-    #[test]
-    fn offset_and_unravel_roundtrip() {
-        let s = Shape::new(&[2, 3, 4]);
-        for lin in 0..s.len() {
-            let idx = s.unravel(lin);
-            assert_eq!(s.offset(&idx), lin);
-        }
     }
 
     #[test]

@@ -217,13 +217,6 @@ impl Tensor {
         Tensor::from_parts(self.shape.clone(), data, self.backend)
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.data_mut() {
-            *x = f(*x);
-        }
-    }
-
     /// Transposes a 2-D tensor (copying).
     ///
     /// # Panics
@@ -443,7 +436,9 @@ mod tests {
     fn mutating_a_reshape_leaves_the_original_untouched() {
         let original = Tensor::arange(6, 0.0, 1.0).reshape(&[2, 3]);
         let mut flat = original.reshape(&[6]);
-        flat.map_inplace(|x| x + 10.0);
+        for x in flat.data_mut() {
+            *x += 10.0;
+        }
         assert_eq!(original.data(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(flat.data(), &[10.0, 11.0, 12.0, 13.0, 14.0, 15.0]);
         // And the other way round: mutating the source of a view.
