@@ -9,8 +9,9 @@
 
 use crate::{mean, std_dev, Claim, Context, Report};
 use mlperf_core::aggregate::olympic_mean;
-use mlperf_core::benchmarks::NcfBenchmark;
+use mlperf_core::benchmarks::build;
 use mlperf_core::harness::run_benchmark;
+use mlperf_core::suite::BenchmarkId;
 use mlperf_core::timing::RealClock;
 use mlperf_tensor::TensorRng;
 use serde_json::json;
@@ -39,8 +40,8 @@ pub fn run(_ctx: &Context) -> Report {
     );
     let times: Vec<f64> = (0..seeds)
         .map(|seed| {
-            let mut bench = NcfBenchmark::new();
-            run_benchmark(&mut bench, seed, &RealClock::new()).time_to_train.as_secs_f64()
+            let mut bench = build(BenchmarkId::Recommendation);
+            run_benchmark(bench.as_mut(), seed, &RealClock::new()).time_to_train.as_secs_f64()
         })
         .collect();
     let mut host_text = format!("empirical cv: {:.1}%\n\n", 100.0 * std_dev(&times) / mean(&times));

@@ -13,8 +13,9 @@
 //!    with batch size past the critical region.
 
 use crate::{Claim, Context, Report};
-use mlperf_core::benchmarks::ResNetBenchmark;
+use mlperf_core::benchmarks::resnet_at;
 use mlperf_core::harness::run_benchmark;
+use mlperf_core::suite::SuiteVersion;
 use mlperf_core::timing::RealClock;
 use mlperf_distsim::ConvergenceModel;
 use serde_json::json;
@@ -60,8 +61,8 @@ pub fn run(_ctx: &Context) -> Report {
     for batch in [16usize, 32, 64, 128, 256] {
         let mut per_seed = Vec::new();
         for seed in [5u64, 6, 7] {
-            let mut bench = ResNetBenchmark::with_batch_size(batch);
-            per_seed.push(run_benchmark(&mut bench, seed, &RealClock::new()).epochs);
+            let mut bench = resnet_at(batch, SuiteVersion::V05);
+            per_seed.push(run_benchmark(bench.as_mut(), seed, &RealClock::new()).epochs);
         }
         let mean = per_seed.iter().sum::<usize>() as f64 / per_seed.len() as f64;
         out!(text, "{batch:>8} {:>14} {mean:>12.1}", format!("{per_seed:?}"));

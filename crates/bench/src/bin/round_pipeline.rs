@@ -69,7 +69,7 @@
 //! Every subcommand accepts both flags.
 
 use mlperf_bench::write_json;
-use mlperf_core::benchmarks::NcfBenchmark;
+use mlperf_core::benchmarks::build;
 use mlperf_core::harness::run_benchmark_with;
 use mlperf_core::report::{
     render_leaderboard, render_scenario_leaderboard, render_telemetry_report, SystemDescription,
@@ -286,8 +286,8 @@ fn report_archive(replay: &ArchiveReplay, chips: Option<usize>) {
 /// the ingest and store layers.
 fn demo_harness_run(telemetry: &Telemetry) {
     let clock = RealClock::new();
-    let mut bench = NcfBenchmark::new();
-    let result = run_benchmark_with(&mut bench, 7, &clock, telemetry);
+    let mut bench = build(BenchmarkId::Recommendation);
+    let result = run_benchmark_with(bench.as_mut(), 7, &clock, telemetry);
     println!(
         "harness run ({}, seed {}): {} epochs, quality {:.4}, reached target: {}\n",
         result.benchmark, result.seed, result.epochs, result.quality, result.reached_target

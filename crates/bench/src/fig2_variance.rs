@@ -8,8 +8,9 @@
 //! from game generation, so seed effects compound).
 
 use crate::{mean, render_histogram, std_dev, Claim, Context, Report};
-use mlperf_core::benchmarks::{MiniGoBenchmark, NcfBenchmark};
+use mlperf_core::benchmarks::build;
 use mlperf_core::harness::{run_benchmark_set_with, Benchmark};
+use mlperf_core::suite::BenchmarkId;
 use serde_json::{json, Value};
 
 /// One benchmark's study as JSON, and its relative spread.
@@ -53,9 +54,9 @@ pub(crate) fn claims(ncf_relative_spread: f64, minigo_relative_spread: f64) -> V
 /// Trains NCF and MiniGo to target at `count` seeds each (default 24).
 pub fn run(ctx: &Context) -> Report {
     let mut text = String::from("Figure 2: run-to-run variation in epochs-to-target\n\n");
-    let (ncf, ncf_spread) = study("NCF", || Box::new(NcfBenchmark::new()), ctx, &mut text);
+    let (ncf, ncf_spread) = study("NCF", || build(BenchmarkId::Recommendation), ctx, &mut text);
     let (minigo, minigo_spread) =
-        study("MiniGo", || Box::new(MiniGoBenchmark::new()), ctx, &mut text);
+        study("MiniGo", || build(BenchmarkId::ReinforcementLearning), ctx, &mut text);
     let ratio = minigo_spread / ncf_spread.max(1e-9);
     out!(text, "MiniGo relative spread {ratio:.2}x the NCF relative spread");
     Report::new(&[ncf, minigo], text, claims(ncf_spread, minigo_spread))

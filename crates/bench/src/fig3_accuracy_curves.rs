@@ -8,8 +8,7 @@
 //! timing noise.
 
 use crate::{render_series, std_dev, Claim, Context, Report};
-use mlperf_core::benchmarks::ResNetBenchmark;
-use mlperf_core::harness::Benchmark;
+use mlperf_core::benchmarks::build;
 use mlperf_core::suite::BenchmarkId;
 use serde_json::json;
 
@@ -34,7 +33,7 @@ pub fn run(ctx: &Context) -> Report {
     for seed in [11u64, 22, 33, 44, 55] {
         // Drive the benchmark manually so training continues past the
         // threshold (the figure shows full curves, not stopped runs).
-        let mut bench = ResNetBenchmark::new();
+        let mut bench = build(BenchmarkId::ImageClassification);
         bench.prepare();
         bench.create_model(seed);
         let mut acc = Vec::with_capacity(epochs);

@@ -7,8 +7,8 @@
 
 use crate::{Context, Report};
 use mlperf_core::aggregate::olympic_mean;
-use mlperf_core::benchmarks::BertBenchmark;
-use mlperf_core::harness::Benchmark;
+use mlperf_core::benchmarks::build_on;
+use mlperf_core::suite::BenchmarkId;
 use mlperf_gomini::{Board, Player, RandomPlayer};
 use mlperf_tensor::{BackendKind, TensorRng};
 use serde_json::json;
@@ -61,7 +61,7 @@ pub fn run(_ctx: &Context) -> Report {
     let legal_moves = &mut || drop(black_box(&board).legal_moves());
     row("go_legal_moves_midgame", "9x9 board after 30 moves", legal_moves);
     for kind in BackendKind::ALL {
-        let mut bench = BertBenchmark::new().with_backend(kind);
+        let mut bench = build_on(BenchmarkId::LanguageModeling, kind);
         bench.prepare();
         bench.create_model(21);
         let name = format!("backend/bert_mini_epoch/{}", kind.label());

@@ -17,7 +17,7 @@
 use crate::{resnet_mini, Claim, Context, Report};
 use mlperf_data::{epoch_batches, ImageNetConfig, SyntheticImageNet};
 use mlperf_nn::Module;
-use mlperf_optim::{linear_scaled_lr, LrSchedule, MultiStepDecay, Optimizer, SgdCaffe, SgdTorch};
+use mlperf_optim::{linear_scaled_lr, MultiStepDecay, Optimizer, SgdCaffe, SgdTorch};
 use mlperf_tensor::TensorRng;
 use serde_json::{json, Value};
 

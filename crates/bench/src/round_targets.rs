@@ -8,7 +8,7 @@
 //! alone causes.
 
 use crate::{Claim, Context, Report};
-use mlperf_core::benchmarks::{ResNetBenchmark, SsdBenchmark};
+use mlperf_core::benchmarks::{resnet_at, ssd_at};
 use mlperf_core::harness::{run_benchmark_set_with, Benchmark};
 use mlperf_core::suite::SuiteVersion;
 use serde_json::{json, Value};
@@ -59,11 +59,8 @@ pub fn run(ctx: &Context) -> Report {
     );
     let mut rows = Vec::new();
     for version in [SuiteVersion::V05, SuiteVersion::V06] {
-        let resnet =
-            || -> Box<dyn Benchmark> { Box::new(ResNetBenchmark::new().with_version(version)) };
-        let ssd = || -> Box<dyn Benchmark> { Box::new(SsdBenchmark::new().with_version(version)) };
-        rows.push(measure("resnet", resnet, version, ctx, &mut text));
-        rows.push(measure("ssd", ssd, version, ctx, &mut text));
+        rows.push(measure("resnet", || resnet_at(32, version), version, ctx, &mut text));
+        rows.push(measure("ssd", || ssd_at(version), version, ctx, &mut text));
     }
     // rows: resnet v0.5, ssd v0.5, resnet v0.6, ssd v0.6.
     let (rows, epochs): (Vec<Value>, Vec<Vec<usize>>) = rows.into_iter().unzip();

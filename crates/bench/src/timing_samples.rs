@@ -12,8 +12,9 @@
 
 use crate::{mean, std_dev, Claim, Context, Report};
 use mlperf_core::aggregate::stability_fraction;
-use mlperf_core::benchmarks::{NcfBenchmark, ResNetBenchmark};
+use mlperf_core::benchmarks::build;
 use mlperf_core::harness::{run_benchmark_set_with, Benchmark};
+use mlperf_core::suite::BenchmarkId;
 use serde_json::json;
 
 /// Bisects the smallest tolerance at which `frac` of aggregated
@@ -56,8 +57,8 @@ pub(crate) fn claims(resnet_at_90: &[f64], ncf_at_90: &[f64]) -> Vec<Claim> {
 /// Times `count` NCF seeds (default 20) and up to 8 ResNet seeds.
 pub fn run(ctx: &Context) -> Report {
     let seeds = ctx.count(20);
-    let ncf_times = sample_times(|| Box::new(NcfBenchmark::new()), seeds, ctx);
-    let resnet_times = sample_times(|| Box::new(ResNetBenchmark::new()), seeds.min(8), ctx);
+    let ncf_times = sample_times(|| build(BenchmarkId::Recommendation), seeds, ctx);
+    let resnet_times = sample_times(|| build(BenchmarkId::ImageClassification), seeds.min(8), ctx);
     let text = format!(
         "Timing-samples study (paper §3.2.2)\n\n\
          empirical time-to-train distributions: {} NCF seeds, {} ResNet seeds;\n\

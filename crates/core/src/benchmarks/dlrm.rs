@@ -1,92 +1,61 @@
 //! Recommendation (v0.7): DLRM on the synthetic click log to
 //! AUC ≥ 0.8025.
 
-use crate::harness::Benchmark;
+use super::Recipe;
 use crate::suite::BenchmarkId;
 use mlperf_data::{auc, epoch_batches, ClickLogConfig, Impression, SyntheticClickLog};
 use mlperf_models::{DlrmConfig, DlrmMini};
 use mlperf_nn::Module;
 use mlperf_optim::{Adam, Optimizer};
-use mlperf_tensor::{BackendKind, TensorRng};
+use mlperf_tensor::TensorRng;
 
 const DATASET_SEED: u64 = 0x1c9d_44f7;
 
 /// The click-through-rate recommendation benchmark.
-#[derive(Debug)]
-pub(crate) struct DlrmBenchmark {
+pub(super) struct Dlrm {
     data_config: ClickLogConfig,
     batch_size: usize,
     lr: f32,
     embed_dim: usize,
-    backend: BackendKind,
-    data: Option<SyntheticClickLog>,
-    model: Option<DlrmMini>,
-    optimizer: Option<Adam>,
-    data_rng: Option<TensorRng>,
 }
 
-impl DlrmBenchmark {
+impl Default for Dlrm {
     /// Default (miniaturized) scale.
-    pub fn new() -> Self {
-        DlrmBenchmark {
-            data_config: ClickLogConfig::default(),
-            batch_size: 64,
-            lr: 0.01,
-            embed_dim: 8,
-            backend: BackendKind::default(),
-            data: None,
-            model: None,
-            optimizer: None,
-            data_rng: None,
-        }
-    }
-
-    /// Pins the run to a tensor backend: the model's weights are minted
-    /// on it, so every op in the training step inherits it by tag.
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
-    }
-}
-
-impl Default for DlrmBenchmark {
     fn default() -> Self {
-        DlrmBenchmark::new()
+        Dlrm { data_config: ClickLogConfig::default(), batch_size: 64, lr: 0.01, embed_dim: 8 }
     }
 }
 
-impl Benchmark for DlrmBenchmark {
-    fn id(&self) -> BenchmarkId {
-        BenchmarkId::RecommendationDlrm
+impl Recipe for Dlrm {
+    const ID: BenchmarkId = BenchmarkId::RecommendationDlrm;
+    type Data = SyntheticClickLog;
+    type Run = (DlrmMini, Adam);
+
+    fn prepare(&self) -> SyntheticClickLog {
+        SyntheticClickLog::generate(self.data_config.clone(), DATASET_SEED)
     }
 
-    fn prepare(&mut self) {
-        self.data = Some(SyntheticClickLog::generate(self.data_config.clone(), DATASET_SEED));
+    fn create(&self, rng: &mut TensorRng, _seed: u64) -> Self::Run {
+        let config = DlrmConfig {
+            dense_dim: self.data_config.dense_dim,
+            categorical_vocabs: self.data_config.categorical_vocabs.clone(),
+            bag_vocab: self.data_config.bag_vocab,
+            embed_dim: self.embed_dim,
+            ..Default::default()
+        };
+        let model = DlrmMini::new(config, rng);
+        let optimizer = Adam::with_defaults(model.params());
+        (model, optimizer)
     }
 
-    fn create_model(&mut self, seed: u64) {
-        let mut rng = TensorRng::new(seed).with_backend(self.backend);
-        let model = DlrmMini::new(
-            DlrmConfig {
-                dense_dim: self.data_config.dense_dim,
-                categorical_vocabs: self.data_config.categorical_vocabs.clone(),
-                bag_vocab: self.data_config.bag_vocab,
-                embed_dim: self.embed_dim,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        self.optimizer = Some(Adam::with_defaults(model.params()));
-        self.model = Some(model);
-        self.data_rng = Some(rng.split());
-    }
-
-    fn train_epoch(&mut self, _epoch: usize) {
-        let data = self.data.as_ref().expect("prepare not called");
-        let model = self.model.as_ref().expect("create_model not called");
-        let opt = self.optimizer.as_mut().expect("create_model not called");
-        let rng = self.data_rng.as_mut().expect("create_model not called");
+    fn train_epoch(
+        &self,
+        data: &SyntheticClickLog,
+        run: &mut Self::Run,
+        rng: &mut TensorRng,
+        _: usize,
+    ) {
+        let (model, opt) = run;
         for batch in epoch_batches(data.train.len(), self.batch_size, rng).iter() {
             let chunk: Vec<&Impression> = batch.iter().map(|&i| &data.train[i]).collect();
             opt.zero_grad();
@@ -95,16 +64,10 @@ impl Benchmark for DlrmBenchmark {
         }
     }
 
-    fn evaluate(&mut self) -> f64 {
-        let data = self.data.as_ref().expect("prepare not called");
-        let model = self.model.as_ref().expect("create_model not called");
+    fn evaluate(&self, data: &SyntheticClickLog, (model, _): &Self::Run) -> f64 {
         let eval: Vec<&Impression> = data.eval.iter().collect();
         let labels: Vec<f32> = eval.iter().map(|i| i.label).collect();
         auc(&model.scores(&eval), &labels)
-    }
-
-    fn target(&self) -> f64 {
-        self.id().spec().quality.value
     }
 
     fn max_epochs(&self) -> usize {
@@ -123,14 +86,14 @@ impl Benchmark for DlrmBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmarks::build;
     use crate::harness::run_benchmark;
     use crate::timing::RealClock;
 
     #[test]
     fn reaches_auc_target() {
         let clock = RealClock::new();
-        let mut bench = DlrmBenchmark::new();
-        let result = run_benchmark(&mut bench, 21, &clock);
+        let result = run_benchmark(build(Dlrm::ID).as_mut(), 21, &clock);
         assert!(
             result.reached_target,
             "dlrm failed: AUC {} after {} epochs",

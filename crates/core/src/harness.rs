@@ -316,16 +316,16 @@ mod tests {
         // differs; determinism of training must not).
         let seeds = [1u64, 2, 3, 4];
         let parallel = run_benchmark_set_with(
-            || Box::new(crate::benchmarks::NcfBenchmark::new()),
+            || crate::benchmarks::build(BenchmarkId::Recommendation),
             &seeds,
             &Telemetry::disabled(),
         );
         assert_eq!(parallel.len(), seeds.len());
         for (result, &seed) in parallel.iter().zip(seeds.iter()) {
             assert_eq!(result.seed, seed, "results out of order");
-            let mut bench = crate::benchmarks::NcfBenchmark::new();
+            let mut bench = crate::benchmarks::build(BenchmarkId::Recommendation);
             let clock = crate::timing::RealClock::new();
-            let sequential = run_benchmark(&mut bench, seed, &clock);
+            let sequential = run_benchmark(bench.as_mut(), seed, &clock);
             assert_eq!(result.quality_history, sequential.quality_history);
             assert_eq!(result.epochs, sequential.epochs);
         }

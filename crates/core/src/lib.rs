@@ -28,8 +28,9 @@
 //! - [`recommend`] — the §6 future-work table mapping system scale to
 //!   recommended hyperparameters;
 //! - [`report`] — result reporting without a summary score (§4.2.4);
-//! - [`benchmarks`] — the seven concrete benchmark implementations
-//!   wiring `mlperf-models` and `mlperf-data` into the harness.
+//! - [`benchmarks`] — the ten suite rows, each a recipe wiring
+//!   `mlperf-models` and `mlperf-data` into the harness through one
+//!   lifecycle driver, built with `build` / `build_on`.
 
 #![warn(missing_docs)]
 

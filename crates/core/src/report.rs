@@ -242,9 +242,11 @@ pub fn render_round_comparison(
 
 /// Renders a telemetry snapshot as a plain-text summary: span time
 /// grouped by layer and name (first-seen order), then the counter,
-/// gauge, sketch and series readings. The plain-text sibling of the
-/// Chrome trace exporter — what `round_pipeline --trace` prints after
-/// ingest.
+/// gauge, sketch and series readings. A line after the spans says how
+/// many the sink evicted, and a line after a sketch says when its
+/// bucket cap made its low quantiles approximate. The plain-text
+/// sibling of the Chrome trace exporter — what `round_pipeline --trace`
+/// prints after ingest.
 pub fn render_telemetry_report(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     writeln!(out, "telemetry report").unwrap();
@@ -307,6 +309,14 @@ pub fn render_telemetry_report(snapshot: &TelemetrySnapshot) -> String {
                 q(0.99)
             )
             .unwrap();
+            if s.sketch.is_collapsed() {
+                writeln!(
+                    out,
+                    "  ({} hit its bucket cap: its low quantiles are approximate)",
+                    s.name
+                )
+                .unwrap();
+            }
         }
     }
     if !snapshot.series.is_empty() {
@@ -449,6 +459,26 @@ mod tests {
         full.evicted = 5;
         let report = render_telemetry_report(&full);
         assert!(report.contains("(5 older spans and events evicted from the sink)"), "{report}");
+    }
+
+    #[test]
+    fn telemetry_report_flags_a_collapsed_sketch() {
+        let telemetry = mlperf_telemetry::Telemetry::recording();
+        telemetry.sketch("narrow").observe(2.0);
+        let report = render_telemetry_report(&telemetry.snapshot());
+        assert!(!report.contains("bucket cap"), "no collapse line for a narrow sketch: {report}");
+        // Twelve decades need more log buckets than the default cap holds.
+        let wide = telemetry.sketch("wide");
+        for i in 0..2000 {
+            wide.observe(10f64.powf(-6.0 + 12.0 * i as f64 / 2000.0));
+        }
+        let report = render_telemetry_report(&telemetry.snapshot());
+        let flagged: Vec<&str> = report.lines().filter(|l| l.contains("bucket cap")).collect();
+        assert_eq!(
+            flagged,
+            ["  (wide hit its bucket cap: its low quantiles are approximate)"],
+            "{report}"
+        );
     }
 
     #[test]

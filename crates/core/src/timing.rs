@@ -14,42 +14,17 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The model-creation exclusion cap: 20 minutes.
 pub const MODEL_CREATION_CAP: Duration = Duration::from_secs(20 * 60);
 
-/// A monotonic time source. Real runs use [`RealClock`]; the timing
-/// tests use [`SimClock`] to script arbitrary stage durations.
+/// A monotonic time source, and the wall clock real runs use. The
+/// timing tests use [`SimClock`] to script arbitrary stage durations.
 ///
 /// Re-exported from `mlperf-telemetry`, so the same clock drives both
 /// the time-to-train timer and the telemetry spans of a run.
-pub use mlperf_telemetry::Clock;
-
-/// Wall-clock time via [`Instant`].
-#[derive(Debug)]
-pub struct RealClock {
-    origin: Instant,
-}
-
-impl RealClock {
-    /// A clock with origin at creation.
-    pub fn new() -> Self {
-        RealClock { origin: Instant::now() }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        RealClock::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> Duration {
-        self.origin.elapsed()
-    }
-}
+pub use mlperf_telemetry::{Clock, RealClock};
 
 /// A manually advanced clock for deterministic timing tests. Cheap to
 /// clone; clones share the same time.
@@ -294,13 +269,5 @@ mod tests {
         t.begin_timed();
         t.stop();
         t.stop();
-    }
-
-    #[test]
-    fn real_clock_advances() {
-        let c = RealClock::new();
-        let a = c.now();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(c.now() > a);
     }
 }

@@ -43,7 +43,7 @@ pub use adam::Adam;
 pub use allreduce::{data_parallel_step, ReductionOrder};
 pub use clip::clip_grad_norm;
 pub use lars::Lars;
-pub use schedule::{linear_scaled_lr, LrSchedule, MultiStepDecay};
+pub use schedule::{linear_scaled_lr, MultiStepDecay};
 pub use sgd::{SgdCaffe, SgdTorch};
 
 use mlperf_autograd::Var;

@@ -1,12 +1,6 @@
 //! Learning-rate schedules, including the linear-scaling rule the paper
 //! cites (Goyal et al., 2017) for adapting to large minibatches.
 
-/// A learning-rate schedule: maps a 0-based global step to a rate.
-pub trait LrSchedule {
-    /// The learning rate to apply at `step`.
-    fn lr(&self, step: usize) -> f32;
-}
-
 /// Multiplies the base rate by `gamma` at each listed milestone (the
 /// ResNet 30/60/80-epoch staircase).
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +13,9 @@ pub struct MultiStepDecay {
     pub milestones: Vec<usize>,
 }
 
-impl LrSchedule for MultiStepDecay {
-    fn lr(&self, step: usize) -> f32 {
+impl MultiStepDecay {
+    /// The learning rate to apply at `step` (0-based).
+    pub fn lr(&self, step: usize) -> f32 {
         let passed = self.milestones.iter().filter(|&&m| step >= m).count();
         self.base * self.gamma.powi(passed as i32)
     }

@@ -546,10 +546,9 @@ impl RoundArchive {
     /// [`RoundStream::next_bundle`] yields bundles in directory name
     /// order — bounded memory no matter how many bundles the round
     /// holds. Disk I/O overlaps parse/review: a read-ahead worker
-    /// decodes the next batches of [`READ_AHEAD`] bundles while the
-    /// caller is busy with the previous one. Bundle-level damage
-    /// accumulates as faults on the stream, exactly as the
-    /// materialized read reports it.
+    /// decodes the next batches of 64 bundles while the caller is busy
+    /// with the previous one. Bundle-level damage accumulates as faults
+    /// on the stream, exactly as the materialized read reports it.
     ///
     /// # Errors
     ///
@@ -587,12 +586,12 @@ impl RoundArchive {
         })
     }
 
-    /// Streaming ingest and review of one round: up to [`READ_AHEAD`]
-    /// bundles at a time are pulled off the stream, reviewed as one
-    /// chunk on the scoped worker pool, and handed back to the
-    /// read-ahead worker, which drops them while it decodes the next
-    /// chunk — resident memory is a few chunks plus the accumulated
-    /// reports, not the whole round.
+    /// Streaming ingest and review of one round: up to 64 bundles at a
+    /// time are pulled off the stream, reviewed as one chunk on the
+    /// scoped worker pool, and handed back to the read-ahead worker,
+    /// which drops them while it decodes the next chunk — resident
+    /// memory is a few chunks plus the accumulated reports, not the
+    /// whole round.
     /// Produces exactly the [`RoundOutcome`] (and faults) that
     /// [`RoundArchive::read_round`] + [`crate::run_round`] would.
     ///
@@ -1225,10 +1224,9 @@ fn walk_bundle_dirs(
 /// bounded-memory ingest path behind
 /// [`RoundArchive::review_round_streaming`], also drained by the
 /// materialized [`RoundArchive::read_round`] so both paths share one
-/// reader. A background worker decodes batches of [`READ_AHEAD`]
-/// bundles ahead of the consumer so disk I/O overlaps parse/review.
-/// Faults accumulate on the stream in the same order the serial walk
-/// reported them.
+/// reader. A background worker decodes batches of 64 bundles ahead of
+/// the consumer so disk I/O overlaps parse/review. Faults accumulate
+/// on the stream in the same order the serial walk reported them.
 #[derive(Debug)]
 pub struct RoundStream {
     round: Round,

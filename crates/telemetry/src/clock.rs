@@ -19,28 +19,29 @@ pub trait Clock {
     fn now(&self) -> Duration;
 }
 
-/// Wall-clock time via [`Instant`], origin at creation. `Sync`, so one
-/// instance can be shared across a scoped worker pool to give every
-/// worker the same timeline.
+/// Wall-clock time via [`Instant`], origin at creation: the clock real
+/// runs time themselves with, and the sink's own reference clock.
+/// `Sync`, so one instance can be shared across a scoped worker pool to
+/// give every worker the same timeline.
 #[derive(Debug)]
-pub(crate) struct MonotonicClock {
+pub struct RealClock {
     origin: Instant,
 }
 
-impl MonotonicClock {
+impl RealClock {
     /// A clock with origin at creation.
     pub fn new() -> Self {
-        MonotonicClock { origin: Instant::now() }
+        RealClock { origin: Instant::now() }
     }
 }
 
-impl Default for MonotonicClock {
+impl Default for RealClock {
     fn default() -> Self {
-        MonotonicClock::new()
+        RealClock::new()
     }
 }
 
-impl Clock for MonotonicClock {
+impl Clock for RealClock {
     fn now(&self) -> Duration {
         self.origin.elapsed()
     }
@@ -51,8 +52,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn monotonic_clock_advances() {
-        let c = MonotonicClock::new();
+    fn real_clock_advances() {
+        let c = RealClock::new();
         let a = c.now();
         std::thread::sleep(Duration::from_millis(2));
         assert!(c.now() > a);

@@ -47,7 +47,7 @@ mod snapshot;
 mod span;
 pub mod trace;
 
-pub use clock::Clock;
+pub use clock::{Clock, RealClock};
 pub use flame::write_collapsed;
 pub use metrics::{Counter, CounterSnapshot, Gauge, GaugeSnapshot};
 pub use prometheus::{render_prometheus, write_prometheus};
@@ -57,7 +57,6 @@ pub use snapshot::TelemetrySnapshot;
 pub use span::{arg, EventRecord, SpanHandle, SpanId, SpanRecord, SpanScope};
 pub use trace::{write_trace, TraceWriteError};
 
-use clock::MonotonicClock;
 use metrics::Registry;
 use series::TimeSeries;
 use std::collections::VecDeque;
@@ -90,7 +89,7 @@ fn push_bounded<T>(ring: &mut VecDeque<T>, batch: &mut Vec<T>) -> u64 {
 #[derive(Debug)]
 struct Inner {
     /// The reference timeline every scope is aligned onto.
-    clock: MonotonicClock,
+    clock: RealClock,
     records: Mutex<Records>,
     /// Next span id (1-based; 0 is the null id).
     next_span: AtomicU64,
@@ -116,7 +115,7 @@ impl Telemetry {
     pub fn recording() -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                clock: MonotonicClock::new(),
+                clock: RealClock::new(),
                 records: Mutex::new(Records::default()),
                 next_span: AtomicU64::new(1),
                 next_track: AtomicU64::new(1),

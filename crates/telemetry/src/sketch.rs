@@ -223,8 +223,7 @@ impl QuantileSketch {
 
     /// Whether the bucket cap ever forced low buckets to collapse
     /// (tail quantiles keep the `α` bound; bottom quantiles may not).
-    #[cfg(test)]
-    fn is_collapsed(&self) -> bool {
+    pub fn is_collapsed(&self) -> bool {
         self.collapsed
     }
 }

@@ -176,12 +176,11 @@ pub fn write_trace(snapshot: &TelemetrySnapshot, path: &Path) -> Result<(), Trac
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::MonotonicClock;
-    use crate::Telemetry;
+    use crate::{RealClock, Telemetry};
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let telemetry = Telemetry::recording();
-        let clock = MonotonicClock::new();
+        let clock = RealClock::new();
         let mut scope = telemetry.scope(&clock);
         let outer = scope.start("test", "outer");
         let inner = scope.start("test", "inner");
@@ -272,7 +271,7 @@ mod tests {
         use crate::arg;
         use serde_json::Map;
         let telemetry = Telemetry::recording();
-        let clock = MonotonicClock::new();
+        let clock = RealClock::new();
         let mut scope = telemetry.scope(&clock);
         let review = scope.start("ingest", "review");
         scope.event_with("ingest", "quarantine", || Map::from([arg("org", json!("Borealis"))]));

@@ -8,18 +8,19 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mlperf_suite::core::benchmarks::NcfBenchmark;
+use mlperf_suite::core::benchmarks::build;
 use mlperf_suite::core::compliance::check_log;
 use mlperf_suite::core::harness::run_benchmark;
+use mlperf_suite::core::suite::BenchmarkId;
 use mlperf_suite::core::timing::RealClock;
 
 fn main() {
-    let mut benchmark = NcfBenchmark::new();
+    let mut benchmark = build(BenchmarkId::Recommendation);
     let clock = RealClock::new();
     let seed = 42;
 
     println!("running the NCF (recommendation) benchmark, seed {seed}…\n");
-    let result = run_benchmark(&mut benchmark, seed, &clock);
+    let result = run_benchmark(benchmark.as_mut(), seed, &clock);
 
     println!("benchmark:      {}", result.benchmark);
     println!("quality target: {}", result.benchmark.spec().quality.value);

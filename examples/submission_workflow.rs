@@ -17,9 +17,9 @@
 //! ```
 
 use mlperf_suite::core::aggregate::{aggregate_runs, RunSummary};
-use mlperf_suite::core::benchmarks::{MaskRcnnBenchmark, NcfBenchmark};
+use mlperf_suite::core::benchmarks::build;
 use mlperf_suite::core::compliance::check_log;
-use mlperf_suite::core::harness::{run_benchmark, Benchmark};
+use mlperf_suite::core::harness::run_benchmark;
 use mlperf_suite::core::report::{
     render_leaderboard, render_results_table, BenchmarkScore, Submission, SystemDescription,
 };
@@ -34,12 +34,12 @@ use mlperf_suite::submission::{
 };
 use std::collections::BTreeMap;
 
-fn timed_runs(make: impl Fn() -> Box<dyn Benchmark>, id: BenchmarkId) -> Vec<RunSummary> {
+fn timed_runs(id: BenchmarkId) -> Vec<RunSummary> {
     let runs = id.runs_required();
     println!("  {id}: running {runs} timed runs…");
     (0..runs as u64)
         .map(|seed| {
-            let mut bench = make();
+            let mut bench = build(id);
             let clock = RealClock::new();
             let result = run_benchmark(bench.as_mut(), seed, &clock);
             let issues = check_log(result.log.entries());
@@ -54,11 +54,10 @@ fn timed_runs(make: impl Fn() -> Box<dyn Benchmark>, id: BenchmarkId) -> Vec<Run
 
 fn main() {
     println!("== 1-2. timed runs + aggregation ==");
-    let ncf_runs = timed_runs(|| Box::new(NcfBenchmark::new()), BenchmarkId::Recommendation);
+    let ncf_runs = timed_runs(BenchmarkId::Recommendation);
     let ncf_score =
         aggregate_runs(BenchmarkId::Recommendation, &ncf_runs).expect("NCF run set aggregates");
-    let mask_runs =
-        timed_runs(|| Box::new(MaskRcnnBenchmark::new()), BenchmarkId::InstanceSegmentation);
+    let mask_runs = timed_runs(BenchmarkId::InstanceSegmentation);
     let mask_score = aggregate_runs(BenchmarkId::InstanceSegmentation, &mask_runs)
         .expect("Mask R-CNN run set aggregates");
     println!("  aggregated NCF score:        {ncf_score:.3}s");

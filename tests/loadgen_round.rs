@@ -5,7 +5,7 @@
 //! leaderboards — plus a real-clock smoke of a trained model serving
 //! queries.
 
-use mlperf_suite::core::benchmarks::NcfBenchmark;
+use mlperf_suite::core::benchmarks::build;
 use mlperf_suite::core::compliance::check_log;
 use mlperf_suite::core::mllog::MlLogger;
 use mlperf_suite::core::rules::{Division, Scenario};
@@ -90,7 +90,7 @@ fn trained_model_serves_single_stream_on_the_real_clock() {
     // serve it back-to-back on the wall clock: the same model object
     // crosses from the time-to-train harness into the loadgen driver.
     let (mut model, run) =
-        TrainedModel::converge(Box::new(NcfBenchmark::new()), 7, &SimClock::new());
+        TrainedModel::converge(build(BenchmarkId::Recommendation), 7, &SimClock::new());
     assert!(run.reached_target, "the model must converge before serving");
 
     let clock = RealClock::new();

@@ -2,7 +2,7 @@
 //! the compliance checker, run sets through the aggregation rules.
 
 use mlperf_suite::core::aggregate::{aggregate_runs, AggregateError, RunSummary};
-use mlperf_suite::core::benchmarks::{build, NcfBenchmark};
+use mlperf_suite::core::benchmarks::build;
 use mlperf_suite::core::compliance::check_log;
 use mlperf_suite::core::harness::run_benchmark;
 use mlperf_suite::core::mllog::{keys, MlLogger};
@@ -16,9 +16,9 @@ fn ncf_full_run_set_aggregates() {
     let id = BenchmarkId::Recommendation;
     let mut summaries = Vec::new();
     for seed in 0..id.runs_required() as u64 {
-        let mut bench = NcfBenchmark::new();
+        let mut bench = build(BenchmarkId::Recommendation);
         let clock = RealClock::new();
-        let result = run_benchmark(&mut bench, seed, &clock);
+        let result = run_benchmark(bench.as_mut(), seed, &clock);
         assert!(result.reached_target, "seed {seed} failed to converge");
         assert!(
             check_log(result.log.entries()).is_empty(),
@@ -73,9 +73,9 @@ fn logs_roundtrip_through_text_format() {
 /// Hyperparameter choices appear in the submission log (§4.1).
 #[test]
 fn hyperparameters_are_logged() {
-    let mut bench = NcfBenchmark::new();
+    let mut bench = build(BenchmarkId::Recommendation);
     let clock = RealClock::new();
-    let result = run_benchmark(&mut bench, 2, &clock);
+    let result = run_benchmark(bench.as_mut(), 2, &clock);
     let hparams: Vec<&mlperf_suite::core::mllog::LogEntry> =
         result.log.entries().iter().filter(|e| e.key == keys::HYPERPARAMETER).collect();
     assert!(hparams.len() >= 3, "expected hyperparameter records");
@@ -87,9 +87,9 @@ fn hyperparameters_are_logged() {
 #[test]
 fn seed_controls_all_stochasticity() {
     let run = |seed: u64| {
-        let mut bench = NcfBenchmark::new();
+        let mut bench = build(BenchmarkId::Recommendation);
         let clock = RealClock::new();
-        run_benchmark(&mut bench, seed, &clock)
+        run_benchmark(bench.as_mut(), seed, &clock)
     };
     let a = run(7);
     let b = run(7);
@@ -105,9 +105,9 @@ fn seed_controls_all_stochasticity() {
 /// The excluded (untimed) portion never counts toward time-to-train.
 #[test]
 fn preparation_time_is_excluded() {
-    let mut bench = NcfBenchmark::new();
+    let mut bench = build(BenchmarkId::Recommendation);
     let clock = RealClock::new();
-    let result = run_benchmark(&mut bench, 1, &clock);
+    let result = run_benchmark(bench.as_mut(), 1, &clock);
     // Both parts are positive, and TTT is strictly the timed region.
     assert!(result.time_to_train.as_nanos() > 0);
     // Exclusions exist (dataset generation happened).
