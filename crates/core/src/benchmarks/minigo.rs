@@ -81,13 +81,15 @@ impl Recipe for MiniGo {
             let excess = run.pool.len() - self.pool_cap;
             run.pool.drain(..excess);
         }
-        let buffer = GoDataset { samples: run.pool.clone(), size: self.board_size };
+        // The buffer is lent to the epoch as its dataset, not copied.
+        let buffer = GoDataset { samples: std::mem::take(&mut run.pool), size: self.board_size };
         for batch in epoch_batches(buffer.len(), self.batch_size, rng).iter() {
             let (features, moves, outcomes) = buffer.batch(batch);
             run.opt.zero_grad();
             run.model.loss(&features, &moves, &outcomes).backward();
             run.opt.step(self.lr);
         }
+        run.pool = buffer.samples;
     }
 
     fn evaluate(&self, eval: &GoDataset, run: &MiniGoRun) -> f64 {

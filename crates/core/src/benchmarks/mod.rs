@@ -30,7 +30,9 @@ mod ssd;
 mod transformer;
 
 use crate::harness::Benchmark;
+use crate::metrics::bleu;
 use crate::suite::{BenchmarkId, SuiteVersion};
+use mlperf_data::SyntheticTranslation;
 use mlperf_tensor::{BackendKind, TensorRng};
 
 /// One suite row's training procedure. [`Row`] drives it through the
@@ -131,6 +133,19 @@ impl<R: Recipe> Benchmark for Row<R> {
 
 fn row<R: Recipe + 'static>(recipe: R, backend: BackendKind) -> Box<dyn Benchmark> {
     Box::new(Row { recipe, backend, data: None, run: None })
+}
+
+/// The evaluation both translation rows share: BLEU of `translate` —
+/// the model's batched greedy decode, `greedy_translate_batch` — over
+/// the validation sources, against their targets.
+fn translation_bleu(
+    data: &SyntheticTranslation,
+    translate: impl FnOnce(&[&[usize]]) -> Vec<Vec<usize>>,
+) -> f64 {
+    let sources: Vec<&[usize]> = data.val.iter().map(|p| p.source.as_slice()).collect();
+    let candidates = translate(&sources);
+    let references: Vec<Vec<usize>> = data.val.iter().map(|p| p.target.clone()).collect();
+    bleu(&candidates, &references)
 }
 
 /// Builds the default-scale implementation of any suite benchmark on

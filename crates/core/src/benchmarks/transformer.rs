@@ -7,8 +7,7 @@
 //! than looping over sentences at batch 1. BLEU is unchanged by it:
 //! every sentence gets the tokens it would get decoded alone.
 
-use super::Recipe;
-use crate::metrics::bleu;
+use super::{translation_bleu, Recipe};
 use crate::suite::BenchmarkId;
 use mlperf_data::{epoch_batches, SyntheticTranslation, TranslationConfig, TranslationPair};
 use mlperf_models::{TransformerConfig, TransformerMini};
@@ -75,10 +74,7 @@ impl Recipe for Transformer {
     }
 
     fn evaluate(&self, data: &SyntheticTranslation, (model, _): &Self::Run) -> f64 {
-        let sources: Vec<&[usize]> = data.val.iter().map(|p| p.source.as_slice()).collect();
-        let candidates = model.greedy_translate_batch(&sources);
-        let references: Vec<Vec<usize>> = data.val.iter().map(|p| p.target.clone()).collect();
-        bleu(&candidates, &references)
+        translation_bleu(data, |sources| model.greedy_translate_batch(sources))
     }
 
     fn max_epochs(&self) -> usize {

@@ -360,12 +360,13 @@ impl MlLogger {
     }
 
     /// Validates a rendered log without building any entries: the
-    /// verdict of [`MlLogger::parse`] at a fraction of its cost.
-    /// Archive ingest checks every stored log file this way (review
-    /// re-parses the text later, on the worker pool), so the check must
-    /// not allocate a `Value` tree per line. Each line is scanned by an
-    /// accept-only validator that recognizes canonical rendered output;
-    /// the first line it cannot vouch for sends the whole text through
+    /// verdict of [`MlLogger::parse`] at a fraction of its cost. The
+    /// archive's serial read (the stream behind `read_round`) checks
+    /// every stored log file this way and hands the text on
+    /// unparsed, so the check must not allocate a `Value` tree per
+    /// line. Each line is scanned by an accept-only validator that
+    /// recognizes canonical rendered output; the first line it cannot
+    /// vouch for sends the whole text through
     /// [`MlLogger::parse`], whose structured [`ParseError`] — naming
     /// every malformed line — is returned as-is. Verdict and error are
     /// therefore always identical to the full parse.

@@ -8,7 +8,7 @@ use mlperf_core::aggregate::{
 };
 use mlperf_core::compliance::{check_log, ComplianceIssue};
 use mlperf_core::equivalence::{check_equivalence, EquivalenceIssue};
-use mlperf_core::mllog::{keys, LogEntry, MlLogger};
+use mlperf_core::mllog::{keys, LogEntry, MlLogger, ParseError};
 use mlperf_core::rules::{Division, HyperparameterRules};
 use mlperf_core::suite::BenchmarkId;
 use mlperf_telemetry::{arg, SpanScope, Telemetry};
@@ -16,9 +16,26 @@ use serde_json::{json, Map};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The result of parsing one run log: its entries, or the parser's
-/// error message.
-type ParsedLog = Result<Vec<LogEntry>, String>;
+/// The result of parsing one run log: its entries, or why it has none.
+pub(crate) type ParsedLog = Result<Vec<LogEntry>, LogError>;
+
+/// Why a run log yielded no entries.
+#[derive(Debug)]
+pub(crate) enum LogError {
+    /// The parser's error, naming every malformed line.
+    Malformed(ParseError),
+    /// The parser panicked; the panic was contained to this log.
+    ParserPanicked(String),
+}
+
+impl fmt::Display for LogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LogError::Malformed(e) => e.fmt(f),
+            LogError::ParserPanicked(msg) => write!(f, "parser panicked: {msg}"),
+        }
+    }
+}
 
 /// One structured review finding, tied to the run set (and, where it
 /// applies, the run) that produced it.
@@ -185,7 +202,7 @@ fn review_run_set(
     for (run, result) in parsed.iter().enumerate() {
         match result {
             Err(error) => {
-                diagnostics.push(Diagnostic::MalformedLog { run, error: error.clone() });
+                diagnostics.push(Diagnostic::MalformedLog { run, error: error.to_string() });
             }
             Ok(entries) => {
                 let issues = check_log(entries);
@@ -303,16 +320,28 @@ pub(crate) fn emit_rejection_events(scope: &mut SpanScope<'_>, report: &ReviewRe
 /// inside the parser or inside review itself is contained (per log and
 /// per bundle respectively) and reported the same way.
 pub fn review_bundle(bundle: &SubmissionBundle, references: &[BenchmarkReference]) -> ReviewReport {
-    review_bundle_traced(bundle, references, &mut Telemetry::disabled().timeline_scope())
+    let parsed = parse_logs(bundle, &mut Telemetry::disabled().timeline_scope());
+    review_logs(bundle, references, &parsed)
 }
 
-/// [`review_bundle`] on the caller's span scope: each log's parse
-/// records an `ingest`-layer `parse_log` span under the scope's
-/// innermost open span.
-pub(crate) fn review_bundle_traced(
+/// Parses every log of `bundle` on the caller's span scope, each under
+/// an `ingest`-layer `parse_log` span beneath the scope's innermost open
+/// span: one list per run set, aligned with its `logs`.
+pub(crate) fn parse_logs(
+    bundle: &SubmissionBundle,
+    scope: &mut SpanScope<'_>,
+) -> Vec<Vec<ParsedLog>> {
+    let mut parse = |text: &String| scope.record("ingest", "parse_log", || parse_log(text));
+    bundle.run_sets.iter().map(|rs| rs.logs.iter().map(&mut parse).collect()).collect()
+}
+
+/// The review of `bundle` given its parsed logs, which align with its
+/// run sets and their logs as [`parse_logs`] returns them. A panic
+/// inside review is contained to the bundle.
+pub(crate) fn review_logs(
     bundle: &SubmissionBundle,
     references: &[BenchmarkReference],
-    scope: &mut SpanScope<'_>,
+    parsed: &[Vec<ParsedLog>],
 ) -> ReviewReport {
     catch_unwind(AssertUnwindSafe(|| ReviewReport {
         org: bundle.org.clone(),
@@ -320,26 +349,19 @@ pub(crate) fn review_bundle_traced(
         benchmarks: bundle
             .run_sets
             .iter()
-            .map(|rs| {
-                let parsed: Vec<ParsedLog> = rs
-                    .logs
-                    .iter()
-                    .map(|text| scope.record("ingest", "parse_log", || parse_log(text)))
-                    .collect();
-                review_run_set(rs, bundle.division, references, &parsed)
-            })
+            .zip(parsed)
+            .map(|(rs, parsed)| review_run_set(rs, bundle.division, references, parsed))
             .collect(),
     }))
     .unwrap_or_else(|payload| panicked_report(bundle, &payload))
 }
 
-/// Parses one log's text, flattening the structured
-/// [`mlperf_core::mllog::ParseError`] (which names every malformed
-/// line) into review's string diagnostic. A panicking parser is a
-/// malformed log, not a lost round.
-fn parse_log(text: &str) -> ParsedLog {
-    catch_unwind(|| MlLogger::parse(text).map_err(|e| e.to_string()))
-        .unwrap_or_else(|payload| Err(format!("parser panicked: {}", panic_message(&payload))))
+/// Parses one log's text. This is the only place review and the
+/// archive reader parse a log, so a log read off disk is parsed once. A
+/// panicking parser is a malformed log, not a lost round.
+pub(crate) fn parse_log(text: &str) -> ParsedLog {
+    catch_unwind(|| MlLogger::parse(text).map_err(LogError::Malformed))
+        .unwrap_or_else(|payload| Err(LogError::ParserPanicked(panic_message(&payload))))
 }
 
 /// Best-effort panic payload text.

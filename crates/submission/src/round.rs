@@ -5,14 +5,16 @@
 //! references, on whichever thread calls it; [`StreamingReview`] maps
 //! it over a chunk of bundles on the scoped worker pool and publishes
 //! the results in feed-key order. A round in memory ([`run_round`]) is
-//! one chunk, an archive replay is a chunk per read-ahead window, and a
-//! live upload is a chunk of one reviewed inline — so the three cannot
-//! disagree. The paper's run-count rule (5 runs for vision, 10
-//! otherwise) keeps a bundle under a hundred or so logs, which is why
-//! logs within a bundle are not fanned out.
+//! one chunk and a live upload is a chunk of one reviewed inline; an
+//! archive replay maps a chunk of bundle directories, each pool task
+//! reading its bundle and parsing each log once for both the store's
+//! fault check and the same review — so the three cannot disagree. The
+//! paper's run-count rule (5 runs for vision, 10 otherwise) keeps a
+//! bundle under a hundred or so logs, which is why logs within a bundle
+//! are not fanned out.
 
 use crate::bundle::{BenchmarkReference, SubmissionBundle};
-use crate::review::{emit_rejection_events, review_bundle_traced, ReviewReport};
+use crate::review::{emit_rejection_events, parse_logs, review_logs, ParsedLog, ReviewReport};
 use mlperf_core::aggregate::ScenarioSummary;
 use mlperf_core::rules::{Division, Scenario};
 use mlperf_core::suite::BenchmarkId;
@@ -291,7 +293,9 @@ impl StreamingReview {
     /// [`StreamingReview::new`] with instrumentation: a `review_bundle`
     /// span per bundle on the reviewing thread's track, parented under
     /// `parent`, with the bundle's `parse_log` spans and its quarantine
-    /// and rejection events beneath it, plus the `ingest.*` counters,
+    /// and rejection events beneath it (an archive replay parses as it
+    /// reads, so there the `parse_log` spans sit under a `read_bundle`
+    /// span that precedes the bundle's), plus the `ingest.*` counters,
     /// whose handles are resolved here once. Every bundle is recorded.
     pub fn traced(
         round: Round,
@@ -329,25 +333,38 @@ impl StreamingReview {
 
     /// Reviews a chunk of `(index, arrival, bundle)` on the scoped
     /// worker pool — one bundle per claim, a chunk of one inline — and
-    /// publishes the results in chunk order. With instrumentation, an
-    /// `ingest.review_bundle.workers` gauge carries the pool size and
-    /// an `ingest.review_bundle.items_per_worker` sketch shows how
-    /// evenly the atomic cursor spread the chunk.
+    /// publishes the results in chunk order.
     pub fn add_bundles(&mut self, chunk: &[(u64, usize, &SubmissionBundle)]) {
-        let telemetry = &self.telemetry;
-        telemetry
-            .gauge("ingest.review_bundle.workers")
-            .set(mlperf_pool::workers_for(chunk.len()) as u64);
-        let per_worker = telemetry.sketch("ingest.review_bundle.items_per_worker");
-        let reviewed = mlperf_pool::parallel_map_workers(
-            chunk,
-            || telemetry.timeline_scope_under(self.parent),
-            |scope, _, (_, arrival, bundle)| self.review_on(scope, *arrival, bundle),
-            |_, claimed| per_worker.observe(claimed as f64),
-        );
+        let reviewed = self.fan_out(chunk, |scope, (_, arrival, bundle)| {
+            self.review_on(scope, *arrival, bundle, |scope| parse_logs(bundle, scope))
+        });
         for ((index, arrival, _), reviewed) in chunk.iter().zip(reviewed) {
             self.push_reviewed(*index, *arrival, reviewed);
         }
+    }
+
+    /// Maps `f` over `items` on the scoped worker pool, each worker on a
+    /// span scope of its own under this review's parent span, and
+    /// returns the results in item order. With instrumentation, an
+    /// `ingest.review_bundle.workers` gauge carries the pool size and an
+    /// `ingest.review_bundle.items_per_worker` sketch shows how evenly
+    /// the atomic cursor spread the items.
+    pub(crate) fn fan_out<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&mut SpanScope<'_>, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let telemetry = &self.telemetry;
+        telemetry
+            .gauge("ingest.review_bundle.workers")
+            .set(mlperf_pool::workers_for(items.len()) as u64);
+        let per_worker = telemetry.sketch("ingest.review_bundle.items_per_worker");
+        mlperf_pool::parallel_map_workers(
+            items,
+            || telemetry.timeline_scope_under(self.parent),
+            |scope, _, item| f(scope, item),
+            |_, claimed| per_worker.observe(claimed as f64),
+        )
     }
 
     /// The read-only half of [`StreamingReview::add_bundle`]: parses
@@ -357,21 +374,27 @@ impl StreamingReview {
     /// [`StreamingReview::push_reviewed`].
     pub fn review_bundle(&self, bundle: &SubmissionBundle) -> ReviewedBundle {
         let mut scope = self.telemetry.timeline_scope_under(self.parent);
-        self.review_on(&mut scope, self.results.len(), bundle)
+        let arrival = self.results.len();
+        self.review_on(&mut scope, arrival, bundle, |scope| parse_logs(bundle, scope))
     }
 
-    /// One bundle through [`crate::review::review_bundle`] on `scope`,
-    /// with this review's spans, events and counters around it.
-    fn review_on(
+    /// One bundle through review on `scope`: a `review_bundle` span
+    /// around `parse` — which parses the bundle's logs beneath it, or
+    /// hands over logs the archive parsed as it read them — and the
+    /// review of those logs, with this review's quarantine and rejection
+    /// events beneath it and the `ingest.*` counters bumped.
+    pub(crate) fn review_on(
         &self,
         scope: &mut SpanScope<'_>,
         arrival: usize,
         bundle: &SubmissionBundle,
+        parse: impl FnOnce(&mut SpanScope<'_>) -> Vec<Vec<ParsedLog>>,
     ) -> ReviewedBundle {
         let span = scope.start_with("ingest", "review_bundle", || {
             Map::from([arg("org", json!(bundle.org)), arg("arrival", json!(arrival))])
         });
-        let report = review_bundle_traced(bundle, &self.references, scope);
+        let parsed = parse(scope);
+        let report = review_logs(bundle, &self.references, &parsed);
         let logs: usize = bundle.run_sets.iter().map(|rs| rs.logs.len()).sum();
         self.logs_parsed.add(logs as u64);
         self.bundles_reviewed.incr();

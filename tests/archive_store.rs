@@ -207,7 +207,7 @@ fn corrupt_round_manifest_never_panics_the_replay() {
 
 /// The streaming acceptance property at scale: a synthetic
 /// 1000-bundle round ingested through `review_round_streaming` — which
-/// holds a read-ahead window of bundles at a time — produces a `RoundOutcome`
+/// holds a bundle per pool worker at a time — produces a `RoundOutcome`
 /// identical to materializing the whole round and reviewing it, and
 /// the incrementally-built leaderboards match the batch ones.
 #[test]
@@ -236,19 +236,19 @@ fn thousand_bundle_round_streams_to_the_materialized_outcome() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Replay reviews a round a read-ahead window (64 bundles) at a time.
-/// Rounds that end just short of, exactly on, just past and well past
-/// a window edge — each with a truncated log, a duplicated bundle
-/// directory and a submission-index collision planted around the edge
-/// — must publish the same outcome and the same fault list, in the
+/// Replay reads and reviews a round a chunk of bundle directories (512)
+/// at a time. Rounds that end just short of, exactly on, just past and
+/// well past a chunk edge — each with a truncated log, a duplicated
+/// bundle directory and a submission-index collision planted around the
+/// edge — must publish the same outcome and the same fault list, in the
 /// same order, whichever entry point ingests them.
 #[test]
 fn faults_on_either_side_of_a_chunk_edge_replay_identically() {
     let round = Round::V06;
     let bundle_dir =
         |root: &PathBuf, i: usize| root.join(format!("v0.6/org-{i:04}/stressnode-{i:04}"));
-    for bundles in [63usize, 64, 65, 131] {
-        for near in [63usize, 64, 127, 128] {
+    for bundles in [511usize, 512, 513, 1027] {
+        for near in [511usize, 512, 1023, 1024] {
             if near > bundles {
                 continue;
             }
@@ -257,9 +257,11 @@ fn faults_on_either_side_of_a_chunk_edge_replay_identically() {
             archive.write_round(&synthetic_stress_round(round, bundles, 29)).unwrap();
 
             // The bundle that will arrive `near`th (the collision below
-            // moves it up one): last of its chunk when `near` is 63 or
-            // 127, first of the next when 64 or 128. One of its logs
-            // is cut off mid-line.
+            // moves it up one) has one of its logs cut off mid-line.
+            // With the directories planted below, the damaged and extra
+            // directories take listing positions `near - 3 ..= near + 1`,
+            // across a chunk edge: the last one on the far side when
+            // `near` is 511 or 1023, the last two when 512 or 1024.
             let truncated = near - 1;
             let log = fs::read_dir(bundle_dir(&dir, truncated))
                 .unwrap()
@@ -314,6 +316,100 @@ fn faults_on_either_side_of_a_chunk_edge_replay_identically() {
             fs::remove_dir_all(&dir).unwrap();
         }
     }
+}
+
+/// Every bundle-level fault the reader knows, planted once each in one
+/// round: the materialized read plus `run_round`, the streaming review
+/// and the archive replay must publish the same outcome and the same
+/// fault list, in directory order.
+#[test]
+fn every_bundle_level_fault_replays_identically() {
+    let round = Round::V06;
+    let dir = temp_archive("every-fault");
+    let archive = RoundArchive::create(&dir).unwrap();
+    archive.write_round(&synthetic_stress_round(round, 14, 31)).unwrap();
+    let bundle_dir = |i: usize| dir.join(format!("v0.6/org-{i:04}/stressnode-{i:04}"));
+    let manifest = |i: usize| bundle_dir(i).join("bundle.json");
+    let log = |i: usize| {
+        let bench = fs::read_dir(bundle_dir(i)).unwrap().filter_map(Result::ok);
+        bench.map(|e| e.path()).find(|p| p.is_dir()).expect("a benchmark directory")
+    };
+    // Re-renders bundle `i`'s manifest with its run-set list edited.
+    let edit_run_sets = |i: usize, edit: &dyn Fn(&mut Vec<serde_json::Value>)| {
+        let mut value: serde_json::Value =
+            serde_json::from_str(&fs::read_to_string(manifest(i)).unwrap()).unwrap();
+        let serde_json::Value::Object(map) = &mut value else { panic!("manifest is an object") };
+        let Some(serde_json::Value::Array(run_sets)) = map.get_mut("run_sets") else {
+            panic!("manifest has run_sets")
+        };
+        edit(run_sets);
+        fs::write(manifest(i), serde_json::to_string_pretty(&value).unwrap()).unwrap();
+    };
+
+    fs::remove_file(manifest(1)).unwrap();
+    fs::write(manifest(2), "{ not json").unwrap();
+    bump_manifest_schema(&manifest(3), MANIFEST_SCHEMA + 1);
+    edit_run_sets(4, &|run_sets| {
+        let serde_json::Value::Object(first) = &mut run_sets[0] else { panic!("a run set") };
+        let Some(serde_json::Value::Array(logs)) = first.get_mut("logs") else { panic!("logs") };
+        logs[0] = serde_json::json!("../../escape.log");
+    });
+    fs::remove_file(log(5).join("run_1.log")).unwrap();
+    edit_run_sets(6, &|run_sets| run_sets.push(run_sets[0].clone()));
+    let garbled = log(7).join("run_2.log");
+    let text = fs::read_to_string(&garbled).unwrap().replacen(":::MLLOG", "#:MLLOG", 2);
+    fs::write(&garbled, text).unwrap();
+    let cut = log(8).join("run_0.log");
+    let text = fs::read_to_string(&cut).unwrap();
+    fs::write(&cut, &text[..text.len() - 7]).unwrap();
+    let twin = bundle_dir(9).with_file_name("stressnode-0009-twin");
+    copy_dir(&bundle_dir(9), &twin);
+    let mirror = dir.join("v0.6/org-0010-mirror");
+    copy_dir(&dir.join("v0.6/org-0010"), &mirror);
+    let mirrored = mirror.join("stressnode-0010/bundle.json");
+    let renamed = fs::read_to_string(&mirrored).unwrap().replace("Org-0010", "Org-0010-Mirror");
+    fs::write(&mirrored, renamed).unwrap();
+
+    let ingest = archive.read_round(round).unwrap();
+    let expected = [
+        (bundle_dir(1), "MissingManifest"),
+        (manifest(2), "MalformedManifest"),
+        (manifest(3), "UnsupportedSchema"),
+        (manifest(4), "EscapingLogPath"),
+        (log(5).join("run_1.log"), "MissingLog"),
+        (manifest(6), "DuplicateBenchmark"),
+        (garbled, "MalformedLog"),
+        (cut, "TruncatedLog"),
+        (twin, "DuplicateBundle"),
+        (mirror.join("stressnode-0010"), "DuplicateIndex"),
+    ];
+    let found: Vec<(PathBuf, String)> = ingest
+        .faults
+        .iter()
+        .map(|f| {
+            let kind = format!("{:?}", f.reason);
+            (f.path.clone(), kind[..kind.find('(').unwrap_or(kind.len())].to_string())
+        })
+        .collect();
+    let expected: Vec<(PathBuf, String)> =
+        expected.into_iter().map(|(path, kind)| (path, kind.to_string())).collect();
+    assert_eq!(found, expected);
+
+    // Three manifests never load; the twin is skipped; the mirror is kept.
+    let batch = run_round(&ingest.submissions);
+    assert_eq!(batch.reports.len(), 14 - 3 + 1);
+    for org in ["Org-0005", "Org-0007", "Org-0008"] {
+        assert!(batch.quarantined.iter().any(|r| r.org == org), "{org} is quarantined");
+    }
+
+    let (streamed, stream_faults) = archive.review_round_streaming(round).unwrap();
+    assert_eq!(streamed, batch);
+    assert_eq!(stream_faults, ingest.faults);
+    let replay = archive.replay().unwrap();
+    assert_eq!(replay.history.outcomes(), [batch]);
+    assert_eq!(replay.faults, ingest.faults);
+    assert_eq!(replay, archive.replay_streaming().unwrap());
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A bundle far larger than the run-count rule produces reviews the
