@@ -71,9 +71,7 @@
 use mlperf_bench::write_json;
 use mlperf_core::benchmarks::build;
 use mlperf_core::harness::run_benchmark_with;
-use mlperf_core::report::{
-    render_leaderboard, render_scenario_leaderboard, render_telemetry_report, SystemDescription,
-};
+use mlperf_core::report::{render_telemetry_report, SystemDescription};
 use mlperf_core::suite::BenchmarkId;
 use mlperf_core::timing::RealClock;
 use mlperf_distsim::Round;
@@ -83,9 +81,8 @@ use mlperf_loadgen::{
 use mlperf_pool::pool_stats;
 use mlperf_service::{http_get, http_post, HttpServer, ServiceCore};
 use mlperf_submission::{
-    leaderboards, round_references, run_round_with, scenario_leaderboards, synthetic_round,
-    synthetic_stress_round, ArchiveReplay, Fault, RoundArchive, RoundSubmissions,
-    SyntheticRoundSpec,
+    render_boards, round_references, run_round_with, synthetic_round, synthetic_stress_round,
+    ArchiveReplay, Fault, RoundArchive, RoundSubmissions, SyntheticRoundSpec,
 };
 use mlperf_telemetry::{write_prometheus, write_trace, Reporter, Telemetry};
 use mlperf_tensor::{enable_kernel_stats, kernel_stats};
@@ -269,11 +266,7 @@ fn report_archive(replay: &ArchiveReplay, chips: Option<usize>) {
     let chips = chips.unwrap_or_else(|| replay.history.common_scale().unwrap_or(16));
     for outcome in replay.history.outcomes() {
         println!("\n=== round {} leaderboards ===\n", outcome.round);
-        for board in leaderboards(outcome) {
-            let title = format!("{} ({} division)", board.benchmark, board.division);
-            print!("{}", render_leaderboard(&title, &board.rows()));
-            println!();
-        }
+        print!("{}", render_boards(outcome));
     }
     let speedup = replay.history.speedup_table(chips);
     let scale = replay.history.scale_table();
@@ -395,12 +388,7 @@ fn run_loadgen(args: &Args, telemetry: &Telemetry) -> Result<(), String> {
         );
     }
 
-    for board in scenario_leaderboards(&outcome) {
-        let title =
-            format!("{} {} ({} division)", board.benchmark, board.scenario.slug(), board.division);
-        print!("{}", render_scenario_leaderboard(&title, &board.rows()));
-        println!();
-    }
+    print!("{}", render_boards(&outcome));
 
     let summary = json!({
         "seed": args.seed,

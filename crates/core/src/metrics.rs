@@ -2,7 +2,7 @@
 //! classification accuracy. These are the metrics the suite's quality
 //! thresholds (Table 1) are stated in.
 
-use mlperf_data::BoxLabel;
+use mlperf_data::{iou_corners, BoxLabel};
 use mlperf_models::Detection;
 use mlperf_tensor::Tensor;
 use std::collections::HashMap;
@@ -134,7 +134,7 @@ fn average_precision_for_class(
             if g.class.index() != class || matched[img][gi] {
                 continue;
             }
-            let overlap = iou_det_gt(d, g);
+            let overlap = iou_corners(d.corners(), g.corners());
             if overlap >= iou && best.is_none_or(|(_, b)| overlap > b) {
                 best = Some((gi, overlap));
             }
@@ -150,22 +150,6 @@ fn average_precision_for_class(
         }
     }
     Some(precision_sum / total_gt as f64)
-}
-
-fn iou_det_gt(d: &Detection, g: &BoxLabel) -> f32 {
-    let a = d.corners();
-    let b = g.corners();
-    let ix = (a.2.min(b.2) - a.0.max(b.0)).max(0.0);
-    let iy = (a.3.min(b.3) - a.1.max(b.1)).max(0.0);
-    let inter = ix * iy;
-    let ua = (a.2 - a.0).max(0.0) * (a.3 - a.1).max(0.0);
-    let ub = (b.2 - b.0).max(0.0) * (b.3 - b.1).max(0.0);
-    let union = ua + ub - inter;
-    if union <= 0.0 {
-        0.0
-    } else {
-        inter / union
-    }
 }
 
 /// Pixel IoU between a predicted ROI mask (defined within `det`'s box,

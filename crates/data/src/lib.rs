@@ -40,7 +40,9 @@ pub use loader::{epoch_batches, shard, BatchPlan};
 pub use masked_lm::{MaskedLmConfig, MaskedSentence, SyntheticMaskedLm};
 pub use minigo_data::{reference_games, GoDataset, GoSample};
 pub use reformat::{PackedImages, ReformatStats};
-pub use shapes::{BoxLabel, DetectionSample, ShapeClass, ShapesConfig, SyntheticShapes};
+pub use shapes::{
+    iou_corners, BoxLabel, DetectionSample, ShapeClass, ShapesConfig, SyntheticShapes,
+};
 pub use speech::{SpeechConfig, SyntheticSpeech, Utterance, BLANK};
 pub use synth_imagenet::{ImageNetConfig, ImageSet, SyntheticImageNet};
 pub use translation::{

@@ -72,8 +72,9 @@ impl BoxLabel {
     }
 }
 
-/// IoU of two corner-form boxes.
-pub(crate) fn iou_corners(a: (f32, f32, f32, f32), b: (f32, f32, f32, f32)) -> f32 {
+/// Intersection-over-union of two corner-form `(x0, y0, x1, y1)`
+/// boxes; 0 when their union has no area.
+pub fn iou_corners(a: (f32, f32, f32, f32), b: (f32, f32, f32, f32)) -> f32 {
     let ix = (a.2.min(b.2) - a.0.max(b.0)).max(0.0);
     let iy = (a.3.min(b.3) - a.1.max(b.1)).max(0.0);
     let inter = ix * iy;

@@ -7,10 +7,10 @@
 //! positions. Sinusoidal positions stand in for learned ones, matching
 //! the other attention models in this crate.
 
-use crate::common::sinusoidal_positions;
+use crate::common::{sinusoidal_positions, EncoderBlock};
 use mlperf_autograd::Var;
 use mlperf_data::MaskedSentence;
-use mlperf_nn::{Embedding, LayerNorm, Linear, MaskedLmHead, Module, MultiHeadAttention};
+use mlperf_nn::{Embedding, LayerNorm, MaskedLmHead, Module};
 use mlperf_tensor::TensorRng;
 
 /// Network geometry.
@@ -36,56 +36,6 @@ impl Default for BertConfig {
     }
 }
 
-#[derive(Debug)]
-struct FeedForward {
-    up: Linear,
-    down: Linear,
-}
-
-impl FeedForward {
-    fn new(dim: usize, ff: usize, rng: &mut TensorRng) -> Self {
-        FeedForward { up: Linear::new(dim, ff, true, rng), down: Linear::new(ff, dim, true, rng) }
-    }
-
-    fn forward(&self, x: &Var) -> Var {
-        self.down.forward(&self.up.forward(x).relu())
-    }
-}
-
-impl Module for FeedForward {
-    fn params(&self) -> Vec<Var> {
-        let mut p = self.up.params();
-        p.extend(self.down.params());
-        p
-    }
-}
-
-#[derive(Debug)]
-struct EncoderBlock {
-    attn: MultiHeadAttention,
-    ff: FeedForward,
-    ln1: LayerNorm,
-    ln2: LayerNorm,
-}
-
-impl EncoderBlock {
-    fn forward(&self, x: &Var) -> Var {
-        // Bidirectional self-attention: no mask.
-        let h = x.add(&self.attn.self_attention(&self.ln1.forward(x), None));
-        h.add(&self.ff.forward(&self.ln2.forward(&h)))
-    }
-}
-
-impl Module for EncoderBlock {
-    fn params(&self) -> Vec<Var> {
-        let mut p = self.attn.params();
-        p.extend(self.ff.params());
-        p.extend(self.ln1.params());
-        p.extend(self.ln2.params());
-        p
-    }
-}
-
 /// The miniaturized BERT masked-language model.
 #[derive(Debug)]
 pub struct BertMini {
@@ -100,12 +50,7 @@ impl BertMini {
     /// Builds the network with the given geometry.
     pub fn new(config: BertConfig, rng: &mut TensorRng) -> Self {
         let encoder = (0..config.layers)
-            .map(|_| EncoderBlock {
-                attn: MultiHeadAttention::new(config.model_dim, config.heads, rng),
-                ff: FeedForward::new(config.model_dim, config.ff_dim, rng),
-                ln1: LayerNorm::new(config.model_dim),
-                ln2: LayerNorm::new(config.model_dim),
-            })
+            .map(|_| EncoderBlock::new(config.model_dim, config.heads, config.ff_dim, rng))
             .collect();
         BertMini {
             embed: Embedding::new(config.vocab, config.model_dim, rng),

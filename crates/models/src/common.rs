@@ -1,6 +1,7 @@
 //! Shared model utilities: detections, non-maximum suppression,
-//! sinusoidal position encodings, and the lock-step greedy decoder of
-//! the two translation models.
+//! sinusoidal position encodings, the Transformer encoder block BERT
+//! and the Transformer share, and the lock-step greedy decoder of the
+//! two translation models.
 //!
 //! # Batched greedy decoding
 //!
@@ -17,8 +18,10 @@
 //! logits is row-independent, so a sentence's tokens do not depend on
 //! which other equal-length sentences share its batch.
 
-use mlperf_data::{BOS, EOS, PAD};
-use mlperf_tensor::Tensor;
+use mlperf_autograd::Var;
+use mlperf_data::{iou_corners, BOS, EOS, PAD};
+use mlperf_nn::{LayerNorm, Linear, Module, MultiHeadAttention};
+use mlperf_tensor::{Tensor, TensorRng};
 
 /// A detected object in normalized image coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,19 +53,7 @@ impl Detection {
 
     /// Intersection-over-union with another detection.
     pub fn iou(&self, other: &Detection) -> f32 {
-        let a = self.corners();
-        let b = other.corners();
-        let ix = (a.2.min(b.2) - a.0.max(b.0)).max(0.0);
-        let iy = (a.3.min(b.3) - a.1.max(b.1)).max(0.0);
-        let inter = ix * iy;
-        let ua = (a.2 - a.0).max(0.0) * (a.3 - a.1).max(0.0);
-        let ub = (b.2 - b.0).max(0.0) * (b.3 - b.1).max(0.0);
-        let union = ua + ub - inter;
-        if union <= 0.0 {
-            0.0
-        } else {
-            inter / union
-        }
+        iou_corners(self.corners(), other.corners())
     }
 }
 
@@ -92,6 +83,70 @@ pub(crate) fn sinusoidal_positions(time: usize, dim: usize) -> Tensor {
         }
     }
     Tensor::from_vec(data, &[time, dim])
+}
+
+/// A Transformer block's position-wise feed-forward layer:
+/// `down(relu(up(x)))`.
+#[derive(Debug)]
+pub(crate) struct FeedForward {
+    up: Linear,
+    down: Linear,
+}
+
+impl FeedForward {
+    pub(crate) fn new(dim: usize, ff: usize, rng: &mut TensorRng) -> Self {
+        FeedForward { up: Linear::new(dim, ff, true, rng), down: Linear::new(ff, dim, true, rng) }
+    }
+
+    pub(crate) fn forward(&self, x: &Var) -> Var {
+        self.down.forward(&self.up.forward(x).relu())
+    }
+}
+
+impl Module for FeedForward {
+    fn params(&self) -> Vec<Var> {
+        let mut p = self.up.params();
+        p.extend(self.down.params());
+        p
+    }
+}
+
+/// A pre-LN Transformer encoder block: bidirectional self-attention
+/// (no mask), then the feed-forward layer, each around a residual.
+#[derive(Debug)]
+pub(crate) struct EncoderBlock {
+    attn: MultiHeadAttention,
+    ff: FeedForward,
+    ln1: LayerNorm,
+    ln2: LayerNorm,
+}
+
+impl EncoderBlock {
+    /// Draws the attention weights from `rng`, then the feed-forward
+    /// weights.
+    pub(crate) fn new(dim: usize, heads: usize, ff: usize, rng: &mut TensorRng) -> Self {
+        EncoderBlock {
+            attn: MultiHeadAttention::new(dim, heads, rng),
+            ff: FeedForward::new(dim, ff, rng),
+            ln1: LayerNorm::new(dim),
+            ln2: LayerNorm::new(dim),
+        }
+    }
+
+    pub(crate) fn forward(&self, x: &Var) -> Var {
+        let h = x.add(&self.attn.self_attention(&self.ln1.forward(x), None));
+        h.add(&self.ff.forward(&self.ln2.forward(&h)))
+    }
+}
+
+impl Module for EncoderBlock {
+    fn params(&self) -> Vec<Var> {
+        let mut p = self.attn.params();
+        p.extend(self.ff.params());
+        p.extend(self.ln1.params());
+        p.extend(self.ln2.params());
+        p
+    }
 }
 
 /// The translation encoders' precondition, checked where sentences

@@ -17,7 +17,9 @@
 //! after batching, this model's whole evaluation is a few percent of a
 //! training job, which does not pay for a second decoder forward path.
 
-use crate::common::{assert_no_empty_source, greedy_decode_batch, sinusoidal_positions};
+use crate::common::{
+    assert_no_empty_source, greedy_decode_batch, sinusoidal_positions, EncoderBlock, FeedForward,
+};
 use mlperf_autograd::Var;
 use mlperf_data::{PaddedBatch, BOS, EOS, PAD};
 use mlperf_nn::{causal_mask, Embedding, LayerNorm, Linear, Module, MultiHeadAttention};
@@ -53,55 +55,6 @@ impl Default for TransformerConfig {
             dec_layers: 1,
             max_len: 12,
         }
-    }
-}
-
-#[derive(Debug)]
-struct FeedForward {
-    up: Linear,
-    down: Linear,
-}
-
-impl FeedForward {
-    fn new(dim: usize, ff: usize, rng: &mut TensorRng) -> Self {
-        FeedForward { up: Linear::new(dim, ff, true, rng), down: Linear::new(ff, dim, true, rng) }
-    }
-
-    fn forward(&self, x: &Var) -> Var {
-        self.down.forward(&self.up.forward(x).relu())
-    }
-}
-
-impl Module for FeedForward {
-    fn params(&self) -> Vec<Var> {
-        let mut p = self.up.params();
-        p.extend(self.down.params());
-        p
-    }
-}
-
-#[derive(Debug)]
-struct EncoderBlock {
-    attn: MultiHeadAttention,
-    ff: FeedForward,
-    ln1: LayerNorm,
-    ln2: LayerNorm,
-}
-
-impl EncoderBlock {
-    fn forward(&self, x: &Var) -> Var {
-        let h = x.add(&self.attn.self_attention(&self.ln1.forward(x), None));
-        h.add(&self.ff.forward(&self.ln2.forward(&h)))
-    }
-}
-
-impl Module for EncoderBlock {
-    fn params(&self) -> Vec<Var> {
-        let mut p = self.attn.params();
-        p.extend(self.ff.params());
-        p.extend(self.ln1.params());
-        p.extend(self.ln2.params());
-        p
     }
 }
 
@@ -153,12 +106,6 @@ impl TransformerMini {
     /// Builds the model.
     pub fn new(config: TransformerConfig, rng: &mut TensorRng) -> Self {
         let d = config.model_dim;
-        let mk_enc = |rng: &mut TensorRng| EncoderBlock {
-            attn: MultiHeadAttention::new(d, config.heads, rng),
-            ff: FeedForward::new(d, config.ff_dim, rng),
-            ln1: LayerNorm::new(d),
-            ln2: LayerNorm::new(d),
-        };
         let mk_dec = |rng: &mut TensorRng| DecoderBlock {
             self_attn: MultiHeadAttention::new(d, config.heads, rng),
             cross_attn: MultiHeadAttention::new(d, config.heads, rng),
@@ -170,7 +117,9 @@ impl TransformerMini {
         TransformerMini {
             src_embed: Embedding::new(config.vocab, d, rng),
             tgt_embed: Embedding::new(config.vocab, d, rng),
-            encoder: (0..config.enc_layers).map(|_| mk_enc(rng)).collect(),
+            encoder: (0..config.enc_layers)
+                .map(|_| EncoderBlock::new(d, config.heads, config.ff_dim, rng))
+                .collect(),
             decoder: (0..config.dec_layers).map(|_| mk_dec(rng)).collect(),
             enc_ln: LayerNorm::new(d),
             dec_ln: LayerNorm::new(d),

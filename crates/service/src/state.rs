@@ -21,11 +21,13 @@
 //! publishes a [`RoundOutcome`] that is — by the `StreamingReview`
 //! feed-key contract — identical to batch ingest of the same bundles in
 //! index order, hands it to the caller, and flips the slot to the
-//! round's final status and board.
+//! round's final status and board, all under the write lock: a reader
+//! sees the open round with every bundle or the closed one, never a
+//! round half closed. Open and closed boards alike are
+//! [`render_boards`] of a [`RoundOutcome`], the batch report's text.
 
-use mlperf_core::report::{render_leaderboard, render_scenario_leaderboard};
 use mlperf_distsim::Round;
-use mlperf_submission::leaderboard::{scenario_leaderboards, LeaderboardAccumulator};
+use mlperf_submission::leaderboard::render_boards;
 use mlperf_submission::round::ReviewedBundle;
 use mlperf_submission::store::OpenRoundWriter;
 use mlperf_submission::{
@@ -47,7 +49,8 @@ pub enum ServiceError {
     /// rejected.
     RoundClosed(Round),
     /// An open or closed round already occupies this label, in this
-    /// process or published in the archive.
+    /// process or as a directory in the archive, published or still
+    /// filling.
     RoundAlreadyOpen(Round),
     /// The archive could not persist a bundle or the round manifest.
     Store(StoreError),
@@ -109,12 +112,12 @@ pub struct RoundStatus {
 /// Mutable state of an open round, behind the slot's `RwLock`.
 #[derive(Debug)]
 struct OpenState {
-    review: StreamingReview,
+    /// `None` once close has taken it; by then the round map holds the
+    /// closed slot, so a caller that finds `None` looks the round up
+    /// again.
+    review: Option<StreamingReview>,
     /// Next submission index to assign.
     next: u64,
-    /// Set by close while the lock is held, so a submission that
-    /// squeaked past the slot lookup still gets rejected.
-    closed: bool,
     accepted_entries: usize,
     scenario_entries: usize,
 }
@@ -194,30 +197,29 @@ impl ServiceCore {
     /// # Errors
     ///
     /// [`ServiceError::RoundAlreadyOpen`] when the label is taken: open
-    /// or closed in this process, or published in the archive (its
-    /// `round.json` is on disk, say from before a restart), which
-    /// opening would delete. [`ServiceError::Store`] when the archive
-    /// cannot be listed or the round directory cannot be reset.
+    /// or closed in this process, or a directory in the archive,
+    /// published or still filling (say, from before a restart).
+    /// [`ServiceError::Store`] when the round directory cannot be
+    /// created.
     pub fn open_round(
         &self,
         round: Round,
         references: Vec<BenchmarkReference>,
     ) -> Result<(), ServiceError> {
         let mut rounds = self.rounds.lock().expect("round map poisoned");
-        if rounds.contains_key(&round)
-            || self.archive.rounds().map_err(ServiceError::Store)?.contains(&round)
-        {
+        if rounds.contains_key(&round) {
             return Err(ServiceError::RoundAlreadyOpen(round));
         }
-        let writer =
-            self.archive.open_round(round, references.clone()).map_err(ServiceError::Store)?;
+        let writer = self.archive.open_round(round, references.clone()).map_err(|e| match e {
+            StoreError::RoundExists { .. } => ServiceError::RoundAlreadyOpen(round),
+            e => ServiceError::Store(e),
+        })?;
         let review = StreamingReview::traced(round, references, &self.telemetry, None);
         let open = OpenRound {
             writer,
             state: RwLock::new(OpenState {
-                review,
+                review: Some(review),
                 next: 0,
-                closed: false,
                 accepted_entries: 0,
                 scenario_entries: 0,
             }),
@@ -269,10 +271,10 @@ impl ServiceCore {
         // review in parallel.
         let reviewed: ReviewedBundle = {
             let state = open.state.read().expect("round state poisoned");
-            if state.closed {
+            let Some(review) = &state.review else {
                 return Err(ServiceError::RoundClosed(round));
-            }
-            state.review.review_bundle(bundle)
+            };
+            review.review_bundle(bundle)
         };
         let receipt = SubmitReceipt {
             round,
@@ -288,14 +290,15 @@ impl ServiceCore {
             // Persisting inside the lock means a closing round can
             // never finalize with this bundle on disk but missing from
             // the outcome.
-            let mut state = open.state.write().expect("round state poisoned");
-            if state.closed {
+            let mut guard = open.state.write().expect("round state poisoned");
+            let state = &mut *guard;
+            let Some(review) = &mut state.review else {
                 return Err(ServiceError::RoundClosed(round));
-            }
+            };
             let index = state.next;
             open.writer.write_bundle(index, bundle).map_err(ServiceError::Store)?;
             state.next += 1;
-            state.review.push_reviewed(index, index as usize, reviewed);
+            review.push_reviewed(index, index as usize, reviewed);
             state.accepted_entries += receipt.accepted_entries;
             state.scenario_entries += receipt.scenario_entries;
             SubmitReceipt { index, ..receipt }
@@ -335,16 +338,23 @@ impl ServiceCore {
                     }
                 }
                 self.leaderboard_cache_misses.incr();
-                let (accepted, scenarios, bundles, quarantined) = {
+                let (view, bundles, quarantined) = {
                     let state = open.state.read().expect("round state poisoned");
-                    (
-                        state.review.accepted_so_far(),
-                        state.review.scenarios_so_far(),
-                        state.review.bundles_reviewed(),
-                        state.review.quarantined_so_far(),
-                    )
+                    let Some(review) = &state.review else {
+                        drop(state);
+                        return self.leaderboard(round);
+                    };
+                    let (accepted, scenarios) = review.entries_so_far();
+                    let view = RoundOutcome {
+                        round,
+                        accepted,
+                        scenarios,
+                        quarantined: Vec::new(),
+                        reports: Vec::new(),
+                    };
+                    (view, review.bundles_reviewed(), review.quarantined_so_far())
                 };
-                let text = render_boards(round, true, bundles, quarantined, accepted, scenarios);
+                let text = board_text(&view, true, bundles, quarantined);
                 // Cache under the version read *before* the snapshot: a
                 // concurrent acceptance can only make the stored
                 // version stale, never mask a newer board.
@@ -364,13 +374,17 @@ impl ServiceCore {
             Slot::Closed(closed) => Ok(closed.status.clone()),
             Slot::Open(open) => {
                 let state = open.state.read().expect("round state poisoned");
+                let Some(review) = &state.review else {
+                    drop(state);
+                    return self.round_status(round);
+                };
                 Ok(RoundStatus {
                     round,
                     open: true,
-                    bundles: state.review.bundles_reviewed(),
+                    bundles: review.bundles_reviewed(),
                     accepted_entries: state.accepted_entries,
                     scenario_entries: state.scenario_entries,
-                    quarantined: state.review.quarantined_so_far(),
+                    quarantined: review.quarantined_so_far(),
                     leaderboard_version: open.version.load(Ordering::SeqCst),
                 })
             }
@@ -391,50 +405,45 @@ impl ServiceCore {
     /// archive round is finalized (`round.json` lands, then
     /// `outcome.json`), and the published [`RoundOutcome`] — identical
     /// to batch ingest of the same bundles — replaces the open slot.
+    /// Everything up to the slot swap happens under the round's write
+    /// lock, so no reader sees a round that is neither open with all
+    /// its bundles nor closed.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownRound`] / [`ServiceError::RoundClosed`]
-    /// for bad targets, [`ServiceError::Store`] when finalizing the
-    /// archive fails (the round is closed to submissions regardless).
+    /// for bad targets. [`ServiceError::Store`] when `round.json`
+    /// cannot be written: the round stays open with every bundle, and
+    /// closing may be retried. Also [`ServiceError::Store`] when
+    /// `outcome.json` cannot be written: the round is closed and
+    /// published by then, and only that derived summary is missing.
     pub fn close_round(&self, round: Round) -> Result<RoundOutcome, ServiceError> {
         let open = self.open_slot(round)?;
-        let review = {
+        let outcome = {
             let mut state = open.state.write().expect("round state poisoned");
-            if state.closed {
+            if state.review.is_none() {
                 return Err(ServiceError::RoundClosed(round));
             }
-            state.closed = true;
-            // Swap the review out so finish() can consume it; the
-            // placeholder never sees a bundle (closed is set).
-            std::mem::replace(&mut state.review, StreamingReview::new(round, Vec::new()))
+            open.writer.finalize().map_err(ServiceError::Store)?;
+            let outcome = state.review.take().expect("checked above").finish();
+            let status = RoundStatus {
+                round,
+                open: false,
+                bundles: outcome.reports.len(),
+                accepted_entries: outcome.accepted.len(),
+                scenario_entries: outcome.scenarios.len(),
+                quarantined: outcome.quarantined.len(),
+                leaderboard_version: open.version.load(Ordering::SeqCst),
+            };
+            let board = board_text(&outcome, false, status.bundles, status.quarantined);
+            self.rounds
+                .lock()
+                .expect("round map poisoned")
+                .insert(round, Slot::Closed(Arc::new(ClosedRound { status, board })));
+            outcome
         };
-        let outcome = review.finish();
-        open.writer.finalize().map_err(ServiceError::Store)?;
-        self.archive.write_outcome(&outcome).map_err(ServiceError::Store)?;
-        let board = render_boards(
-            round,
-            false,
-            outcome.reports.len(),
-            outcome.quarantined.len(),
-            outcome.accepted.clone(),
-            outcome.scenarios.clone(),
-        );
-        let status = RoundStatus {
-            round,
-            open: false,
-            bundles: outcome.reports.len(),
-            accepted_entries: outcome.accepted.len(),
-            scenario_entries: outcome.scenarios.len(),
-            quarantined: outcome.quarantined.len(),
-            leaderboard_version: open.version.load(Ordering::SeqCst),
-        };
-        let closed = ClosedRound { status, board };
-        self.rounds
-            .lock()
-            .expect("round map poisoned")
-            .insert(round, Slot::Closed(Arc::new(closed)));
         self.rounds_closed.incr();
+        self.archive.write_outcome(&outcome).map_err(ServiceError::Store)?;
         Ok(outcome)
     }
 
@@ -460,46 +469,13 @@ impl ServiceCore {
     }
 }
 
-/// Renders a round's full leaderboard text: a status header, then the
-/// training boards (via the sharded accumulator, so the service ranks
-/// exactly as batch `leaderboards` does) and the scenario boards, each
-/// titled exactly as the batch `report` CLI titles them — which is
-/// what lets CI diff a live board against batch output block by block.
-fn render_boards(
-    round: Round,
-    open: bool,
-    bundles: usize,
-    quarantined: usize,
-    accepted: Vec<mlperf_submission::AcceptedEntry>,
-    scenarios: Vec<mlperf_submission::ScenarioEntry>,
-) -> String {
-    let mut out = format!(
-        "== round {round} ({}): {bundles} bundles reviewed, {quarantined} quarantined ==\n\n",
+/// A round's board as the service serves it: a status header over the
+/// batch [`render_boards`] text of `outcome`.
+fn board_text(outcome: &RoundOutcome, open: bool, bundles: usize, quarantined: usize) -> String {
+    format!(
+        "== round {} ({}): {bundles} bundles reviewed, {quarantined} quarantined ==\n\n{}",
+        outcome.round,
         if open { "open" } else { "closed" },
-    );
-    let mut accumulator = LeaderboardAccumulator::new();
-    for entry in accepted {
-        accumulator.add(entry);
-    }
-    for board in accumulator.finish() {
-        let title = format!("{} ({} division)", board.benchmark, board.division);
-        out.push_str(&render_leaderboard(&title, &board.rows()));
-        out.push('\n');
-    }
-    // Scenario ranking is defined over a RoundOutcome; a transient one
-    // carrying only the scenario entries reuses it verbatim.
-    let scenario_view = RoundOutcome {
-        round,
-        accepted: Vec::new(),
-        scenarios,
-        quarantined: Vec::new(),
-        reports: Vec::new(),
-    };
-    for board in scenario_leaderboards(&scenario_view) {
-        let title =
-            format!("{} {} ({} division)", board.benchmark, board.scenario.slug(), board.division);
-        out.push_str(&render_scenario_leaderboard(&title, &board.rows()));
-        out.push('\n');
-    }
-    out
+        render_boards(outcome),
+    )
 }

@@ -6,7 +6,9 @@
 use mlperf_distsim::Round;
 use mlperf_service::{http_get, http_post, http_request, HttpServer, ServiceCore, ServiceError};
 use mlperf_submission::synthetic_stress_round;
-use mlperf_submission::{round_references, run_round, RoundArchive, RoundSubmissions};
+use mlperf_submission::{
+    render_boards, round_references, run_round, RoundArchive, RoundSubmissions,
+};
 use mlperf_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -109,8 +111,15 @@ fn racing_submitters_match_batch_ingest_exactly() {
     // A reviewed report lives in memory until close, never on disk
     // where losing it would change what close publishes.
     assert_archive_holds_only_rounds(&dir);
+    // The open board is the batch board of the same bundles, under the
+    // round's status header.
+    let batch_outcome = run_round(&batch);
+    let board = core.leaderboard(round).expect("board before close");
+    let (header, tables) = board.split_once("\n\n").expect("status header");
+    assert!(header.starts_with(&format!("== round {round} (open): {total} bundles reviewed")));
+    assert_eq!(tables, render_boards(&batch_outcome));
     let outcome = core.close_round(round).expect("close round");
-    assert_eq!(outcome, run_round(&batch), "live outcome diverged from batch ingest");
+    assert_eq!(outcome, batch_outcome, "live outcome diverged from batch ingest");
     assert_archive_holds_only_rounds(&dir);
     assert!(!outcome.quarantined.is_empty(), "the damaged bundle must quarantine");
     assert_eq!(outcome.reports.len(), bundles.len());
@@ -123,6 +132,7 @@ fn racing_submitters_match_batch_ingest_exactly() {
     assert_eq!(status.bundles, bundles.len());
     let board = core.leaderboard(round).expect("board after close");
     assert!(board.starts_with(&format!("== round {round} (closed)")));
+    assert_eq!(board.split_once("\n\n").expect("status header").1, render_boards(&outcome));
 
     // The incrementally-written archive re-ingests to the same outcome.
     let archive = RoundArchive::open(&dir).expect("reopen archive");
@@ -158,6 +168,86 @@ fn reopening_a_published_round_after_restart_is_refused() {
     let ingest = archive.read_round(round).expect("read round");
     assert_eq!(ingest.faults, Vec::new());
     assert_eq!(run_round(&ingest.submissions), published);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Counts the `bundle.json` manifests under `dir`, at any depth.
+fn bundle_manifests(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("round directory")
+        .map(|entry| entry.expect("round entry").path())
+        .map(|path| match path.is_dir() {
+            true => bundle_manifests(&path),
+            false => usize::from(path.file_name() == Some("bundle.json".as_ref())),
+        })
+        .sum()
+}
+
+/// A round that was still filling when its service went away keeps
+/// every accepted bundle: a restarted service refuses to open the label
+/// again instead of wiping the directory.
+#[test]
+fn reopening_a_filling_round_after_restart_keeps_its_bundles() {
+    let round = Round::V06;
+    let (core, dir) = new_core("filling-restart");
+    core.open_round(round, round_references(round)).expect("open round");
+    for bundle in &synthetic_stress_round(round, 12, 3).bundles {
+        core.submit_bundle(round, bundle).expect("submit");
+    }
+    drop(core);
+
+    let restarted =
+        ServiceCore::new(RoundArchive::open(&dir).expect("reopen archive"), Telemetry::disabled());
+    assert_eq!(
+        restarted.open_round(round, round_references(round)),
+        Err(ServiceError::RoundAlreadyOpen(round))
+    );
+    assert_eq!(bundle_manifests(&dir.join(round.label())), 12, "every accepted bundle is kept");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Closing is one step to a reader: a status poll racing `close_round`
+/// sees the open round with every bundle or the closed round, never a
+/// round emptied on its way to closed.
+#[test]
+fn status_polls_racing_close_see_every_bundle() {
+    let round = Round::V06;
+    let (core, dir) = new_core("close-race");
+    core.open_round(round, round_references(round)).expect("open round");
+    let total = 300;
+    for bundle in &synthetic_stress_round(round, total, 13).bundles {
+        core.submit_bundle(round, bundle).expect("submit");
+    }
+
+    let closed = AtomicBool::new(false);
+    let reads = AtomicUsize::new(0);
+    let (torn, outcome) = thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut torn = Vec::new();
+            loop {
+                let after_close = closed.load(Ordering::SeqCst);
+                let status = core.round_status(round).expect("status during close");
+                if status.bundles != total {
+                    torn.push(status);
+                }
+                reads.fetch_add(1, Ordering::SeqCst);
+                if after_close {
+                    return torn;
+                }
+            }
+        });
+        while reads.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
+        let outcome = core.close_round(round).expect("close round");
+        closed.store(true, Ordering::SeqCst);
+        (poller.join().expect("poller"), outcome)
+    });
+    assert_eq!(outcome.reports.len(), total);
+    assert!(torn.is_empty(), "{} of {} reads saw {:?}", torn.len(), reads.into_inner(), torn[0]);
+    let status = core.round_status(round).expect("status after close");
+    assert!(!status.open);
+    assert_eq!(status.bundles, total);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,10 +3,11 @@
 //! close.
 
 use crate::round::{AcceptedEntry, RoundOutcome, ScenarioEntry};
-use mlperf_core::report::{LeaderboardRow, ScenarioRow};
+use mlperf_core::report::{
+    render_leaderboard, render_scenario_leaderboard, LeaderboardRow, ScenarioRow,
+};
 use mlperf_core::rules::{Division, Scenario};
 use mlperf_core::suite::BenchmarkId;
-use std::collections::BTreeMap;
 
 /// The ranked results of one benchmark in one division.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,69 +123,27 @@ pub fn scenario_leaderboards(outcome: &RoundOutcome) -> Vec<ScenarioLeaderboard>
     boards
 }
 
-/// Incrementally builds a round's leaderboards as accepted entries
-/// stream in, sharded per (benchmark, division): each entry touches
-/// only its own shard, so a many-thousand-bundle streaming ingest
-/// ranks as it goes instead of re-scanning the whole outcome at the
-/// end. Fed the entries of a [`RoundOutcome`] in order,
-/// [`LeaderboardAccumulator::finish`] is exactly [`leaderboards`] —
-/// same boards, same order, same tie-breaks.
-#[derive(Debug, Clone, Default)]
-pub struct LeaderboardAccumulator {
-    /// One shard per (Table-1 benchmark position, 0=Closed/1=Open),
-    /// created on first entry. Each holds `(arrival, entry)` so the
-    /// final ranking breaks minute ties by feed order, matching the
-    /// stable sort in [`leaderboards`].
-    shards: BTreeMap<(usize, u8), Vec<(usize, AcceptedEntry)>>,
-    arrivals: usize,
-}
-
-impl LeaderboardAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        LeaderboardAccumulator::default()
+/// Renders every leaderboard of a round as the text the organization
+/// publishes: each training board in [`leaderboards`] order, then each
+/// scenario board in [`scenario_leaderboards`] order, every one titled
+/// by its benchmark, scenario and division and followed by a blank
+/// line. The batch report, the loadgen report and the live service's
+/// boards are all this text, which is what lets a live board be diffed
+/// against batch output block by block.
+pub fn render_boards(outcome: &RoundOutcome) -> String {
+    let mut out = String::new();
+    for board in leaderboards(outcome) {
+        let title = format!("{} ({} division)", board.benchmark, board.division);
+        out.push_str(&render_leaderboard(&title, &board.rows()));
+        out.push('\n');
     }
-
-    /// Files one accepted entry into its shard.
-    pub fn add(&mut self, entry: AcceptedEntry) {
-        let benchmark = BenchmarkId::ALL
-            .iter()
-            .position(|&id| id == entry.benchmark)
-            .expect("accepted entries carry Table-1 benchmarks");
-        let division = match entry.division {
-            Division::Closed => 0,
-            Division::Open => 1,
-        };
-        let arrival = self.arrivals;
-        self.arrivals += 1;
-        self.shards.entry((benchmark, division)).or_default().push((arrival, entry));
+    for board in scenario_leaderboards(outcome) {
+        let title =
+            format!("{} {} ({} division)", board.benchmark, board.scenario.slug(), board.division);
+        out.push_str(&render_scenario_leaderboard(&title, &board.rows()));
+        out.push('\n');
     }
-
-    /// Entries filed so far, across all shards.
-    pub fn len(&self) -> usize {
-        self.arrivals
-    }
-
-    /// True when no entry has been filed.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals == 0
-    }
-
-    /// Ranks every shard: Table-1 benchmark order, Closed before Open,
-    /// fastest first, ties by feed order.
-    pub fn finish(self) -> Vec<Leaderboard> {
-        self.shards
-            .into_iter()
-            .map(|((benchmark, division), mut entries)| {
-                entries.sort_by(|(i, a), (j, b)| a.minutes.total_cmp(&b.minutes).then(i.cmp(j)));
-                Leaderboard {
-                    benchmark: BenchmarkId::ALL[benchmark],
-                    division: if division == 0 { Division::Closed } else { Division::Open },
-                    entries: entries.into_iter().map(|(_, e)| e).collect(),
-                }
-            })
-            .collect()
-    }
+    out
 }
 
 #[cfg(test)]
@@ -207,39 +166,17 @@ mod tests {
             assert_eq!(rows[0].rank, 1);
             assert_eq!(rows.len(), board.entries.len());
         }
-    }
 
-    #[test]
-    fn accumulator_matches_batch_leaderboards() {
-        let outcome = run_round(&synthetic_round(&SyntheticRoundSpec::new(Round::V07, 40)));
-        let mut acc = LeaderboardAccumulator::new();
-        assert!(acc.is_empty());
-        for entry in &outcome.accepted {
-            acc.add(entry.clone());
+        // The published text: one titled table per board, in board order.
+        let text = render_boards(&outcome);
+        let blocks: Vec<&str> = text.split("\n\n").filter(|b| !b.is_empty()).collect();
+        assert_eq!(blocks.len(), boards.len());
+        for (block, board) in blocks.iter().zip(&boards) {
+            let title = block.lines().next().unwrap();
+            assert!(title.starts_with(&board.benchmark.to_string()), "{title}");
+            assert!(title.contains(&format!("({} division", board.division)), "{title}");
+            assert_eq!(block.lines().count(), 2 + board.entries.len(), "title, header, rows");
         }
-        assert_eq!(acc.len(), outcome.accepted.len());
-        assert_eq!(acc.finish(), leaderboards(&outcome));
-    }
-
-    #[test]
-    fn accumulator_breaks_minute_ties_by_feed_order() {
-        let entry = |org: &str, minutes: f64| AcceptedEntry {
-            org: org.to_string(),
-            system: "sys".to_string(),
-            chips: 8,
-            division: mlperf_core::rules::Division::Closed,
-            benchmark: mlperf_core::suite::BenchmarkId::Recommendation,
-            minutes,
-            runs: 5,
-        };
-        let mut acc = LeaderboardAccumulator::new();
-        acc.add(entry("First", 2.0));
-        acc.add(entry("Second", 2.0));
-        acc.add(entry("Faster", 1.0));
-        let boards = acc.finish();
-        assert_eq!(boards.len(), 1);
-        let orgs: Vec<&str> = boards[0].entries.iter().map(|e| e.org.as_str()).collect();
-        assert_eq!(orgs, vec!["Faster", "First", "Second"]);
     }
 
     #[test]
@@ -294,5 +231,13 @@ mod tests {
         assert_eq!(rows[0].qps, 160.0);
         assert_eq!(rows[0].p99_ms, 4.0);
         assert_eq!(rows[1].organization, "Slower");
+
+        // Scenario boards render after the (here empty) training boards.
+        let text = render_boards(&outcome);
+        let titles: Vec<&str> = text.split("\n\n").filter_map(|b| b.lines().next()).collect();
+        let recommendation = BenchmarkId::Recommendation.to_string();
+        assert_eq!(titles.len(), 2);
+        assert!(titles[0].starts_with(&format!("{recommendation} server (")), "{}", titles[0]);
+        assert!(titles[1].starts_with(&format!("{recommendation} offline (")), "{}", titles[1]);
     }
 }

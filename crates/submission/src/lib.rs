@@ -43,7 +43,7 @@ pub mod tables;
 
 pub use bundle::{BenchmarkReference, RunSet, SubmissionBundle};
 pub use leaderboard::{
-    leaderboards, scenario_leaderboards, Leaderboard, LeaderboardAccumulator, ScenarioLeaderboard,
+    leaderboards, render_boards, scenario_leaderboards, Leaderboard, ScenarioLeaderboard,
 };
 pub use review::{review_bundle, BenchmarkReview, Diagnostic, ReviewReport};
 pub use round::{

@@ -429,22 +429,17 @@ impl StreamingReview {
         self.round
     }
 
-    /// Accepted entries so far, ordered by feed key — the mid-round
-    /// view a live leaderboard renders from.
-    pub fn accepted_so_far(&self) -> Vec<AcceptedEntry> {
-        self.sorted().flat_map(|reviewed| reviewed.entries.iter().cloned()).collect()
-    }
-
-    /// Scenario entries so far, ordered by feed key.
-    pub fn scenarios_so_far(&self) -> Vec<ScenarioEntry> {
-        self.sorted().flat_map(|reviewed| reviewed.scenarios.iter().cloned()).collect()
-    }
-
-    /// The reviewed bundles so far, ordered by feed key.
-    fn sorted(&self) -> impl Iterator<Item = &ReviewedBundle> {
+    /// Accepted and scenario entries so far, ordered by feed key — the
+    /// mid-round view a live leaderboard renders from.
+    pub fn entries_so_far(&self) -> (Vec<AcceptedEntry>, Vec<ScenarioEntry>) {
         let mut keyed: Vec<&((u64, usize), ReviewedBundle)> = self.results.iter().collect();
         keyed.sort_by_key(|(key, _)| *key);
-        keyed.into_iter().map(|(_, reviewed)| reviewed)
+        let (mut accepted, mut scenarios) = (Vec::new(), Vec::new());
+        for (_, reviewed) in keyed {
+            accepted.extend_from_slice(&reviewed.entries);
+            scenarios.extend_from_slice(&reviewed.scenarios);
+        }
+        (accepted, scenarios)
     }
 
     /// Bundles quarantined so far.
@@ -676,8 +671,7 @@ mod tests {
             review.push_reviewed(i as u64, i, reviewed);
         }
         // The mid-round views agree with the final published outcome.
-        let accepted = review.accepted_so_far();
-        let scenarios = review.scenarios_so_far();
+        let (accepted, scenarios) = review.entries_so_far();
         assert_eq!(review.quarantined_so_far(), 1, "the mid-round quarantine count");
         let outcome = review.finish();
         assert_eq!(outcome, batch);

@@ -90,6 +90,11 @@ pub enum StoreError {
         /// The directory opened.
         path: PathBuf,
     },
+    /// A round directory already exists, published or still filling.
+    RoundExists {
+        /// The round directory.
+        path: PathBuf,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -106,6 +111,9 @@ impl fmt::Display for StoreError {
             ),
             StoreError::NotAnArchive { path } => {
                 write!(f, "{}: not a round archive (no archive.json marker)", path.display())
+            }
+            StoreError::RoundExists { path } => {
+                write!(f, "{}: round already exists", path.display())
             }
         }
     }
@@ -347,6 +355,10 @@ impl RoundArchive {
     }
 
     fn write_round_inner(&self, submissions: &RoundSubmissions) -> Result<(), StoreError> {
+        let round_dir = self.round_dir(submissions.round);
+        if round_dir.exists() {
+            fs::remove_dir_all(&round_dir).map_err(|e| io_error(&round_dir, &e))?;
+        }
         let writer = self.open_round(submissions.round, submissions.references.clone())?;
         // Directory names are assigned serially in submission order so
         // slug-collision disambiguation lands on the same names the
@@ -367,8 +379,8 @@ impl RoundArchive {
         writer.finalize()
     }
 
-    /// Opens a round for incremental writing, replacing any existing
-    /// copy of the same round: bundles land one at a time via
+    /// Opens a new round for incremental writing: bundles land one at a
+    /// time via
     /// [`OpenRoundWriter::write_bundle`] (safe to call from many
     /// threads), and `round.json` only appears once
     /// [`OpenRoundWriter::finalize`] runs — until then the directory is
@@ -379,20 +391,22 @@ impl RoundArchive {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the round directory cannot be reset.
-    /// A published copy is not an error: it is deleted, `round.json`
-    /// included, so a caller that must keep published rounds checks
-    /// [`RoundArchive::rounds`] first, as the live service does.
+    /// [`StoreError::RoundExists`] when the round directory is already
+    /// there, published or still filling (say, from before a restart):
+    /// opening never deletes a bundle. [`StoreError::Io`] when the
+    /// directory cannot be created.
     pub fn open_round(
         &self,
         round: Round,
         references: Vec<BenchmarkReference>,
     ) -> Result<OpenRoundWriter, StoreError> {
         let round_dir = self.round_dir(round);
-        if round_dir.exists() {
-            fs::remove_dir_all(&round_dir).map_err(|e| io_error(&round_dir, &e))?;
-        }
-        fs::create_dir_all(&round_dir).map_err(|e| io_error(&round_dir, &e))?;
+        fs::create_dir(&round_dir).map_err(|e| match e.kind() {
+            std::io::ErrorKind::AlreadyExists => {
+                StoreError::RoundExists { path: round_dir.clone() }
+            }
+            _ => io_error(&round_dir, &e),
+        })?;
         Ok(OpenRoundWriter {
             round_dir,
             round,
@@ -1674,6 +1688,15 @@ mod tests {
         let ingest = archive.read_round(Round::V05).unwrap();
         assert!(ingest.faults.is_empty(), "{:?}", ingest.faults);
         assert_eq!(ingest.submissions, subs, "arrival order never reorders the round");
+
+        // Opening the label again refuses and leaves the round as it was;
+        // writing a whole round is what replaces it.
+        let refused = archive.open_round(Round::V05, subs.references.clone()).unwrap_err();
+        assert!(matches!(refused, StoreError::RoundExists { .. }), "{refused:?}");
+        assert_eq!(archive.read_round(Round::V05).unwrap().submissions, subs);
+        let other = synthetic_round(&SyntheticRoundSpec::new(Round::V05, 2));
+        archive.write_round(&other).unwrap();
+        assert_eq!(archive.read_round(Round::V05).unwrap().submissions, other);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -10,7 +10,7 @@
 //! 6. switch sides and run the organization's round pipeline over a
 //!    synthetic multi-vendor round: persist it to a disk archive of
 //!    `:::MLLOG` files, re-ingest it, quarantine the corrupted bundle,
-//!    and publish a leaderboard — all from the archived logs.
+//!    and publish the leaderboards — all from the archived logs.
 //!
 //! ```sh
 //! cargo run --release --example submission_workflow
@@ -21,7 +21,7 @@ use mlperf_suite::core::benchmarks::build;
 use mlperf_suite::core::compliance::check_log;
 use mlperf_suite::core::harness::run_benchmark;
 use mlperf_suite::core::report::{
-    render_leaderboard, render_results_table, BenchmarkScore, Submission, SystemDescription,
+    render_results_table, BenchmarkScore, Submission, SystemDescription,
 };
 use mlperf_suite::core::rules::{
     borrow_hyperparameters, Category, Division, HyperparameterRules, SystemType,
@@ -30,7 +30,7 @@ use mlperf_suite::core::suite::BenchmarkId;
 use mlperf_suite::core::timing::RealClock;
 use mlperf_suite::distsim::Round;
 use mlperf_suite::submission::{
-    leaderboards, run_round, synthetic_round, Fault, RoundArchive, SyntheticRoundSpec,
+    render_boards, run_round, synthetic_round, Fault, RoundArchive, SyntheticRoundSpec,
 };
 use std::collections::BTreeMap;
 
@@ -138,9 +138,6 @@ fn main() {
             println!("  quarantined {} [{benchmark}]: {diagnostic}", report.org);
         }
     }
-    let boards = leaderboards(&outcome);
-    let board = boards.first().expect("at least one leaderboard");
-    let title = format!("\n{} ({} division)", board.benchmark, board.division);
-    print!("{}", render_leaderboard(&title, &board.rows()));
+    print!("\n{}", render_boards(&outcome));
     let _ = std::fs::remove_dir_all(&archive_dir);
 }

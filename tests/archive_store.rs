@@ -6,9 +6,8 @@
 
 use mlperf_suite::distsim::Round;
 use mlperf_suite::submission::{
-    leaderboards, review_bundle, run_round, synthetic_round, synthetic_stress_round, FaultReason,
-    LeaderboardAccumulator, RoundArchive, StoreError, StreamingReview, SubmissionBundle,
-    SyntheticRoundSpec, MANIFEST_SCHEMA,
+    review_bundle, run_round, synthetic_round, synthetic_stress_round, FaultReason, RoundArchive,
+    StoreError, StreamingReview, SubmissionBundle, SyntheticRoundSpec, MANIFEST_SCHEMA,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -208,8 +207,7 @@ fn corrupt_round_manifest_never_panics_the_replay() {
 /// The streaming acceptance property at scale: a synthetic
 /// 1000-bundle round ingested through `review_round_streaming` — which
 /// holds a bundle per pool worker at a time — produces a `RoundOutcome`
-/// identical to materializing the whole round and reviewing it, and
-/// the incrementally-built leaderboards match the batch ones.
+/// identical to materializing the whole round and reviewing it.
 #[test]
 fn thousand_bundle_round_streams_to_the_materialized_outcome() {
     let dir = temp_archive("stress-1k");
@@ -226,13 +224,6 @@ fn thousand_bundle_round_streams_to_the_materialized_outcome() {
     assert_eq!(streamed, materialized);
     assert_eq!(streamed.accepted.len(), 1_000);
     assert!(streamed.quarantined.is_empty());
-
-    // Incremental leaderboards agree with the batch build.
-    let mut acc = LeaderboardAccumulator::new();
-    for entry in &streamed.accepted {
-        acc.add(entry.clone());
-    }
-    assert_eq!(acc.finish(), leaderboards(&materialized));
     fs::remove_dir_all(&dir).unwrap();
 }
 

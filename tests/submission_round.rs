@@ -4,13 +4,15 @@
 //! hyperparameters during review (§4.1), and the leaderboard ranks the
 //! surviving entries correctly.
 
+use mlperf_suite::core::aggregate::ScenarioSummary;
 use mlperf_suite::core::compliance::ComplianceIssue;
 use mlperf_suite::core::mllog::keys;
-use mlperf_suite::core::rules::{borrow_hyperparameters, Division, HyperparameterRules};
+use mlperf_suite::core::rules::{borrow_hyperparameters, Division, HyperparameterRules, Scenario};
 use mlperf_suite::core::suite::BenchmarkId;
 use mlperf_suite::distsim::Round;
 use mlperf_suite::submission::{
-    leaderboards, run_round, synthetic_round, Diagnostic, Fault, RoundHistory, SyntheticRoundSpec,
+    leaderboards, render_boards, run_round, synthetic_round, AcceptedEntry, Diagnostic, Fault,
+    RoundHistory, RoundOutcome, ScenarioEntry, SyntheticRoundSpec,
 };
 
 #[test]
@@ -89,6 +91,58 @@ fn three_vendor_round_quarantines_and_ranks() {
         .expect("ResNet leaderboard exists");
     assert!(!resnet.entries.iter().any(|e| e.org == "Borealis" && e.chips == 16));
     assert!(resnet.entries.iter().any(|e| e.org == "Borealis" && e.chips != 16));
+}
+
+/// The published board text of hand-made entries: the training board
+/// first, ranked fastest first with equal times in feed order, then the
+/// scenario board, ranked by sustained QPS; each is one titled table
+/// followed by a blank line.
+#[test]
+fn published_boards_keep_feed_order_on_ties_and_list_scenarios_last() {
+    let entry = |org: &str, minutes: f64| AcceptedEntry {
+        org: org.to_string(),
+        system: "sys".to_string(),
+        chips: 8,
+        division: Division::Closed,
+        benchmark: BenchmarkId::Recommendation,
+        minutes,
+        runs: 10,
+    };
+    let served = |org: &str, qps: f64| ScenarioEntry {
+        org: org.to_string(),
+        system: "serving".to_string(),
+        chips: 4,
+        division: Division::Closed,
+        benchmark: BenchmarkId::Recommendation,
+        summary: ScenarioSummary {
+            scenario: Scenario::Server,
+            queries: 256,
+            duration_ms: 2_000,
+            p50_ms: 1.0,
+            p90_ms: 2.0,
+            p99_ms: 4.0,
+            qps,
+            slo_ms: Some(10.0),
+            slo_satisfied: Some(true),
+        },
+    };
+    let outcome = RoundOutcome {
+        round: Round::V07,
+        accepted: vec![entry("First", 2.0), entry("Second", 2.0), entry("Faster", 1.0)],
+        scenarios: vec![served("Slower", 80.0), served("Quicker", 160.0)],
+        quarantined: Vec::new(),
+        reports: Vec::new(),
+    };
+    let text = render_boards(&outcome);
+    let blocks: Vec<&str> = text.split_terminator("\n\n").collect();
+    assert_eq!(blocks.len(), 2, "{text}");
+    // Rows follow the title and the column header; the org is column 2.
+    let orgs = |block: &str| -> Vec<String> {
+        block.lines().skip(2).map(|row| row.split_whitespace().nth(1).unwrap().into()).collect()
+    };
+    assert_eq!(orgs(blocks[0]), ["Faster", "First", "Second"]);
+    assert_eq!(orgs(blocks[1]), ["Quicker", "Slower"]);
+    assert!(blocks[1].lines().next().unwrap().contains(" server ("), "{}", blocks[1]);
 }
 
 #[test]
